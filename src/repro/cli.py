@@ -222,74 +222,18 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Measure a tracked workload row (paper-scale sim or HTTP serving)."""
-    import json
-
-    if args.workload == "serve":
-        from repro.experiments.serve_bench import run_serve_benchmark_sync
-        from repro.server import ServeConfig
-
-        row = run_serve_benchmark_sync(
-            size=args.size or 64,
-            queries=args.queries or 200,
-            concurrency=args.concurrency,
-            seed=args.seed,
-            serve_config=ServeConfig(
-                max_pending=max(64, 2 * args.concurrency),
-                per_client_limit=args.concurrency,
-            ),
-        )
-    else:
-        from repro.experiments.scale import measure_scale
-
-        row = measure_scale(
-            args.size or 100_000,
-            queries=args.queries or 10,
-            num_shards=args.shards,
-            shard_mode=args.shard_mode,
-        )
-    print(json.dumps(row, indent=2))
-    if args.append:
-        import datetime
-        import platform
-        import subprocess
-
-        try:
-            row["git_revision"] = subprocess.run(
-                ["git", "rev-parse", "--short", "HEAD"],
-                capture_output=True, text=True, timeout=5,
-            ).stdout.strip() or "unknown"
-        except OSError:
-            row["git_revision"] = "unknown"
-        row["timestamp"] = datetime.datetime.now(
-            datetime.timezone.utc
-        ).isoformat(timespec="seconds")
-        row["python"] = platform.python_version()
-        row["machine"] = platform.machine()
-        with open(args.append) as handle:
-            rows = json.load(handle)
-        rows.append(row)
-        with open(args.append, "w") as handle:
-            json.dump(rows, handle, indent=2)
-            handle.write("\n")
-        print(f"appended row to {args.append}")
-    if args.workload == "serve" and (row["errors"] or not row["drained"]):
-        print("bench serve: errors or unclean drain", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Serve a loopback overlay over HTTP (or run the CI smoke gate)."""
     import asyncio
     import json
 
-    from repro.experiments.serve_bench import run_serve_benchmark_sync
     from repro.obs.registry import MetricsRegistry
     from repro.server import ServeConfig
 
     registry = MetricsRegistry()
+    config = ExperimentConfig(
+        network_size=args.size, seed=args.seed, dimensions=args.dimensions
+    )
     serve_config = ServeConfig(
         host=args.host,
         port=args.port,
@@ -298,18 +242,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         request_timeout=args.request_timeout,
     )
     if args.smoke:
-        row = run_serve_benchmark_sync(
-            size=args.size,
-            queries=args.smoke,
-            concurrency=args.concurrency,
-            seed=args.seed,
-            serve_config=ServeConfig(
+        from repro.experiments.serve_smoke import run_serve_smoke
+
+        row = asyncio.run(run_serve_smoke(
+            config,
+            args.smoke,
+            args.concurrency,
+            ServeConfig(
                 max_pending=max(64, 2 * args.concurrency),
                 per_client_limit=args.concurrency,
                 request_timeout=args.request_timeout,
             ),
-            registry=registry,
-        )
+            registry,
+        ))
         print(json.dumps(row, indent=2))
         if args.metrics_out:
             with open(args.metrics_out, "w") as handle:
@@ -328,10 +273,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         from repro.server import serve_overlay
         from repro.workloads.distributions import uniform_sampler
 
-        config = ExperimentConfig(
-            network_size=args.size, seed=args.seed,
-            dimensions=args.dimensions,
-        )
         schema = config.schema()
         async with AioOverlay(
             schema, seed=args.seed, registry=registry
@@ -684,31 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "detection) against it")
     chaos.add_argument("--json", type=str, default="",
                        help="also write the full report to this JSON file")
-    bench = subparsers.add_parser(
-        "bench",
-        help="measure a tracked workload row: the paper-scale simulation "
-        "(scale) or the HTTP serving path (serve)",
-    )
-    bench.add_argument("workload", nargs="?", choices=["scale", "serve"],
-                       default="scale",
-                       help="what to measure (default scale)")
-    bench.add_argument("--size", type=_positive_int, default=None,
-                       help="network size N (default: 100,000 for scale, "
-                       "64 for serve)")
-    bench.add_argument("--seed", type=int, default=2009)
-    bench.add_argument("--queries", type=_positive_int, default=None,
-                       help="measured queries (default: 10 for scale, "
-                       "200 for serve)")
-    bench.add_argument("--concurrency", type=_positive_int, default=16,
-                       help="concurrent HTTP clients (serve; default 16)")
-    bench.add_argument("--shards", type=_positive_int, default=1,
-                       help="shard count; >1 uses the sharded engine (scale)")
-    bench.add_argument("--shard-mode", choices=["inline", "process"],
-                       default="inline",
-                       help="worker mode for --shards > 1 (default inline)")
-    bench.add_argument("--append", type=str, default="",
-                       help="also append the row to this JSON array file "
-                       "(e.g. BENCH_paper_scale.json)")
     serve = subparsers.add_parser(
         "serve",
         help="serve a loopback overlay over HTTP/JSON (POST /query, "
@@ -784,8 +700,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args: argparse.Namespace) -> int:
     """Route a parsed namespace to its command function."""
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "serve":
         return _cmd_serve(args)
     if args.command == "trace":

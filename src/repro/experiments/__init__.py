@@ -28,7 +28,6 @@ from repro.experiments.harness import (
     measure_queries,
 )
 from repro.experiments.report import format_histogram, format_table
-from repro.experiments.storage import list_results, load_rows, save_rows
 from repro.experiments.timeline import delivery_timeline, mean_delivery_after
 
 __all__ = [
@@ -55,9 +54,6 @@ __all__ = [
     "measure_queries",
     "format_histogram",
     "format_table",
-    "list_results",
-    "load_rows",
-    "save_rows",
     "delivery_timeline",
     "mean_delivery_after",
 ]

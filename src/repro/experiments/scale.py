@@ -1,38 +1,20 @@
-"""Paper-scale measurement: wall time, memory footprint, shard plumbing.
+"""The sharded twin of :func:`repro.experiments.harness.build_deployment`.
 
-This module is the engine behind ``scripts/bench_trajectory.py`` and the
-``repro bench`` CLI subcommand. One :func:`measure_scale` call builds a
-PAPER_PEERSIM-shaped deployment at the requested size, runs the tracked
-query workload (aligned f=0.125 queries at the paper's sigma), and
-reports the per-query observables alongside the resource numbers ROADMAP
-item 2 asks for: wall-clock per phase, peak RSS, and measured bytes per
-node.
-
-:func:`build_sharded_deployment` is the sharded twin of
-:func:`repro.experiments.harness.build_deployment` — same config, same
-rng streams, same measurement surface — used by the determinism tests
-and for shard-partitioned runs.
+Same config, same rng streams, same measurement surface — used by the
+determinism tests, the perf smokes and the ``scale_sharded`` workload of
+``python3 -m bench``.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Any, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.experiments.config import PAPER_PEERSIM, ExperimentConfig
-from repro.experiments.harness import (
-    build_deployment,
-    latency_for_testbed,
-    mean_delivery,
-    mean_overhead,
-    measure_queries,
-)
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.harness import latency_for_testbed
 from repro.obs import profile
 from repro.sim.deployment import ValueSampler
 from repro.sim.shard import ShardedDeployment, _MergedMetrics
-from repro.util.memory import current_rss_bytes, peak_rss_bytes
 from repro.workloads.distributions import uniform_sampler
-from repro.workloads.queries import aligned_selectivity_query
 
 
 def build_sharded_deployment(
@@ -86,90 +68,3 @@ def build_sharded_deployment(
         deployment.close()
         raise
     return deployment, deployment.metrics
-
-
-def measure_scale(
-    size: int,
-    queries: int = 10,
-    num_shards: int = 1,
-    shard_mode: str = "inline",
-    config: Optional[ExperimentConfig] = None,
-) -> Dict[str, Any]:
-    """Build at *size*, measure *queries*, report time + memory + quality.
-
-    The workload matches the tracked BENCH_paper_scale.json rows: aligned
-    f=selectivity queries at the config's sigma. With ``num_shards > 1``
-    the sharded engine runs the queries (single-process by default).
-    ``bytes_per_node`` is the RSS growth across populate+bootstrap
-    divided by the population — the whole per-node cost (descriptor,
-    host, node, routing table and all its links), not one structure. In
-    process mode the hosts live in the forked workers, so
-    ``bytes_per_node`` measures the *master's* columnar state; each
-    worker's own RSS is reported in ``shard_build_stats``. The build is
-    also broken down per phase (``populate_seconds`` /
-    ``bootstrap_seconds``, via the phase profiler) and per shard.
-    """
-    base = config or PAPER_PEERSIM
-    cfg = base if size == base.network_size else base.scaled(size)
-    schema = cfg.schema()
-    previous_profiler = profile.active()
-    profiler = profile.activate()
-    rss_before = current_rss_bytes()
-    build_started = time.perf_counter()
-    try:
-        if num_shards > 1:
-            deployment, metrics = build_sharded_deployment(
-                cfg, num_shards=num_shards, mode=shard_mode
-            )
-        else:
-            deployment, metrics = build_deployment(cfg)
-    finally:
-        if previous_profiler is not None:
-            profile.activate(previous_profiler)
-        else:
-            profile.deactivate()
-    build_seconds = time.perf_counter() - build_started
-    rss_after = current_rss_bytes()
-    phases = profiler.phases
-
-    query_started = time.perf_counter()
-    outcomes = measure_queries(
-        deployment,
-        metrics,
-        lambda rng: aligned_selectivity_query(schema, cfg.selectivity, rng),
-        count=queries,
-        sigma=cfg.sigma,
-        seed=cfg.seed,
-    )
-    query_seconds = time.perf_counter() - query_started
-
-    built_bytes = max(0, rss_after - rss_before)
-    result = {
-        "network_size": size,
-        "queries": queries,
-        "build_seconds": round(build_seconds, 3),
-        "populate_seconds": round(
-            phases["populate"].seconds if "populate" in phases else 0.0, 3
-        ),
-        "bootstrap_seconds": round(
-            phases["bootstrap"].seconds if "bootstrap" in phases else 0.0, 3
-        ),
-        "query_seconds": round(query_seconds, 3),
-        "total_seconds": round(build_seconds + query_seconds, 3),
-        "mean_overhead": round(mean_overhead(outcomes), 3),
-        "mean_delivery": round(mean_delivery(outcomes), 6),
-        "duplicates": sum(outcome.duplicates for outcome in outcomes),
-        "min_found": min(outcome.found for outcome in outcomes),
-        "peak_rss_bytes": peak_rss_bytes(),
-        "deployment_rss_bytes": built_bytes,
-        "bytes_per_node": round(built_bytes / size, 1) if size else 0.0,
-        "num_shards": num_shards,
-        "shard_mode": shard_mode if num_shards > 1 else None,
-    }
-    shard_stats = getattr(deployment, "build_stats", None)
-    if shard_stats:
-        result["shard_build_stats"] = shard_stats
-    closer = getattr(deployment, "close", None)
-    if closer is not None:
-        closer()
-    return result

@@ -1,15 +1,9 @@
-"""Local runtimes: threaded cluster emulation and asyncio-over-UDP."""
+"""Live runtime: the overlay over asyncio and real UDP sockets."""
 
 from repro.runtime.aio import AioHost, AioOverlay, AsyncioTransport
-from repro.runtime.local import LocalRuntime, RuntimeHost, RuntimeTransport
-from repro.runtime.scheduler import TimerScheduler
 
 __all__ = [
     "AioHost",
     "AioOverlay",
     "AsyncioTransport",
-    "LocalRuntime",
-    "RuntimeHost",
-    "RuntimeTransport",
-    "TimerScheduler",
 ]

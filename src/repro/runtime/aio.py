@@ -1,18 +1,18 @@
 """Asyncio production runtime: every overlay node behind a real UDP socket.
 
-This is the third runtime of the reproduction and the first one that
-speaks actual bytes. Each overlay node is an :class:`AioHost` that binds
+This is the live runtime of the reproduction, the one that speaks
+actual bytes. Each overlay node is an :class:`AioHost` that binds
 its own UDP datagram socket; messages between nodes are real datagrams
 framed by :class:`repro.core.codec.Codec`, timers are
 ``loop.call_later`` wall-clock timers, and the clock is the event loop's
 monotonic clock — yet the protocol objects inside are the *identical*
 :class:`~repro.core.node.ResourceNode` and
-:class:`~repro.gossip.maintenance.TwoLayerMaintenance` the simulator and
-the threaded runtime drive, behind a different
-:class:`~repro.core.transport.Transport`. The paper's DAS-3 deployment
-("20 processes per node on 50 nodes") maps onto this runtime one process
-at a time; a single process can also emulate a whole loopback overlay,
-which is what ``repro serve`` and the parity tests do.
+:class:`~repro.gossip.maintenance.TwoLayerMaintenance` the simulator
+drives, behind a different :class:`~repro.core.transport.Transport`.
+The paper's DAS-3 deployment ("20 processes per node on 50 nodes") maps
+onto this runtime one process at a time; a single process can also
+emulate a whole loopback overlay, which is what ``repro serve`` and
+``repro chaos --runtime aio`` do.
 
 Robustness is layered under the protocol, not into it: every outgoing
 frame passes through a per-host
@@ -28,11 +28,10 @@ the same identity on a fresh port.
 Because asyncio is single-threaded, no locks are needed: every datagram
 receipt, timer callback and query completion runs on the event loop.
 
-Population and bootstrap consume the exact same seeded RNG streams as
-:class:`~repro.runtime.local.LocalRuntime` (``runtime-population`` /
-``runtime-bootstrap`` / ``runtime-host:<addr>``), so the two runtimes
-build bit-identical overlays from the same seed — the basis of the
-convergence/delivery parity test.
+Everything random is drawn from seeded RNG streams of the overlay's own
+(``runtime-population``, ``runtime-bootstrap``, ``runtime-seeds``,
+``runtime-faults`` and ``runtime-host:<addr>``), so two overlays built
+from the same seed hold bit-identical populations and routing tables.
 """
 
 from __future__ import annotations
@@ -171,6 +170,11 @@ class _NodeDatagramProtocol(asyncio.DatagramProtocol):
     def connection_made(self, transport) -> None:
         """Capture the datagram transport once the socket is bound."""
         self.host.udp = transport
+        # asyncio reads each datagram into a fresh 256 KiB buffer, which
+        # glibc, depending on what the heap freed earlier, mmaps and
+        # unmaps per datagram: page faults on every receive. No UDP
+        # datagram exceeds 64 KiB, and that stays below the mmap threshold.
+        transport.max_size = 65536
 
     def datagram_received(self, data: bytes, addr: Endpoint) -> None:
         """Decode and dispatch one datagram (hostile bytes never escape)."""
@@ -438,11 +442,11 @@ class AioHost:
 class AioOverlay:
     """A set of UDP-socketed hosts forming one overlay in one process.
 
-    The asyncio analogue of :class:`~repro.runtime.local.LocalRuntime`:
-    same construction API, same seeded RNG streams, but every message is
-    a real datagram and every timer a real ``loop.call_later``. All
-    methods must run on the event loop (use ``async with`` /
-    :meth:`populate` from a coroutine).
+    The live counterpart of :class:`~repro.sim.deployment.Deployment`:
+    the same populate / bootstrap / execute_query surface, but every
+    message is a real datagram and every timer a real
+    ``loop.call_later``. All methods must run on the event loop (use
+    ``async with`` / :meth:`populate` from a coroutine).
     """
 
     def __init__(
@@ -497,8 +501,8 @@ class AioOverlay:
     async def populate(self, sampler, count: int) -> List[AioHost]:
         """Create *count* hosts from a value sampler.
 
-        Consumes the identical ``runtime-population`` RNG stream as the
-        threaded runtime, so the same seed yields the same descriptors.
+        Draws from the ``runtime-population`` RNG stream, so the same
+        seed yields the same descriptors.
         """
         rng = derive_rng(self.seed, "runtime-population")
         return [await self.add_host(sampler(rng)) for _ in range(count)]

@@ -11,7 +11,6 @@ from repro.sim.latency import (
     wan_latency,
 )
 from repro.sim.network import SimNetwork, SimTransport
-from repro.sim.trace import TraceEvent, TraceRecorder
 
 __all__ = [
     "ContinuousChurn",
@@ -29,6 +28,4 @@ __all__ = [
     "wan_latency",
     "SimNetwork",
     "SimTransport",
-    "TraceEvent",
-    "TraceRecorder",
 ]

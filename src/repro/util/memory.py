@@ -1,10 +1,8 @@
 """Process-memory measurement helpers (Linux, stdlib-only).
 
-The bench trajectory and the CI memory gate need two different numbers:
+The shard workers and the CI memory gate need two different numbers:
 
-* **RSS** — what the OS actually charges the process. ``peak_rss_bytes``
-  reads ``ru_maxrss`` (the high-water mark since process start, so
-  meaningful only when the workload of interest dominates the process),
+* **RSS** — what the OS actually charges the process;
   ``current_rss_bytes`` reads ``/proc/self/status``.
 * **Traced allocation** — ``tracemalloc``-attributed Python allocations
   between two points, independent of allocator slack and interpreter
@@ -14,19 +12,9 @@ The bench trajectory and the CI memory gate need two different numbers:
 
 from __future__ import annotations
 
-import resource
 import tracemalloc
 from contextlib import contextmanager
 from typing import Iterator, List
-
-
-def peak_rss_bytes() -> int:
-    """High-water-mark RSS of this process, in bytes.
-
-    ``ru_maxrss`` is reported in kilobytes on Linux (bytes on macOS; this
-    repo's benches target Linux, where the unit is fixed).
-    """
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 
 
 def current_rss_bytes() -> int:

@@ -21,14 +21,9 @@ class TestUsageErrorsExitTwo:
             main(["run", "fig06", "--size", "-5"])
         assert err.value.code == 2
 
-    def test_non_numeric_size_is_a_usage_error(self):
+    def test_bench_subcommand_is_gone(self):
         with pytest.raises(SystemExit) as err:
-            main(["bench", "--size", "lots"])
-        assert err.value.code == 2
-
-    def test_unknown_bench_workload_is_a_usage_error(self):
-        with pytest.raises(SystemExit) as err:
-            main(["bench", "everything"])
+            main(["bench"])
         assert err.value.code == 2
 
     def test_unknown_chaos_scenario_exits_two(self, capsys):
@@ -75,20 +70,3 @@ class TestServeSmoke:
         snapshot = json.loads(metrics_path.read_text())
         assert snapshot["counters"]["aio.datagrams_sent"] > 0
         assert snapshot["counters"].get("http.responses{status=200}", 0) >= 20
-
-    def test_bench_serve_appends_row(self, tmp_path, capsys):
-        bench_file = tmp_path / "bench.json"
-        bench_file.write_text("[]")
-        code = main([
-            "bench", "serve", "--size", "16", "--queries", "20",
-            "--concurrency", "4", "--seed", "5",
-            "--append", str(bench_file),
-        ])
-        assert code == 0
-        rows = json.loads(bench_file.read_text())
-        assert len(rows) == 1
-        row = rows[0]
-        assert row["workload"] == "serve"
-        assert row["qps"] > 0
-        assert row["delivered"] == 1.0
-        assert {"p50_ms", "p99_ms", "concurrency"} <= set(row)

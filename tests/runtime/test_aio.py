@@ -1,10 +1,8 @@
 """Tests for the asyncio runtime: real UDP sockets, real loop timers.
 
-Includes the cross-runtime parity test (acceptance criterion of the
-serving PR): the asyncio runtime on a converged seeded overlay must
-return bit-identical matched node sets to the threaded runtime for the
-same queries, because both consume the same RNG streams and route over
-the same bootstrapped tables — only the transport differs.
+Includes the parity test: on a converged seeded overlay every query,
+from every origin, must return exactly the brute-force matched set, and
+the same seed must build the same population twice.
 """
 
 import asyncio
@@ -18,7 +16,6 @@ from repro.gossip.maintenance import GossipConfig
 from repro.gossip.messages import CyclonRequest
 from repro.obs.registry import MetricsRegistry
 from repro.runtime.aio import AioOverlay
-from repro.runtime.local import LocalRuntime
 from repro.workloads.distributions import uniform_sampler
 
 
@@ -38,68 +35,51 @@ QUERIES = [
 
 
 class TestRuntimeParity:
-    def test_matched_sets_identical_to_threaded_runtime(self, schema):
-        """Same seed, same queries, same origins => identical matched sets."""
+    def test_exact_matched_sets_and_seeded_population(self, schema):
+        """Every (query, origin) is exact; same seed => same population."""
         seed, count = 1234, 48
         origins = [0, 7, 31]
-
-        threaded = {}
-        with LocalRuntime(schema, seed=seed) as runtime:
-            runtime.populate(uniform_sampler(schema), count)
-            runtime.bootstrap()
-            descriptors_threaded = {
-                address: host.node.descriptor
-                for address, host in runtime.hosts.items()
-            }
-            for qi, spec in enumerate(QUERIES):
-                for origin in origins:
-                    found = runtime.execute_query(
-                        Query.where(schema, **spec), origin=origin, timeout=30.0
-                    )
-                    threaded[(qi, origin)] = sorted(d.address for d in found)
 
         async def run_aio():
             async with AioOverlay(schema, seed=seed) as overlay:
                 await overlay.populate(uniform_sampler(schema), count)
                 overlay.bootstrap()
-                descriptors_aio = {
+                descriptors = {
                     address: host.node.descriptor
                     for address, host in overlay.hosts.items()
                 }
-                results = {}
+                matched, expected = {}, {}
                 for qi, spec in enumerate(QUERIES):
+                    query = Query.where(schema, **spec)
                     for origin in origins:
                         found = await overlay.execute_query(
-                            Query.where(schema, **spec),
-                            origin=origin,
-                            timeout=30.0,
+                            query, origin=origin, timeout=30.0
                         )
-                        results[(qi, origin)] = sorted(
+                        matched[(qi, origin)] = sorted(
                             d.address for d in found
                         )
-                return descriptors_aio, results
+                        expected[(qi, origin)] = sorted(
+                            d.address
+                            for d in overlay.matching_descriptors(query)
+                        )
+                return descriptors, matched, expected
 
-        descriptors_aio, aio = asyncio.run(run_aio())
+        descriptors, matched, expected = asyncio.run(run_aio())
+        descriptors_again, _, _ = asyncio.run(run_aio())
 
-        # Identical populations: same RNG stream, same addresses, same
-        # attribute values and coordinates — bit for bit.
-        assert set(descriptors_aio) == set(descriptors_threaded)
-        for address, descriptor in descriptors_threaded.items():
-            other = descriptors_aio[address]
+        # All 12 matched sets equal brute force over the overlay's own
+        # population, whichever node the query entered at.
+        assert len(matched) == len(QUERIES) * len(origins)
+        assert matched == expected
+        assert len(matched[(3, 0)]) == count  # the full-space query
+
+        # Identical populations from one seed: same RNG stream, same
+        # addresses, same attribute values and coordinates — bit for bit.
+        assert set(descriptors_again) == set(descriptors)
+        for address, descriptor in descriptors.items():
+            other = descriptors_again[address]
             assert descriptor.values == other.values
             assert descriptor.coordinates == other.coordinates
-
-        # Identical matched node sets for every (query, origin) pair.
-        assert aio == threaded
-        # And both are complete on a converged overlay: sanity-check one
-        # full-space query against ground truth.
-        full = Query.where(schema)
-        with LocalRuntime(schema, seed=seed) as runtime:
-            runtime.populate(uniform_sampler(schema), count)
-            expected = sorted(
-                d.address for d in runtime.matching_descriptors(full)
-            )
-        assert threaded[(3, 0)] == expected
 
 
 class TestAioOverlay:
@@ -129,6 +109,21 @@ class TestAioOverlay:
         counters = snapshot["counters"]
         assert counters.get("aio.datagrams_sent", 0) > 0
         assert counters.get("aio.datagrams_received", 0) > 0
+
+    def test_receive_buffer_is_capped_at_64k(self, schema):
+        """asyncio's 256 KiB default made glibc mmap a buffer per datagram."""
+
+        async def scenario():
+            async with AioOverlay(schema, seed=7) as overlay:
+                await overlay.populate(uniform_sampler(schema), 2)
+                sizes = [host.udp.max_size for host in overlay.hosts.values()]
+                return sizes, overlay.reliable.max_datagram
+
+        sizes, max_datagram = asyncio.run(scenario())
+        # Any UDP payload (<= 65,507 bytes) fits; 128 KiB is glibc's
+        # default mmap threshold.
+        assert all(65_507 <= size < 128 * 1024 for size in sizes)
+        assert max_datagram <= 65_507
 
     def test_gossip_converges_over_udp(self, schema):
         async def scenario():

@@ -479,22 +479,36 @@ class TestDrainUnderLoss:
 
 class TestServeBenchmark:
     def test_smoke_benchmark_delivers_everything(self):
-        from repro.experiments.serve_bench import run_serve_benchmark
+        from repro.experiments.config import ExperimentConfig
+        from repro.experiments.serve_smoke import run_serve_smoke
 
-        async def scenario():
-            return await run_serve_benchmark(
-                size=24,
-                queries=40,
-                concurrency=8,
-                seed=5,
-                serve_config=ServeConfig(
-                    port=0, max_pending=64, per_client_limit=8
-                ),
-            )
+        row = asyncio.run(run_serve_smoke(
+            ExperimentConfig(network_size=24, seed=5, dimensions=3),
+            40,
+            8,
+            ServeConfig(port=0, max_pending=64, per_client_limit=8),
+            MetricsRegistry(),
+        ))
+        assert row == {
+            "queries": 40, "delivered": 1.0, "errors": 0, "drained": True
+        }
 
-        row = asyncio.run(scenario())
-        assert row["delivered"] == 1.0
-        assert row["errors"] == 0
-        assert row["drained"]
-        assert row["qps"] > 0
-        assert row["p99_ms"] >= row["p50_ms"] > 0
+    def test_smoke_honours_dimensions(self, monkeypatch, capsys):
+        """``repro serve --smoke`` used to hard-code a 3-attribute schema."""
+        from repro import cli
+
+        served = []
+        populate = AioOverlay.populate
+
+        async def spy(overlay, sampler, count):
+            served.append(overlay.schema)
+            return await populate(overlay, sampler, count)
+
+        monkeypatch.setattr(AioOverlay, "populate", spy)
+        code = cli.main([
+            "serve", "--size", "16", "--smoke", "20", "--concurrency", "4",
+            "--seed", "5", "--dimensions", "2",
+        ])
+        assert code == 0
+        assert "smoke: OK" in capsys.readouterr().out
+        assert [len(schema.definitions) for schema in served] == [2]
