@@ -62,15 +62,46 @@ def test_query_batch_small_network(benchmark):
     assert sum(outcome.duplicates for outcome in outcomes) == 0
 
 
-def test_ground_truth_lookup_is_indexed(benchmark):
-    """matching_descriptors must stay far below one full scan per call."""
+def test_ground_truth_lookup_is_indexed(benchmark, monkeypatch):
+    """matching_descriptors must stay far below one full scan per call.
+
+    Two gates: a wall-clock ceiling that only a full-scan regression
+    trips, and a host-independent counter gate on the columnar path —
+    once the first lookup has folded the population into the columnar
+    base, no lookup may call ``Query.matches`` or construct a
+    ``NodeDescriptor``. A per-candidate Python filter passes the first
+    gate easily at this size; it cannot pass the second.
+    """
+    from repro.core.descriptors import NodeDescriptor
+    from repro.core.query import Query
+    from repro.core.store import ColumnarCellIndex
+    from repro.util.rng import derive_rng
+
     cfg = PAPER_PEERSIM.scaled(SMOKE_N)
     schema = cfg.schema()
     deployment, _ = build_deployment(cfg)
-    from repro.util.rng import derive_rng
+    assert isinstance(deployment.index, ColumnarCellIndex)
 
     rng = derive_rng(cfg.seed, "smoke-ground-truth")
     queries = [random_box_query(schema, 0.01, rng) for _ in range(200)]
+    queries += [
+        aligned_selectivity_query(schema, 0.125, rng) for _ in range(40)
+    ]
+    deployment.matching_descriptors(queries[0])  # the folding lookup
+
+    calls = {"matches": 0, "descriptors": 0}
+    matches, init = Query.matches, NodeDescriptor.__init__
+
+    def counting_matches(self, values):
+        calls["matches"] += 1
+        return matches(self, values)
+
+    def counting_init(self, *args, **kwargs):
+        calls["descriptors"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Query, "matches", counting_matches)
+    monkeypatch.setattr(NodeDescriptor, "__init__", counting_init)
 
     def ground_truth_batch():
         return sum(
@@ -81,9 +112,10 @@ def test_ground_truth_lookup_is_indexed(benchmark):
     total = run_once(benchmark, ground_truth_batch)
     elapsed = time.perf_counter() - start
     assert total > 0
-    # 200 selective lookups over 5,000 nodes; the cell index answers each
-    # from the handful of overlapping cells. A full-scan regression costs
-    # 200 * 5,000 matches() calls and blows straight through this.
+    assert calls == {"matches": 0, "descriptors": 0}
+    # 240 lookups over 5,000 nodes; the cell index answers each from the
+    # overlapping cells. A full-scan regression costs 240 * 5,000
+    # matches() calls and blows straight through this.
     assert elapsed < 2.0
 
 

@@ -33,7 +33,7 @@ exactly-once delivery guarantee.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Tuple, Union
+from typing import Dict, Iterator, Sequence, Tuple, Union
 
 from repro.util.intervals import Interval, interval_contains, intervals_overlap
 
@@ -44,10 +44,21 @@ ZERO_SLOT: Tuple[str] = ("zero",)
 
 Slot = Union[Tuple[str], Tuple[int, int]]
 
+#: Canonical copies of the aligned ``(low, high)`` intervals regions are
+#: built from. Only ``2**(L + 1) - 1`` exist per depth ``L``, so sharing
+#: them bounds the per-region cost to the outer tuple.
+_INTERVALS: Dict[Interval, Interval] = {}
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Region:
-    """An axis-aligned box of cell indices (inclusive per-dimension bounds)."""
+    """An axis-aligned box of cell indices (inclusive per-dimension bounds).
+
+    Slotted: every routing table caches the regions of the slots it has
+    forwarded through, so region count grows with the queries a
+    deployment has served, and a per-instance ``__dict__`` would double
+    each region's footprint.
+    """
 
     intervals: Tuple[Interval, ...]
 
@@ -110,15 +121,16 @@ def neighboring_region(
         if j < dim:
             # Same half as X at this split: X's C_(l-1) interval.
             low = (index >> (level - 1)) << (level - 1)
-            intervals.append((low, low + half - 1))
+            interval = (low, low + half - 1)
         elif j == dim:
             # The sibling half: X's C_(l-1) interval with the split bit flipped.
             low = ((index >> (level - 1)) << (level - 1)) ^ half
-            intervals.append((low, low + half - 1))
+            interval = (low, low + half - 1)
         else:
             # Free below the C_l prefix: the whole C_l interval.
             low = (index >> level) << level
-            intervals.append((low, low + (1 << level) - 1))
+            interval = (low, low + (1 << level) - 1)
+        intervals.append(_INTERVALS.setdefault(interval, interval))
     return Region(tuple(intervals))
 
 

@@ -1,4 +1,4 @@
-"""Cell-bucketed descriptor index.
+"""Cell-bucketed descriptor index: the scalar semantics of record.
 
 The nested-cell geometry (:mod:`repro.core.cells`) already partitions the
 attribute space into ``(2**d)**max_level`` lowest-level cells, and a
@@ -10,15 +10,15 @@ only has to look at the cells overlapping the query box instead of
 scanning the whole population — the same recursive-decomposition trick
 that gives distributed range-query structures their sub-linear lookups.
 
-Two consumers share the index:
+Both sim engines answer ground truth from
+:class:`repro.core.store.ColumnarCellIndex`, the array form of this
+index (:func:`repro.core.store.ground_truth_index`). ``CellIndex`` stays
+as
 
-* :class:`repro.sim.Deployment` keeps one incrementally up to date across
-  joins, crashes and attribute changes, and serves ground-truth
-  ``matching_descriptors`` from it (previously a full O(N) scan per
-  query).
-* :func:`repro.sim.deployment.bootstrap_links` builds one per bootstrap:
-  the C0 buckets *are* the index's cells, and the neighboring-cell
-  buckets are derived per occupied cell rather than per descriptor.
+* the oracle the columnar index is property-tested against, and the
+  ground-truth index itself when the columnar path is unavailable;
+* the columnar index's churn overlay, small by construction;
+* the C0 grouping of :func:`repro.sim.deployment.bootstrap_tables`.
 """
 
 from __future__ import annotations
@@ -26,16 +26,11 @@ from __future__ import annotations
 from itertools import product
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core import vector
 from repro.core.attributes import AttributeSchema
 from repro.core.cells import Coordinates
 from repro.core.descriptors import Address, NodeDescriptor
 from repro.core.query import Query
 from repro.util.intervals import Interval
-
-#: Occupied-cell count below which the vectorized membership scan is not
-#: worth the matrix build (the scalar loop wins on small populations).
-_VECTOR_SCAN_THRESHOLD = 512
 
 
 class CellIndex:
@@ -45,18 +40,12 @@ class CellIndex:
     changed (the node's attributes were updated) moves it between cells.
     """
 
-    __slots__ = ("schema", "_cells", "_cell_of", "_matrix", "_matrix_cells")
+    __slots__ = ("schema", "_cells", "_cell_of")
 
     def __init__(self, schema: AttributeSchema) -> None:
         self.schema = schema
         self._cells: Dict[Coordinates, Dict[Address, NodeDescriptor]] = {}
         self._cell_of: Dict[Address, Coordinates] = {}
-        # Lazily built (occupied cells x dimensions) coordinate matrix for
-        # the vectorized membership scan; dropped whenever the set of
-        # occupied cells changes. ``_matrix_cells`` aligns matrix rows
-        # with cell keys in insertion order.
-        self._matrix = None
-        self._matrix_cells: List[Coordinates] = []
 
     def __len__(self) -> int:
         return len(self._cell_of)
@@ -82,7 +71,6 @@ class CellIndex:
         if members is None:
             members = {}
             self._cells[coordinates] = members
-            self._matrix = None
         members[address] = descriptor
         self._cell_of[address] = coordinates
 
@@ -96,7 +84,6 @@ class CellIndex:
             members.pop(address, None)
             if not members:
                 del self._cells[coordinates]
-                self._matrix = None
         return True
 
     def _evict(self, address: Address, coordinates: Coordinates) -> None:
@@ -105,7 +92,6 @@ class CellIndex:
             members.pop(address, None)
             if not members:
                 del self._cells[coordinates]
-                self._matrix = None
         del self._cell_of[address]
 
     # -- lookup -----------------------------------------------------------------
@@ -161,22 +147,6 @@ class CellIndex:
                 members = cells.get(coordinates)
                 if members:
                     yield from members.values()
-        elif (
-            vector.HAVE_NUMPY
-            and len(self._cells) >= _VECTOR_SCAN_THRESHOLD
-        ):
-            # Vectorized occupied scan: one batch box-membership test over
-            # the cached coordinate matrix instead of a Python loop per
-            # cell. Yields the same descriptors in the same (insertion)
-            # order as the scalar branch below.
-            if self._matrix is None:
-                self._matrix_cells = list(self._cells)
-                self._matrix = vector.matrix_of(self._matrix_cells)
-            mask = vector.contains_mask(self._matrix, ranges)
-            cells = self._cells
-            matrix_cells = self._matrix_cells
-            for row in mask.nonzero()[0]:
-                yield from cells[matrix_cells[row]].values()
         else:
             for coordinates, members in self._cells.items():
                 if all(

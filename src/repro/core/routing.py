@@ -86,7 +86,9 @@ class RoutingTable:
         # Region geometry is computed on demand: most nodes in a large
         # deployment never forward a query, and eagerly materializing
         # d * max_level Region objects per node dominates memory at scale.
-        self._regions: Dict[Tuple[int, int], Region] = {}
+        # Keyed by slot number: small ints are shared, (level, dim) tuples
+        # would cost one allocation per cached region.
+        self._regions: Dict[int, Region] = {}
 
     # -- classification --------------------------------------------------------
 
@@ -96,10 +98,11 @@ class RoutingTable:
 
     def region(self, level: int, dim: int) -> Region:
         """The region of the neighboring cell ``N(level, dim)(owner)``."""
-        region = self._regions.get((level, dim))
+        key = level * self.dimensions + dim
+        region = self._regions.get(key)
         if region is None:
             region = neighboring_region(self.owner.coordinates, level, dim)
-            self._regions[(level, dim)] = region
+            self._regions[key] = region
         return region
 
     # -- mutation ---------------------------------------------------------------

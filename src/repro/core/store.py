@@ -33,10 +33,12 @@ still exists once. Everything else reads the arrays directly:
   member row ranges, with cells ordered exactly as incremental
   ``CellIndex.add`` calls in address order would order them (first-seen
   by lowest member address).
-* :class:`ColumnarCellIndex` — the ground-truth index over the store:
-  the frozen columnar base plus a removed-row mask and an object
-  ``CellIndex`` overlay for add/remove churn, answering ``matching``
-  through one vectorized box test + value mask per query.
+* :class:`ColumnarCellIndex` — the ground-truth index of both sim
+  engines (:func:`ground_truth_index`): a frozen columnar base plus a
+  removed-row mask and an object ``CellIndex`` overlay for add/remove
+  churn, folded back into a fresh base once the overlay outgrows a fixed
+  fraction of it. ``matching`` is array operations only: box cells,
+  member rows, value mask, then one descriptor lookup per result row.
 * :class:`BootstrapPlan` — the per-cell zero/slot buckets of the
   converged bootstrap, derived once from the grouping; buckets are row
   arrays wrapped in :class:`_RowBucket` lazy sequences so
@@ -53,8 +55,17 @@ geometry does not pack into int64.
 from __future__ import annotations
 
 import random
-from itertools import product
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.core import vector
 from repro.core.attributes import AttributeSchema
@@ -66,12 +77,36 @@ from repro.util.intervals import Interval
 
 np = vector.np
 
+#: A lookup folds the churn overlay into a fresh columnar base once the
+#: overlay holds more than this fraction of the base's rows. A fold costs
+#: O(N) and comes at most once per ``_FOLD_FRACTION * N`` mutations, so
+#: churn stays amortised O(1) per mutation.
+_FOLD_FRACTION = 0.25
+
 
 def store_enabled(schema: AttributeSchema) -> bool:
     """True when the columnar path can serve *schema* on this machine."""
     return vector.HAVE_NUMPY and vector.packable(
         schema.dimensions, schema.max_level
     )
+
+
+def ground_truth_index(
+    schema: AttributeSchema, descriptors: Iterable[NodeDescriptor] = ()
+) -> Union["ColumnarCellIndex", CellIndex]:
+    """The ground-truth index of both sim engines, holding *descriptors*.
+
+    Columnar whenever :func:`store_enabled`; the object ``CellIndex``
+    (the semantics of record) otherwise.
+    """
+    if store_enabled(schema):
+        return ColumnarCellIndex(
+            DescriptorStore.from_descriptors(schema, descriptors)
+        )
+    index = CellIndex(schema)
+    for descriptor in descriptors:
+        index.add(descriptor)
+    return index
 
 
 class DescriptorStore:
@@ -156,6 +191,36 @@ class DescriptorStore:
         return cls(schema, addresses, values, coords, cell_codes)
 
     @classmethod
+    def from_descriptors(
+        cls, schema: AttributeSchema, descriptors: Iterable[NodeDescriptor]
+    ) -> "DescriptorStore":
+        """A store over existing descriptor objects, rows in address order.
+
+        The flyweight cache is seeded with the given objects, so every
+        row reads back as the very descriptor it was built from.
+        """
+        ordered = sorted(descriptors, key=attrgetter("address"))
+        width = schema.dimensions
+        values = np.array(
+            [descriptor.values for descriptor in ordered], dtype=np.float64
+        ).reshape(-1, width)
+        coords = np.array(
+            [descriptor.coordinates for descriptor in ordered], dtype=np.int64
+        ).reshape(-1, width)
+        addresses = np.array(
+            [descriptor.address for descriptor in ordered], dtype=np.int64
+        )
+        store = cls(
+            schema,
+            addresses,
+            values,
+            coords,
+            vector.pack_cell_codes(coords, schema.max_level),
+        )
+        store._materialized = dict(enumerate(ordered))
+        return store
+
+    @classmethod
     def concat(
         cls, first: "DescriptorStore", second: "DescriptorStore"
     ) -> "DescriptorStore":
@@ -214,6 +279,15 @@ class DescriptorStore:
             )
             self._materialized[row] = cached
         return cached
+
+    def descriptors_at(self, rows: Sequence[int]) -> List[NodeDescriptor]:
+        """The (cached) descriptors of *rows*, in the given order."""
+        cached = self._materialized
+        try:
+            return [cached[row] for row in rows]
+        except KeyError:
+            descriptor = self.descriptor
+            return [descriptor(row) for row in rows]
 
     def descriptors(self) -> Iterator[NodeDescriptor]:
         """Materialize every row, in row (= address) order."""
@@ -278,8 +352,9 @@ class CellGrouping:
         "cell_coords",
         "cell_codes",
         "code_to_cell",
+        "_sorted_codes",
         "_sorted_starts",
-        "_rank",
+        "_sorted_ends",
     )
 
     def __init__(self, store: DescriptorStore) -> None:
@@ -300,14 +375,16 @@ class CellGrouping:
         firsts = order[starts] if count else starts
         rank = np.argsort(firsts, kind="stable")
         self.order = order
+        # The same spans in ascending-code order, for box lookups.
+        self._sorted_codes = sorted_codes[starts]
         self._sorted_starts = starts
-        self._rank = rank
+        self._sorted_ends = ends
         self.starts = starts[rank]
         self.ends = ends[rank]
         self.cell_coords = store.coords[firsts[rank]] if count else (
             np.zeros((0, store.coords.shape[1]), dtype=np.int64)
         )
-        self.cell_codes = sorted_codes[starts][rank] if count else starts
+        self.cell_codes = self._sorted_codes[rank]
         self.code_to_cell: Dict[int, int] = {
             int(code): cell
             for cell, code in enumerate(self.cell_codes.tolist())
@@ -324,6 +401,39 @@ class CellGrouping:
         A view into the shared order array — no copy.
         """
         return self.order[self.starts[cell] : self.ends[cell]]
+
+    def rows_in_box(
+        self, ranges: Sequence[Interval], max_level: int
+    ) -> "np.ndarray":
+        """Rows of every cell inside the box *ranges*, ascending.
+
+        The smaller side is enumerated: the box's packed cell keys are
+        binary-searched among the occupied ones, or every occupied cell is
+        tested against the box. The hit cells' ``order`` spans are then
+        gathered in one ``repeat`` + ``arange`` and sorted.
+        """
+        box_cells = 1
+        for low, high in ranges:
+            box_cells *= max(0, high - low + 1)
+        if box_cells <= self.cell_count:
+            codes = vector.box_cell_codes(ranges, max_level)
+            found = np.searchsorted(self._sorted_codes, codes)
+            hit = found[
+                self._sorted_codes[np.minimum(found, self.cell_count - 1)]
+                == codes
+            ]
+            starts, ends = self._sorted_starts[hit], self._sorted_ends[hit]
+        else:
+            hit = vector.contains_mask(self.cell_coords, ranges)
+            starts, ends = self.starts[hit], self.ends[hit]
+        if not len(starts):
+            return self.order[:0]
+        lengths = ends - starts
+        stops = np.cumsum(lengths)
+        positions = np.arange(stops[-1]) + np.repeat(
+            starts - stops + lengths, lengths
+        )
+        return np.sort(self.order[positions])
 
 
 class _RowBucket:
@@ -610,13 +720,16 @@ class ColumnarCellIndex:
     """Ground-truth index over a store, with churn handled as an overlay.
 
     ``CellIndex``-shaped: ``add``/``discard``/``get``/``members``/
-    ``cells``/``descriptors``/``candidates``/``matching`` all behave as
-    the object index would after the same operation sequence (the
-    property tests in ``tests/core/test_store.py`` hold the two to each
-    other). The frozen columnar base is never mutated; removals flip a
-    row mask, and added or updated descriptors live in a small object
-    ``CellIndex`` overlay (an address present in the overlay is masked
-    out of the base first, so each address exists exactly once).
+    ``cells``/``descriptors``/``matching`` all behave as the object index
+    would after the same operation sequence (the property tests in
+    ``tests/core/test_store.py`` hold the two to each other). A columnar
+    base is never mutated; removals flip a row mask, and added or updated
+    descriptors live in an object ``CellIndex`` overlay (an address
+    present in the overlay is masked out of the base first, so each
+    address exists exactly once). Folding rebuilds the base from every
+    live descriptor object and empties the overlay: ``matching`` folds
+    once the overlay outgrows ``_FOLD_FRACTION`` of the base, the
+    cell-wise views whenever anything is pending.
     """
 
     def __init__(self, store: DescriptorStore) -> None:
@@ -638,33 +751,7 @@ class ColumnarCellIndex:
     @property
     def occupied_cells(self) -> int:
         """Number of C0 cells currently holding at least one descriptor."""
-        grouping = self._store.grouping()
-        if self._removed_count:
-            removed_sorted = np.add.reduceat(
-                self._removed[grouping.order], grouping._sorted_starts
-            )
-            removed_per_cell = removed_sorted[grouping._rank]
-            counts = grouping.ends - grouping.starts
-            live = counts > removed_per_cell
-        else:
-            live = np.ones(grouping.cell_count, dtype=bool)
-        occupied = int(live.sum())
-        if len(self._overlay):
-            live_codes = {
-                int(code)
-                for code, alive in zip(
-                    grouping.cell_codes.tolist(), live.tolist()
-                )
-                if alive
-            }
-            max_level = self.schema.max_level
-            for coordinates, _members in self._overlay.cells():
-                if (
-                    vector.pack_cell_code(coordinates, max_level)
-                    not in live_codes
-                ):
-                    occupied += 1
-        return occupied
+        return self._folded().cell_count
 
     # -- mutation ------------------------------------------------------------
 
@@ -686,6 +773,22 @@ class ColumnarCellIndex:
             found = True
         return found
 
+    def _fold(self) -> None:
+        """Rebuild the base from every live descriptor; empty the overlay."""
+        live = np.nonzero(~self._removed)[0].tolist()
+        descriptors = self._store.descriptors_at(live)
+        descriptors.extend(self._overlay.descriptors())
+        self._store = DescriptorStore.from_descriptors(self.schema, descriptors)
+        self._removed = np.zeros(len(self._store), dtype=bool)
+        self._removed_count = 0
+        self._overlay = CellIndex(self.schema)
+
+    def _folded(self) -> CellGrouping:
+        """The grouping of a base holding exactly the live descriptors."""
+        if self._removed_count or len(self._overlay):
+            self._fold()
+        return self._store.grouping()
+
     # -- lookup --------------------------------------------------------------
 
     def get(self, address: Address) -> Optional[NodeDescriptor]:
@@ -698,45 +801,27 @@ class ColumnarCellIndex:
             return None
         return self._store.descriptor(row)
 
-    def _base_cell_rows(self, cell: int) -> "np.ndarray":
-        """Live base rows of grouping cell *cell*."""
-        rows = self._store.grouping().members(cell)
-        if self._removed_count:
-            rows = rows[~self._removed[rows]]
-        return rows
-
     def members(self, coordinates: Coordinates) -> Tuple[NodeDescriptor, ...]:
         """All descriptors in the C0 cell identified by *coordinates*."""
-        coordinates = tuple(coordinates)
-        grouping = self._store.grouping()
-        base: Tuple[NodeDescriptor, ...] = ()
+        grouping = self._folded()
         cell = grouping.code_to_cell.get(
             vector.pack_cell_code(coordinates, self.schema.max_level)
         )
-        if cell is not None:
-            descriptor = self._store.descriptor
-            base = tuple(
-                descriptor(row) for row in self._base_cell_rows(cell).tolist()
-            )
-        return base + self._overlay.members(coordinates)
+        if cell is None:
+            return ()
+        return tuple(
+            self._store.descriptors_at(grouping.members(cell).tolist())
+        )
 
     def cells(self) -> Iterator[Tuple[Coordinates, List[NodeDescriptor]]]:
         """Iterate ``(cell coordinates, member descriptors)`` pairs."""
-        grouping = self._store.grouping()
+        grouping = self._folded()
         intern = self.schema.intern_coordinates
-        descriptor = self._store.descriptor
-        seen = set()
-        for cell in range(grouping.cell_count):
-            rows = self._base_cell_rows(cell)
-            coordinates = intern(tuple(grouping.cell_coords[cell].tolist()))
-            merged = [descriptor(row) for row in rows.tolist()]
-            merged.extend(self._overlay.members(coordinates))
-            if merged:
-                seen.add(coordinates)
-                yield coordinates, merged
-        for coordinates, members in self._overlay.cells():
-            if coordinates not in seen:
-                yield coordinates, members
+        descriptors_at = self._store.descriptors_at
+        for cell, coordinates in enumerate(grouping.cell_coords.tolist()):
+            yield intern(tuple(coordinates)), descriptors_at(
+                grouping.members(cell).tolist()
+            )
 
     def descriptors(self) -> Iterator[NodeDescriptor]:
         """Iterate over every indexed descriptor (cell order)."""
@@ -745,58 +830,26 @@ class ColumnarCellIndex:
 
     # -- queries -------------------------------------------------------------
 
-    def _candidate_rows(self, ranges: Sequence[Interval]) -> "np.ndarray":
-        """Live base rows whose cells overlap the box described by *ranges*."""
-        grouping = self._store.grouping()
-        box_cells = 1
-        for low, high in ranges:
-            box_cells *= max(0, high - low + 1)
-        if box_cells <= grouping.cell_count:
-            code_to_cell = grouping.code_to_cell
-            max_level = self.schema.max_level
-            cells = []
-            for coordinates in product(
-                *(range(low, high + 1) for low, high in ranges)
-            ):
-                cell = code_to_cell.get(
-                    vector.pack_cell_code(coordinates, max_level)
-                )
-                if cell is not None:
-                    cells.append(cell)
-        else:
-            mask = vector.contains_mask(grouping.cell_coords, ranges)
-            cells = np.nonzero(mask)[0].tolist()
-        if not cells:
-            return np.zeros(0, dtype=np.int64)
-        parts = [grouping.members(cell) for cell in cells]
-        rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        if self._removed_count:
-            rows = rows[~self._removed[rows]]
-        return rows
-
-    def candidates(
-        self, ranges: Sequence[Interval]
-    ) -> Iterator[NodeDescriptor]:
-        """Descriptors whose cells overlap the box described by *ranges*."""
-        descriptor = self._store.descriptor
-        for row in self._candidate_rows(ranges).tolist():
-            yield descriptor(row)
-        yield from self._overlay.candidates(ranges)
-
     def matching(self, query: Query) -> List[NodeDescriptor]:
         """Exact match set of *query*, sorted by address.
 
-        The base contribution is one vectorized pass: box test over the
-        occupied-cell coordinates (or box enumeration against the packed
-        keys, whichever is smaller), then a batch value mask replicating
-        ``Query.matches`` over the candidate rows.
+        The base contribution is array operations only — the box's cells
+        (:meth:`CellGrouping.rows_in_box`), the removed mask, then a batch
+        value mask replicating ``Query.matches`` — and rows come out in
+        address order, so nothing is sorted unless the overlay matches.
         """
-        rows = self._candidate_rows(query.index_ranges())
-        result: List[NodeDescriptor] = []
-        if len(rows):
-            mask = vector.matches_mask(query, self._store.values[rows])
-            descriptor = self._store.descriptor
-            result = [descriptor(row) for row in rows[mask].tolist()]
-        result.extend(self._overlay.matching(query))
-        result.sort(key=lambda entry: entry.address)
+        if len(self._overlay) > _FOLD_FRACTION * len(self._store):
+            self._fold()
+        store = self._store
+        rows = store.grouping().rows_in_box(
+            query.index_ranges(), self.schema.max_level
+        )
+        if self._removed_count:
+            rows = rows[~self._removed[rows]]
+        rows = rows[vector.matches_mask(query, store.values[rows])]
+        result = store.descriptors_at(rows.tolist())
+        overlay = self._overlay.matching(query)
+        if overlay:
+            result.extend(overlay)
+            result.sort(key=attrgetter("address"))
         return result

@@ -19,6 +19,8 @@ construction, so this module provides batch equivalents over coordinate
 * :func:`pack_cell_codes` / :func:`pack_cell_code` — full-coordinate C0
   cell keys packed into int64, the sort/group key of the columnar store
   (:mod:`repro.core.store`);
+* :func:`box_cell_codes` — the packed keys of every cell in a query box,
+  the enumeration side of the columnar ground-truth lookup;
 * :func:`matches_mask` — batch :meth:`repro.core.query.Query.matches`
   over a value matrix (the columnar ground-truth filter).
 
@@ -253,6 +255,23 @@ def pack_cell_code(coordinates: Sequence[int], max_level: int) -> int:
     for part in coordinates:
         code = (code << max_level) | int(part)
     return code
+
+
+def box_cell_codes(
+    ranges: Sequence[Interval], max_level: int
+) -> "np.ndarray":
+    """Packed C0 keys of every cell in the box *ranges*, ascending.
+
+    Equals :func:`pack_cell_code` over ``itertools.product`` of the
+    inclusive per-dimension ranges, built as one outer sum per dimension.
+    Packing is lexicographic, so product order is ascending key order.
+    """
+    _require_numpy()
+    codes = np.zeros(1, dtype=np.int64)
+    for low, high in ranges:
+        part = np.arange(low, high + 1, dtype=np.int64)
+        codes = ((codes << max_level)[:, None] | part).ravel()
+    return codes
 
 
 def matches_mask(query, values: "np.ndarray") -> "np.ndarray":

@@ -22,6 +22,7 @@ from repro.core.index import CellIndex
 from repro.core.node import NodeConfig
 from repro.core.routing import RoutingTable
 from repro.core import vector
+from repro.core.store import ground_truth_index
 from repro.core.observer import ProtocolObserver
 from repro.core.query import Query
 from repro.gossip.maintenance import GossipConfig
@@ -228,7 +229,7 @@ class Deployment:
         #: Live descriptors bucketed by C0 cell — the ground-truth index.
         #: Maintained incrementally across joins, crashes and attribute
         #: updates, so ``matching_descriptors`` never scans the population.
-        self.index = CellIndex(schema)
+        self.index = ground_truth_index(schema)
         self._alive: Dict[Address, SimHost] = {}
         self._alive_descriptors: Optional[List[NodeDescriptor]] = None
         self._next_address = 0
@@ -382,7 +383,8 @@ class Deployment:
 
         Served from the cell index: only the cells overlapping the query's
         routing region are examined, so the cost scales with the query's
-        selectivity rather than the population size.
+        selectivity rather than the population size. The first call folds
+        the descriptors ``populate`` added into the columnar base.
         """
         return self.index.matching(query)
 
@@ -398,11 +400,10 @@ class Deployment:
         *origin* defaults to a random live host ("a query can be issued at
         any node; there is no designated node").
         """
-        alive = self.alive_hosts()
-        if not alive:
+        if not self._alive:
             raise RuntimeError("no live hosts to issue the query from")
         if origin is None:
-            host = self._rng.choice(alive)
+            host = self._rng.choice(self.alive_hosts())
         else:
             host = self.hosts[origin]
         result: Dict[str, List[NodeDescriptor]] = {}

@@ -59,7 +59,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.attributes import AttributeSchema
 from repro.core.descriptors import Address, NodeDescriptor
-from repro.core.index import CellIndex
 from repro.core.node import NodeConfig
 from repro.core.observer import FanoutObserver
 from repro.core.query import Query
@@ -67,6 +66,7 @@ from repro.core.store import (
     BootstrapPlan,
     ColumnarCellIndex,
     DescriptorStore,
+    ground_truth_index,
 )
 from repro.metrics.collectors import MetricsCollector, QueryRecord
 from repro.obs.events import TraceEvent, event_from_dict
@@ -564,8 +564,7 @@ class ShardedDeployment:
         self._store: Optional[DescriptorStore] = None
         self._plan: Optional[BootstrapPlan] = None
         self._descriptors: List[NodeDescriptor] = []
-        self._object_index = CellIndex(schema)
-        self._columnar_index: Optional[ColumnarCellIndex] = None
+        self._index: Any = None
         #: Per-shard build stats dicts, filled by :meth:`bootstrap`.
         self.build_stats: List[Dict[str, Any]] = []
         self._workers: List[Any] = []
@@ -582,12 +581,18 @@ class ShardedDeployment:
 
     @property
     def index(self):
-        """The ground-truth cell index (columnar when the store is live)."""
-        if self._store is not None:
-            if self._columnar_index is None:
-                self._columnar_index = ColumnarCellIndex(self._store)
-            return self._columnar_index
-        return self._object_index
+        """The ground-truth cell index, built on first use.
+
+        Over the columnar store when it is live, otherwise the
+        :func:`~repro.core.store.ground_truth_index` of the descriptors.
+        """
+        if self._index is None:
+            self._index = (
+                ColumnarCellIndex(self._store)
+                if self._store is not None
+                else ground_truth_index(self.schema, self._descriptors)
+            )
+        return self._index
 
     @property
     def population(self) -> int:
@@ -611,6 +616,7 @@ class ShardedDeployment:
         scalar loop, which remains the fallback for samplers without a
         batch hook, unpackable geometries, or numpy-less machines).
         """
+        self._index = None
         with paused_gc():
             if not self._descriptors:
                 chunk = DescriptorStore.sample(
@@ -627,23 +633,18 @@ class ShardedDeployment:
                         else DescriptorStore.concat(self._store, chunk)
                     )
                     self._next_address += count
-                    self._columnar_index = None
                     return
             if self._store is not None:
                 # A later batch fell off the columnar path (e.g. a
                 # different sampler): degrade once to the object path.
-                for descriptor in self._store.descriptors():
-                    self._descriptors.append(descriptor)
-                    self._object_index.add(descriptor)
+                self._descriptors.extend(self._store.descriptors())
                 self._store = None
-                self._columnar_index = None
             for _ in range(count):
                 descriptor = NodeDescriptor.build(
                     self._next_address, self.schema, sampler(self._population_rng)
                 )
                 self._next_address += 1
                 self._descriptors.append(descriptor)
-                self._object_index.add(descriptor)
 
     def bootstrap(self, alternates_per_slot: int = 3) -> None:
         """Spin up the shard workers and seed their converged tables.

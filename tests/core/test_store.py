@@ -16,21 +16,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.attributes import AttributeSchema, numeric
+from repro.core import store as store_module
+from repro.core import vector
+from repro.core.attributes import AttributeSchema, categorical, numeric
 from repro.core.descriptors import NodeDescriptor
 from repro.core.index import CellIndex
+from repro.core.query import Query
 from repro.core.store import ColumnarCellIndex, DescriptorStore, store_enabled
 from repro.core.vector import HAVE_NUMPY
 from repro.util.rng import derive_rng
 from repro.workloads.distributions import uniform_sampler
-from repro.workloads.queries import random_box_query
+from repro.workloads.queries import aligned_selectivity_query, random_box_query
 
 pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="requires numpy")
 
 
-def make_schema(dimensions: int, max_level: int) -> AttributeSchema:
+def make_schema(
+    dimensions: int, max_level: int, categorical_dims: int = 0
+) -> AttributeSchema:
     return AttributeSchema.regular(
-        [numeric(f"a{i}", 0.0, 100.0) for i in range(dimensions)],
+        [numeric(f"a{i}", 0.0, 100.0) for i in range(dimensions)]
+        + [
+            categorical(f"c{i}", ["red", "green", "blue", "cyan", "gold"])
+            for i in range(categorical_dims)
+        ],
         max_level=max_level,
     )
 
@@ -118,30 +127,91 @@ def assert_same_index(columnar: ColumnarCellIndex, reference: CellIndex):
         )
 
 
-@settings(max_examples=40, deadline=None)
+def split_point_query(schema: AttributeSchema, rng: random.Random) -> Query:
+    """Bounds lying exactly on cell split points, plus categorical sets."""
+    specs = {}
+    for dim, definition in enumerate(schema.definitions):
+        splits = schema.boundaries[dim]
+        choice = rng.random()
+        if definition.is_categorical and choice < 0.5:
+            specs[definition.name] = rng.sample(
+                definition.categories,
+                rng.randint(1, len(definition.categories)),
+            )
+        elif choice < 0.85:
+            low, high = sorted(
+                (rng.randrange(len(splits)), rng.randrange(len(splits)))
+            )
+            specs[definition.name] = (
+                splits[low] if rng.random() < 0.8 else None,
+                splits[high] if rng.random() < 0.8 else None,
+            )
+    return Query.where(schema, **specs)
+
+
+def probe_queries(schema: AttributeSchema, rng: random.Random):
+    """Boxes from a few cells up to the whole space, of every shape."""
+    for selectivity in (0.001, 0.01, 0.125, 0.5, 1.0):
+        yield random_box_query(schema, selectivity, rng)
+    for selectivity in (1 / 64, 0.125, 0.5):
+        yield aligned_selectivity_query(schema, selectivity, rng)
+    yield split_point_query(schema, rng)
+    yield split_point_query(schema, rng)
+
+
+def assert_same_matching(columnar, reference, query):
+    """Same objects, in ascending address order — not merely equal."""
+    found = columnar.matching(query)
+    expected = reference.matching(query)
+    assert len(found) == len(expected)
+    assert all(got is want for got, want in zip(found, expected))
+    addresses = [descriptor.address for descriptor in found]
+    assert addresses == sorted(set(addresses))
+
+
+@settings(max_examples=60, deadline=None)
 @given(
     dimensions=st.integers(1, 4),
     max_level=st.integers(1, 4),
-    population=st.integers(1, 50),
-    churn_ops=st.integers(0, 40),
+    categorical_dims=st.integers(0, 2),
+    population=st.integers(0, 50),
+    start=st.sampled_from(["sampled", "descriptors", "empty"]),
+    churn_ops=st.integers(0, 120),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_columnar_index_matches_object_index_under_churn(
-    dimensions, max_level, population, churn_ops, seed
+    dimensions, max_level, categorical_dims, population, start, churn_ops, seed
 ):
-    schema = make_schema(dimensions, max_level)
+    """Any base — sampled, built from descriptors, or empty and filled by
+    ``add`` as ``Deployment.populate`` does — under churn long enough to
+    fold the overlay back into the base several times."""
+    schema = make_schema(dimensions, max_level, categorical_dims)
     sampler = uniform_sampler(schema)
-    store = DescriptorStore.sample(
-        schema, sampler, derive_rng(seed, "population"), population
-    )
+    population_rng = derive_rng(seed, "population")
+    store = None
+    if start == "sampled":
+        # None for categorical schemas (no batch hook) and population 0.
+        store = DescriptorStore.sample(
+            schema, sampler, population_rng, population
+        )
+    if store is not None:
+        initial = list(store.descriptors())
+    else:
+        initial = scalar_population(schema, sampler, population_rng, population)
+        store = DescriptorStore.from_descriptors(
+            schema, () if start == "empty" else initial
+        )
     columnar = ColumnarCellIndex(store)
     reference = CellIndex(schema)
-    for descriptor in store.descriptors():
+    for descriptor in initial:
         reference.add(descriptor)
+        if start == "empty":
+            columnar.add(descriptor)
 
     rng = random.Random(seed)
+    query_rng = random.Random(seed + 1)
     next_address = population
-    for _ in range(churn_ops):
+    for step in range(churn_ops):
         operation = rng.random()
         if operation < 0.35:  # join a fresh node
             descriptor = NodeDescriptor.build(
@@ -154,7 +224,7 @@ def test_columnar_index_matches_object_index_under_churn(
             address = rng.randrange(next_address + 3)
             assert columnar.discard(address) == reference.discard(address)
         else:  # refresh an existing node with new values
-            address = rng.randrange(next_address)
+            address = rng.randrange(next_address + 1)
             if address in reference:
                 descriptor = NodeDescriptor.build(
                     address, schema, sampler(rng)
@@ -164,13 +234,79 @@ def test_columnar_index_matches_object_index_under_churn(
 
         address = rng.randrange(next_address + 3)
         assert (address in columnar) == (address in reference)
-        assert columnar.get(address) == reference.get(address)
+        assert columnar.get(address) is reference.get(address)
+        if step % 8 == 0:  # lookups between mutations trigger the folds
+            assert_same_matching(
+                columnar, reference, random_box_query(schema, 0.125, query_rng)
+            )
 
     assert_same_index(columnar, reference)
-    query_rng = random.Random(seed + 1)
-    for selectivity in (0.01, 0.125, 0.5, 1.0):
-        query = random_box_query(schema, selectivity, query_rng)
-        assert columnar.matching(query) == reference.matching(query)
+    for query in probe_queries(schema, query_rng):
+        assert_same_matching(columnar, reference, query)
+
+
+def test_lookups_fold_the_overlay_past_the_fold_fraction():
+    schema = make_schema(3, 3)
+    sampler = uniform_sampler(schema)
+    store = DescriptorStore.sample(
+        schema, sampler, derive_rng(3, "population"), 40
+    )
+    columnar = ColumnarCellIndex(store)
+    reference = CellIndex(schema)
+    for descriptor in store.descriptors():
+        reference.add(descriptor)
+    rng = random.Random(3)
+    query = Query.where(schema)
+    limit = int(store_module._FOLD_FRACTION * len(store))
+    for address in range(40, 40 + limit):
+        descriptor = NodeDescriptor.build(address, schema, sampler(rng))
+        columnar.add(descriptor)
+        reference.add(descriptor)
+    assert_same_matching(columnar, reference, query)
+    assert columnar._store is store  # at the fraction: no fold yet
+
+    descriptor = NodeDescriptor.build(40 + limit, schema, sampler(rng))
+    columnar.add(descriptor)
+    reference.add(descriptor)
+    assert columnar.discard(5) and reference.discard(5)
+    assert_same_matching(columnar, reference, query)
+    assert columnar._store is not store  # past it: one fresh base
+    assert len(columnar._store) == len(reference)
+    assert len(columnar._overlay) == 0 and columnar._removed_count == 0
+    assert_same_index(columnar, reference)
+
+
+def test_lookup_enumerates_small_boxes_and_scans_large_ones(monkeypatch):
+    """Both candidate-cell branches run, and both agree with the oracle."""
+    schema = make_schema(3, 3)
+    store = DescriptorStore.sample(
+        schema, uniform_sampler(schema), derive_rng(11, "population"), 300
+    )
+    columnar = ColumnarCellIndex(store)
+    reference = CellIndex(schema)
+    for descriptor in store.descriptors():
+        reference.add(descriptor)
+    calls = {"box_cell_codes": 0, "contains_mask": 0}
+    for name in calls:
+        original = getattr(vector, name)
+
+        def spy(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(vector, name, spy)
+    rng = random.Random(11)
+    occupied = store.grouping().cell_count
+    for selectivity in (0.01, 0.05, 0.5, 1.0):
+        query = random_box_query(schema, selectivity, rng)
+        box = 1
+        for low, high in query.index_ranges():
+            box *= high - low + 1
+        branch = "box_cell_codes" if box <= occupied else "contains_mask"
+        before = calls[branch]
+        assert_same_matching(columnar, reference, query)
+        assert calls[branch] == before + 1
+    assert calls["box_cell_codes"] and calls["contains_mask"]
 
 
 def test_sample_falls_back_without_batch_hook():

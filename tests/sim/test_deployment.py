@@ -7,7 +7,10 @@ from repro.core.cells import ZERO_SLOT, iter_slots
 from repro.core.query import Query
 from repro.metrics.collectors import MetricsCollector
 from repro.sim.deployment import Deployment
+from repro.sim.shard import ShardedDeployment
+from repro.util.rng import derive_rng
 from repro.workloads.distributions import normal_sampler, uniform_sampler
+from repro.workloads.queries import aligned_selectivity_query, random_box_query
 
 
 @pytest.fixture
@@ -115,3 +118,82 @@ class TestQueries:
             found = deployment.execute_query(query, origin=3)
             results.append(sorted(d.address for d in found))
         assert results[0] == results[1]
+
+    def test_explicit_origin_does_not_copy_the_alive_list(
+        self, schema, monkeypatch
+    ):
+        deployment, _ = build(schema, 100)
+        calls = []
+        alive_hosts = deployment.alive_hosts
+        monkeypatch.setattr(
+            deployment,
+            "alive_hosts",
+            lambda: calls.append(1) or alive_hosts(),
+        )
+        deployment.execute_query(Query.where(schema, x=(40, None)), origin=7)
+        assert calls == []
+
+    def test_random_origins_draw_from_the_deployment_stream(self, schema):
+        deployment, metrics = build(schema, 100, seed=9)
+        # The draw every earlier version made: one choice per query over
+        # the live hosts in address order, from the "deployment" stream.
+        rng = derive_rng(9, "deployment")
+        hosts = deployment.alive_hosts()
+        expected = [rng.choice(hosts).address for _ in range(20)]
+        for _ in range(20):
+            deployment.execute_query(Query.where(schema, x=(40, None)))
+        assert [query_id[0] for query_id in metrics.records] == expected
+
+
+def brute_force(deployment, query):
+    return [
+        host.descriptor
+        for host in deployment.alive_hosts()
+        if query.matches(host.descriptor.values)
+    ]
+
+
+def probe_queries(schema, rng):
+    for selectivity in (0.01, 0.125, 0.5):
+        yield random_box_query(schema, selectivity, rng)
+        yield aligned_selectivity_query(schema, selectivity, rng)
+
+
+class TestGroundTruth:
+    def assert_ground_truth(self, deployment, rng):
+        for query in probe_queries(deployment.schema, rng):
+            found = deployment.matching_descriptors(query)
+            expected = sorted(
+                brute_force(deployment, query), key=lambda d: d.address
+            )
+            assert len(found) == len(expected)
+            assert all(got is want for got, want in zip(found, expected))
+
+    def test_tracks_kill_restart_and_attribute_updates(self, schema):
+        deployment, _ = build(schema, 300)
+        rng = derive_rng(5, "ground-truth-probe")
+        sampler = uniform_sampler(schema)
+        self.assert_ground_truth(deployment, rng)
+        for round_ in range(4):
+            for address in range(round_, 300, 7):
+                deployment.kill(address)
+            self.assert_ground_truth(deployment, rng)
+            for address in range(round_, 300, 14):
+                deployment.restart(address)
+            for address in range(round_ + 1, 300, 5):
+                host = deployment.hosts[address]
+                if host.alive:
+                    host.update_attributes(sampler(rng))
+            deployment.join(sampler(rng))
+            self.assert_ground_truth(deployment, rng)
+
+    def test_sim_engines_agree(self, schema):
+        single = Deployment(schema, seed=13)
+        single.populate(uniform_sampler(schema), 400)
+        sharded = ShardedDeployment(schema, num_shards=2, seed=13)
+        sharded.populate(uniform_sampler(schema), 400)
+        rng = derive_rng(13, "ground-truth-probe")
+        for query in probe_queries(schema, rng):
+            assert [d.address for d in single.matching_descriptors(query)] == [
+                d.address for d in sharded.matching_descriptors(query)
+            ]
