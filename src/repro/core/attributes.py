@@ -28,6 +28,7 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.core.vector import packable
 from repro.util.errors import ConfigurationError
 
 AttributeValue = Union[int, float, str]
@@ -133,7 +134,10 @@ class AttributeSchema:
         The attribute definitions, one per dimension, in dimension order.
     max_level:
         The nesting depth ``max(l)`` of the cell hierarchy. Each dimension is
-        cut into ``2**max_level`` intervals.
+        cut into ``2**max_level`` intervals. ``dimensions * max_level`` may
+        not exceed 62: a C0 cell key spends ``max_level`` bits per
+        dimension and is packed into one int64 (the paper's widest sweep,
+        d=20 at max(l)=3, takes 60).
     boundaries:
         Per dimension, the sorted vector of ``2**max_level - 1`` interior
         split points. Defaults to evenly spaced ("regular") boundaries.
@@ -158,6 +162,13 @@ class AttributeSchema:
             raise ConfigurationError("schema needs at least one attribute")
         if self.max_level < 1:
             raise ConfigurationError("max_level must be >= 1")
+        if not packable(len(self.definitions), self.max_level):
+            raise ConfigurationError(
+                f"{len(self.definitions)} dimensions x max_level "
+                f"{self.max_level} = {len(self.definitions) * self.max_level} "
+                "bits, but C0 cell keys are packed into int64: "
+                "dimensions * max_level must be <= 62"
+            )
         names = [definition.name for definition in self.definitions]
         if len(set(names)) != len(names):
             raise ConfigurationError(f"duplicate attribute names in {names}")
@@ -302,25 +313,6 @@ class AttributeSchema:
     def intern_coordinates(self, coords: Tuple[int, ...]) -> Tuple[int, ...]:
         """Return the canonical shared tuple equal to *coords*."""
         return self._intern.setdefault(coords, coords)
-
-    def coordinates_batch(
-        self, value_matrix: Sequence[Sequence[float]]
-    ) -> List[Tuple[int, ...]]:
-        """Map many numeric value vectors to (interned) coordinate tuples.
-
-        Semantically ``[self.coordinates(row) for row in value_matrix]``;
-        uses the vectorized searchsorted path when numpy is available
-        (``np.searchsorted(side="right")`` is exactly ``bisect_right``).
-        """
-        from repro.core import vector
-
-        if not vector.HAVE_NUMPY or len(value_matrix) < 64:
-            return [self.coordinates(row) for row in value_matrix]
-        intern = self._intern.setdefault
-        matrix = vector.coordinates_matrix(self, vector.np.asarray(value_matrix))
-        return [
-            intern(coords, coords) for coords in map(tuple, matrix.tolist())
-        ]
 
     def index_range(
         self,

@@ -12,11 +12,10 @@ that gives distributed range-query structures their sub-linear lookups.
 
 Both sim engines answer ground truth from
 :class:`repro.core.store.ColumnarCellIndex`, the array form of this
-index (:func:`repro.core.store.ground_truth_index`). ``CellIndex`` stays
-as
+index (:func:`repro.core.store.ground_truth_index`), and nothing else.
+``CellIndex`` stays as
 
-* the oracle the columnar index is property-tested against, and the
-  ground-truth index itself when the columnar path is unavailable;
+* the oracle the columnar index is property-tested against;
 * the columnar index's churn overlay, small by construction;
 * the C0 grouping of :func:`repro.sim.deployment.bootstrap_tables`.
 """

@@ -20,7 +20,9 @@ The store is populated by one **vectorized sampler pass**
 seeded stream the scalar populate loop consumes, bit-identical draw for
 draw (:func:`repro.util.rng.batched_random`), followed by batch
 value->cell mapping (:func:`repro.core.vector.coordinates_matrix`) and
-cell-key packing (:func:`repro.core.vector.pack_cell_codes`).
+cell-key packing (:func:`repro.core.vector.pack_cell_codes`). A sampler
+without the batch hook is drawn by the scalar loop on the same stream
+and stored via :meth:`DescriptorStore.from_descriptors`.
 
 ``NodeDescriptor`` objects are materialized **lazily as flyweights**
 (:meth:`DescriptorStore.descriptor`) only where the object API is
@@ -47,25 +49,20 @@ still exists once. Everything else reads the arrays directly:
   builds the plan once in the master and forked workers inherit the
   arrays copy-on-write.
 
-Callers gate on :func:`store_enabled`; the object path remains the
-fallback (and the semantics of record) when numpy is missing or the
-geometry does not pack into int64.
+Every schema packs its C0 keys into int64 (:class:`AttributeSchema`
+refuses any geometry that does not), so nothing here has a fallback: the
+store is the sharded engine's only population and ``ColumnarCellIndex``
+the only ground-truth index of both sim engines. The object
+``CellIndex`` is its test oracle and its churn overlay.
 """
 
 from __future__ import annotations
 
 import random
 from operator import attrgetter
-from typing import (
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core import vector
 from repro.core.attributes import AttributeSchema
@@ -75,8 +72,6 @@ from repro.core.index import CellIndex
 from repro.core.query import Query
 from repro.util.intervals import Interval
 
-np = vector.np
-
 #: A lookup folds the churn overlay into a fresh columnar base once the
 #: overlay holds more than this fraction of the base's rows. A fold costs
 #: O(N) and comes at most once per ``_FOLD_FRACTION * N`` mutations, so
@@ -84,29 +79,13 @@ np = vector.np
 _FOLD_FRACTION = 0.25
 
 
-def store_enabled(schema: AttributeSchema) -> bool:
-    """True when the columnar path can serve *schema* on this machine."""
-    return vector.HAVE_NUMPY and vector.packable(
-        schema.dimensions, schema.max_level
-    )
-
-
 def ground_truth_index(
     schema: AttributeSchema, descriptors: Iterable[NodeDescriptor] = ()
-) -> Union["ColumnarCellIndex", CellIndex]:
-    """The ground-truth index of both sim engines, holding *descriptors*.
-
-    Columnar whenever :func:`store_enabled`; the object ``CellIndex``
-    (the semantics of record) otherwise.
-    """
-    if store_enabled(schema):
-        return ColumnarCellIndex(
-            DescriptorStore.from_descriptors(schema, descriptors)
-        )
-    index = CellIndex(schema)
-    for descriptor in descriptors:
-        index.add(descriptor)
-    return index
+) -> "ColumnarCellIndex":
+    """The ground-truth index of both sim engines, holding *descriptors*."""
+    return ColumnarCellIndex(
+        DescriptorStore.from_descriptors(schema, descriptors)
+    )
 
 
 class DescriptorStore:
@@ -163,26 +142,26 @@ class DescriptorStore:
         rng: random.Random,
         count: int,
         base_address: Address = 0,
-    ) -> Optional["DescriptorStore"]:
-        """Vectorized twin of the per-descriptor populate loop.
+    ) -> "DescriptorStore":
+        """Columnar twin of the per-descriptor populate loop.
 
-        Draws *count* nodes from *sampler* via its ``sample_batch`` hook —
-        one batched pass over the same stream, leaving *rng* exactly where
-        *count* scalar ``sampler(rng)`` calls would leave it — and returns
-        the columnar store with addresses ``base_address ..
-        base_address + count - 1``. Returns None when the columnar path
-        is unavailable (no numpy, unpackable geometry, or a sampler
-        without the batch hook); callers fall back to the object loop.
+        Draws *count* nodes from *sampler* and returns the store with
+        addresses ``base_address .. base_address + count - 1``, leaving
+        *rng* exactly where *count* scalar ``sampler(rng)`` calls would
+        leave it. A sampler with a ``sample_batch`` hook is drawn in one
+        batched pass over the same stream; any other is drawn by that
+        scalar loop and stored via :meth:`from_descriptors`.
         """
-        if count <= 0 or not store_enabled(schema):
-            return None
         batch = getattr(sampler, "sample_batch", None)
         if batch is None:
-            return None
-        values = batch(rng, count)
-        if values is None:
-            return None
-        values = np.ascontiguousarray(values, dtype=np.float64)
+            return cls.from_descriptors(
+                schema,
+                [
+                    NodeDescriptor.build(address, schema, sampler(rng))
+                    for address in range(base_address, base_address + count)
+                ],
+            )
+        values = np.ascontiguousarray(batch(rng, count), dtype=np.float64)
         coords = vector.coordinates_matrix(schema, values)
         cell_codes = vector.pack_cell_codes(coords, schema.max_level)
         addresses = np.arange(

@@ -46,6 +46,7 @@ from repro.faults.harness import (
     ChaosReport,
     InvariantResult,
     QueryRow,
+    _check_adaptive,
     _check_monotonic,
     _check_no_double_counting,
     _check_termination,
@@ -609,44 +610,6 @@ def _check_no_leaks_live(episode: _LiveEpisode) -> InvariantResult:
     )
 
 
-def _check_adaptive_live(
-    episode: _LiveEpisode, baseline: _LiveEpisode
-) -> InvariantResult:
-    """I5: adaptive detection halves spurious timeouts, delivery holds."""
-    spurious = _count_spurious(episode.tracer)
-    spurious_static = _count_spurious(baseline.tracer)
-    delivery = (
-        sum(row.delivery for row in episode.rows) / len(episode.rows)
-        if episode.rows
-        else 0.0
-    )
-    delivery_static = (
-        sum(row.delivery for row in baseline.rows) / len(baseline.rows)
-        if baseline.rows
-        else 0.0
-    )
-    problems = []
-    if spurious_static > 0 and spurious > 0.5 * spurious_static:
-        problems.append(
-            f"spurious timeouts {spurious} > 50% of static baseline "
-            f"{spurious_static}"
-        )
-    if delivery < delivery_static - 0.05:
-        problems.append(
-            f"mean delivery {delivery:.3f} regressed vs static "
-            f"{delivery_static:.3f}"
-        )
-    readout = (
-        f"spurious {spurious} vs {spurious_static} static, "
-        f"delivery {delivery:.3f} vs {delivery_static:.3f} static"
-    )
-    if problems:
-        return InvariantResult(
-            "adaptive-detection", False, "; ".join(problems)
-        )
-    return InvariantResult("adaptive-detection", True, readout)
-
-
 def run_live_chaos(
     scenario: str, config: Optional[LiveChaosConfig] = None
 ) -> ChaosReport:
@@ -717,7 +680,7 @@ def run_live_chaos(
             _check_monotonic(ladder, config.monotonic_slack),
         ]
         if baseline is not None:
-            invariants.append(_check_adaptive_live(episode, baseline))
+            invariants.append(_check_adaptive(episode, baseline))
 
         counters: Dict[str, int] = {
             "spurious_timeouts": _count_spurious(episode.tracer),

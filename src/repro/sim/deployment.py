@@ -15,8 +15,9 @@ import random
 from collections import defaultdict
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.attributes import AttributeSchema, AttributeValue
-from repro.core.cells import bucket_key, flipped_key
 from repro.core.descriptors import Address, NodeDescriptor
 from repro.core.index import CellIndex
 from repro.core.node import NodeConfig
@@ -49,56 +50,46 @@ def _slot_buckets_by_cell(
     key with the dimension-k component flipped in its lowest bit (same
     C_l prefix, same halves below k, sibling half at k, free below). All
     members of a C0 cell share every bucket key, so keys are derived once
-    per occupied cell, not once per node. When numpy is available and the
-    geometry packs into int64 (``d * max_level <= 62``), the keys for all
-    occupied cells are computed as one packed-code matrix per slot — the
-    vectorized bootstrap bucket assignment; the scalar tuple keys remain
-    the fallback and the semantics of record.
+    per occupied cell, not once per node, as one packed-code vector per
+    slot (:func:`repro.core.vector.pack_codes`). The scalar
+    ``bucket_key``/``flipped_key`` derivation is the test oracle.
+
+    :class:`repro.core.store.BootstrapPlan` derives the same buckets from
+    a columnar store, but ``sim.Deployment`` keeps this in-process
+    derivation on purpose. Measured on a 2-vCPU host at N=40,000, routing
+    it through the plan cost 0.21-0.24 s to build the plan plus 0.20 s
+    of ``materialize()``; over 7 interleaved ``scale_single`` pairs
+    (``python3 -m bench``, seed 2009, 20 s) it was worse in all 7 on both
+    ``build_s`` (3.83-4.20 s vs 3.39-3.81 s) and ``capped_ms_p50`` (by
+    2-9 %).
     """
     max_level = schema.max_level
-    dimensions = schema.dimensions
     cell_items = list(index.cells())
-    coords_matrix = vector.matrix_of([cell for cell, _ in cell_items])
+    coords_matrix = np.array(
+        [cell for cell, _ in cell_items], dtype=np.int64
+    ).reshape(-1, schema.dimensions)
     slot_buckets_of: Dict[Tuple[int, ...], List] = {
         cell: [] for cell, _ in cell_items
     }
-
-    if coords_matrix is not None and vector.packable(dimensions, max_level):
-        for level in range(1, max_level + 1):
-            for dim in range(dimensions):
-                codes = vector.pack_codes(
-                    coords_matrix, level, dim, max_level
-                ).tolist()
-                flipped = vector.pack_codes(
-                    coords_matrix, level, dim, max_level, flip=True
-                ).tolist()
-                by_code: Dict[int, List[NodeDescriptor]] = {}
-                for code, (_cell, members) in zip(codes, cell_items):
-                    existing = by_code.get(code)
-                    if existing is None:
-                        by_code[code] = list(members)
-                    else:
-                        existing.extend(members)
-                for code, (cell, _members) in zip(flipped, cell_items):
-                    bucket = by_code.get(code)
-                    if bucket:
-                        slot_buckets_of[cell].append(
-                            (level, dim, bucket, min(len(bucket), picks_cap))
-                        )
-        return slot_buckets_of
-
-    buckets: Dict[Tuple, List[NodeDescriptor]] = defaultdict(list)
-    for coordinates, members in cell_items:
-        for level in range(1, max_level + 1):
-            for dim in range(dimensions):
-                buckets[bucket_key(coordinates, level, dim)].extend(members)
-    for coordinates, _members in cell_items:
-        slot_buckets = slot_buckets_of[coordinates]
-        for level in range(1, max_level + 1):
-            for dim in range(dimensions):
-                bucket = buckets.get(flipped_key(coordinates, level, dim))
+    for level in range(1, max_level + 1):
+        for dim in range(schema.dimensions):
+            codes = vector.pack_codes(
+                coords_matrix, level, dim, max_level
+            ).tolist()
+            flipped = vector.pack_codes(
+                coords_matrix, level, dim, max_level, flip=True
+            ).tolist()
+            by_code: Dict[int, List[NodeDescriptor]] = {}
+            for code, (_cell, members) in zip(codes, cell_items):
+                existing = by_code.get(code)
+                if existing is None:
+                    by_code[code] = list(members)
+                else:
+                    existing.extend(members)
+            for code, (cell, _members) in zip(flipped, cell_items):
+                bucket = by_code.get(code)
                 if bucket:
-                    slot_buckets.append(
+                    slot_buckets_of[cell].append(
                         (level, dim, bucket, min(len(bucket), picks_cap))
                     )
     return slot_buckets_of
@@ -130,8 +121,8 @@ def bootstrap_tables(
     *descriptors* is the **whole** overlay population in a deterministic
     order (the buckets every table samples from span all of it);
     *table_for* resolves an address to the routing table to seed, or
-    None for nodes this caller does not own (a sharded worker seeding
-    only its partition). Draws come from per-node streams
+    None for nodes this caller does not own (a caller seeding only part
+    of the population). Draws come from per-node streams
     (:func:`bootstrap_rng`), so unowned nodes cost nothing.
     """
     if not descriptors:

@@ -20,11 +20,11 @@ discrete-event simulation:
   stretches are skipped by fast-forwarding ``t`` to the earliest pending
   event across all shards.
 * **Determinism.** Everything randomized comes from shared derived
-  streams: the master samples the population once (same
-  ``derive_rng(seed, "population")`` stream as the single-process
-  deployment — vectorized through the columnar
-  :class:`~repro.core.store.DescriptorStore` when available), and every
-  node's bootstrap draws come from its own
+  streams: the master samples the population once, into the columnar
+  :class:`~repro.core.store.DescriptorStore` that is the engine's only
+  population (same ``derive_rng(seed, "population")`` stream as the
+  single-process deployment, vectorized when the sampler has a batch
+  hook), and every node's bootstrap draws come from its own
   ``derive_rng(seed, f"bootstrap:{address}")`` stream
   (:func:`~repro.sim.deployment.bootstrap_rng`), so a worker seeds
   tables for exactly the nodes it owns — O(N/S) startup, nothing
@@ -62,22 +62,13 @@ from repro.core.descriptors import Address, NodeDescriptor
 from repro.core.node import NodeConfig
 from repro.core.observer import FanoutObserver
 from repro.core.query import Query
-from repro.core.store import (
-    BootstrapPlan,
-    ColumnarCellIndex,
-    DescriptorStore,
-    ground_truth_index,
-)
+from repro.core.store import BootstrapPlan, ColumnarCellIndex, DescriptorStore
 from repro.metrics.collectors import MetricsCollector, QueryRecord
 from repro.obs.events import TraceEvent, event_from_dict
 from repro.obs.registry import MetricsRegistry, merge_snapshots
 from repro.obs.telemetry import TelemetryCollector
 from repro.obs.tracer import TraceRecorder
-from repro.sim.deployment import (
-    ValueSampler,
-    bootstrap_rng,
-    bootstrap_tables,
-)
+from repro.sim.deployment import ValueSampler, bootstrap_rng
 from repro.sim.engine import Simulator
 from repro.sim.host import SimHost
 from repro.sim.latency import LatencyModel, minimum_latency
@@ -128,15 +119,14 @@ class ShardWorker:
         num_shards: int,
         schema: AttributeSchema,
         seed: int,
+        store: DescriptorStore,
+        bootstrap_plan: BootstrapPlan,
         latency: Optional[LatencyModel] = None,
         loss_rate: float = 0.0,
         node_config: Optional[NodeConfig] = None,
         telemetry: bool = False,
         trace_sample_rate: Optional[float] = None,
         trace_seed: int = 0,
-        store: Optional[DescriptorStore] = None,
-        bootstrap_plan: Optional[BootstrapPlan] = None,
-        descriptors: Optional[Sequence[NodeDescriptor]] = None,
     ) -> None:
         self.shard_id = shard_id
         self.num_shards = num_shards
@@ -176,12 +166,10 @@ class ShardWorker:
         self._observer = (
             FanoutObserver(self.metrics, *extras) if extras else self.metrics
         )
-        # Population handles: either the shared columnar store + plan
-        # (fork-inherited copy-on-write in process mode) or the legacy
-        # descriptor list for the object fallback path.
+        # The shared columnar population and bootstrap plan
+        # (fork-inherited copy-on-write in process mode).
         self._store = store
         self._bootstrap_plan = bootstrap_plan
-        self._descriptors = descriptors
         self._build_stats: Dict[str, Any] = {}
         self.hosts: Dict[Address, SimHost] = {}
         self._outbox: List[Crossing] = []
@@ -194,10 +182,6 @@ class ShardWorker:
         self, sender: Address, receiver: Address, message: Any, arrival: float
     ) -> None:
         self._outbox.append((sender, receiver, message, arrival))
-
-    def owns(self, address: Address) -> bool:
-        """True if *address* is partitioned onto this shard."""
-        return address % self.num_shards == self.shard_id
 
     # -- construction --------------------------------------------------------
 
@@ -215,72 +199,44 @@ class ShardWorker:
             registry=self.registry,
         )
 
-    def build(self, alternates_per_slot: int = 3) -> Dict[str, Any]:
+    def build(self) -> Dict[str, Any]:
         """Create this shard's hosts and seed their converged tables.
 
-        The population comes from the handles passed at construction: the
-        shared columnar store + bootstrap plan (preferred — per-shard
-        cost O(owned); in process mode the plan arrives pre-materialized
-        from the master's fork, so ``materialized_descriptors`` reports
-        the whole inherited population) or the legacy full descriptor
-        list. Per-node bootstrap streams make the tables
-        bit-identical to a single-process bootstrap either way. Returns
-        the build stats dict (also kept for :meth:`build_stats`):
-        ``visited_nodes`` counts the nodes whose bootstrap draws this
-        worker consumed — equal to ``hosts``, the partition-not-replay
-        invariant the perf-smoke gate asserts.
+        Per-shard cost is O(owned): the population and every bucket come
+        from the shared columnar store and bootstrap plan (in process
+        mode the plan arrives pre-materialized from the master's fork, so
+        ``materialized_descriptors`` reports the whole inherited
+        population), and per-node bootstrap streams make the tables
+        bit-identical to a single-process bootstrap. Returns the build
+        stats dict (also kept for :meth:`build_stats`): ``visited_nodes``
+        counts the nodes whose bootstrap draws this worker consumed —
+        equal to ``hosts``, the partition-not-replay invariant the
+        perf-smoke gate asserts.
         """
         started = time.perf_counter()
+        store = self._store
+        plan = self._bootstrap_plan
         with paused_gc():
-            if self._store is not None and self._bootstrap_plan is not None:
-                self._build_from_store(alternates_per_slot)
-                materialized = self._store.materialized_count
-            else:
-                self._build_from_descriptors(alternates_per_slot)
-                materialized = len(self._descriptors or ())
+            owned_rows = store.owned_rows(self.num_shards, self.shard_id)
+            for row in owned_rows:
+                self._make_host(store.descriptor(row))
+            self.network.local_addresses = set(self.hosts)
+            for row in owned_rows:
+                address = store.address_at(row)
+                plan.seed_row(
+                    row,
+                    self.hosts[address].node.routing,
+                    bootstrap_rng(self.seed, address),
+                )
         self._build_stats = {
             "shard_id": self.shard_id,
             "hosts": len(self.hosts),
             "visited_nodes": len(self.hosts),
-            "materialized_descriptors": materialized,
+            "materialized_descriptors": store.materialized_count,
             "build_seconds": round(time.perf_counter() - started, 3),
             "rss_bytes": current_rss_bytes(),
         }
         return self._build_stats
-
-    def _build_from_store(self, alternates_per_slot: int) -> None:
-        store = self._store
-        plan = self._bootstrap_plan
-        assert store is not None and plan is not None
-        owned_rows = store.owned_rows(self.num_shards, self.shard_id)
-        for row in owned_rows:
-            self._make_host(store.descriptor(row))
-        self.network.local_addresses = set(self.hosts)
-        for row in owned_rows:
-            address = store.address_at(row)
-            plan.seed_row(
-                row,
-                self.hosts[address].node.routing,
-                bootstrap_rng(self.seed, address),
-            )
-
-    def _build_from_descriptors(self, alternates_per_slot: int) -> None:
-        descriptors = self._descriptors or ()
-        for descriptor in descriptors:
-            if self.owns(descriptor.address):
-                self._make_host(descriptor)
-        self.network.local_addresses = set(self.hosts)
-        tables = {
-            address: host.node.routing
-            for address, host in self.hosts.items()
-        }
-        bootstrap_tables(
-            descriptors,
-            self.seed,
-            tables.get,
-            self.schema,
-            alternates_per_slot=alternates_per_slot,
-        )
 
     def build_stats(self) -> Dict[str, Any]:
         """The stats dict of the last :meth:`build` (pipe-safe)."""
@@ -420,12 +376,12 @@ class _ProcessProxy:
         self._send(method, *args)
         return self._receive(method)
 
-    def build(self, alternates_per_slot=3):
-        return self._call("build", alternates_per_slot)
+    def build(self):
+        return self._call("build")
 
-    def start_build(self, alternates_per_slot=3) -> None:
+    def start_build(self) -> None:
         """Dispatch build without waiting — workers build concurrently."""
-        self._send("build", alternates_per_slot)
+        self._send("build")
 
     def finish_build(self):
         """Collect the result of a :meth:`start_build` dispatch."""
@@ -561,10 +517,9 @@ class ShardedDeployment:
         self._rng = derive_rng(seed, "deployment")
         self._population_rng = derive_rng(seed, "population")
         self._next_address = 0
-        self._store: Optional[DescriptorStore] = None
+        self._store = DescriptorStore.from_descriptors(schema, ())
         self._plan: Optional[BootstrapPlan] = None
-        self._descriptors: List[NodeDescriptor] = []
-        self._index: Any = None
+        self._index: Optional[ColumnarCellIndex] = None
         #: Per-shard build stats dicts, filled by :meth:`bootstrap`.
         self.build_stats: List[Dict[str, Any]] = []
         self._workers: List[Any] = []
@@ -575,76 +530,45 @@ class ShardedDeployment:
     @property
     def descriptors(self) -> List[NodeDescriptor]:
         """The population as descriptor objects (materialized on demand)."""
-        if self._store is not None:
-            return list(self._store.descriptors())
-        return self._descriptors
+        return list(self._store.descriptors())
 
     @property
-    def index(self):
-        """The ground-truth cell index, built on first use.
-
-        Over the columnar store when it is live, otherwise the
-        :func:`~repro.core.store.ground_truth_index` of the descriptors.
-        """
+    def index(self) -> ColumnarCellIndex:
+        """The ground-truth cell index over the store, built on first use."""
         if self._index is None:
-            self._index = (
-                ColumnarCellIndex(self._store)
-                if self._store is not None
-                else ground_truth_index(self.schema, self._descriptors)
-            )
+            self._index = ColumnarCellIndex(self._store)
         return self._index
 
     @property
     def population(self) -> int:
         """Number of sampled nodes."""
-        if self._store is not None:
-            return len(self._store)
-        return len(self._descriptors)
-
-    def _address_at(self, position: int) -> Address:
-        if self._store is not None:
-            return self._store.address_at(position)
-        return self._descriptors[position].address
+        return len(self._store)
 
     # -- construction --------------------------------------------------------
 
     def populate(self, sampler: ValueSampler, count: int) -> None:
         """Sample the population — the same stream as ``Deployment``.
 
-        Columnar when possible: one vectorized sampler pass into a
-        :class:`~repro.core.store.DescriptorStore` (bit-identical to the
-        scalar loop, which remains the fallback for samplers without a
-        batch hook, unpackable geometries, or numpy-less machines).
+        One :meth:`~repro.core.store.DescriptorStore.sample` pass into
+        the columnar store: vectorized and bit-identical to the scalar
+        loop when the sampler has a batch hook, that scalar loop when it
+        has none.
         """
         self._index = None
         with paused_gc():
-            if not self._descriptors:
-                chunk = DescriptorStore.sample(
-                    self.schema,
-                    sampler,
-                    self._population_rng,
-                    count,
-                    base_address=self._next_address,
-                )
-                if chunk is not None:
-                    self._store = (
-                        chunk
-                        if self._store is None
-                        else DescriptorStore.concat(self._store, chunk)
-                    )
-                    self._next_address += count
-                    return
-            if self._store is not None:
-                # A later batch fell off the columnar path (e.g. a
-                # different sampler): degrade once to the object path.
-                self._descriptors.extend(self._store.descriptors())
-                self._store = None
-            for _ in range(count):
-                descriptor = NodeDescriptor.build(
-                    self._next_address, self.schema, sampler(self._population_rng)
-                )
-                self._next_address += 1
-                self._descriptors.append(descriptor)
+            chunk = DescriptorStore.sample(
+                self.schema,
+                sampler,
+                self._population_rng,
+                count,
+                base_address=self._next_address,
+            )
+            self._store = (
+                DescriptorStore.concat(self._store, chunk)
+                if len(self._store)
+                else chunk
+            )
+            self._next_address += count
 
     def bootstrap(self, alternates_per_slot: int = 3) -> None:
         """Spin up the shard workers and seed their converged tables.
@@ -666,31 +590,25 @@ class ShardedDeployment:
                     self.num_shards,
                     self.schema,
                     self.seed,
+                    self._store,
+                    self._plan,
                     latency=self._latency,
                     loss_rate=self._loss_rate,
                     node_config=self.node_config,
                     telemetry=self.telemetry,
                     trace_sample_rate=self.trace_sample_rate,
                     trace_seed=self.trace_seed,
-                    store=self._store,
-                    bootstrap_plan=self._plan,
-                    descriptors=(
-                        None if self._store is not None else self._descriptors
-                    ),
                 )
 
             return factory
 
         try:
-            if self._store is not None:
-                self._plan = BootstrapPlan(
-                    self._store, 1 + alternates_per_slot
-                )
-                if self.mode == "process":
-                    # Warm the plan once, master side: the forked
-                    # children inherit the materialized caches through
-                    # copy-on-write instead of each rebuilding them.
-                    self._plan.materialize()
+            self._plan = BootstrapPlan(self._store, 1 + alternates_per_slot)
+            if self.mode == "process":
+                # Warm the plan once, master side: the forked children
+                # inherit the materialized caches through copy-on-write
+                # instead of each rebuilding them.
+                self._plan.materialize()
             for shard_id in range(self.num_shards):
                 factory = make_factory(shard_id)
                 if self.mode == "process":
@@ -700,18 +618,16 @@ class ShardedDeployment:
                 self._workers.append(worker)
             if self.mode == "process":
                 for worker in self._workers:
-                    worker.start_build(alternates_per_slot)
+                    worker.start_build()
                 self.build_stats = [
                     worker.finish_build() for worker in self._workers
                 ]
-                if self._plan is not None:
-                    # The children own their copies now; release the
-                    # master's so its retained footprint stays columnar.
-                    self._plan.trim()
+                # The children own their copies now; release the
+                # master's so its retained footprint stays columnar.
+                self._plan.trim()
             else:
                 self.build_stats = [
-                    worker.build(alternates_per_slot)
-                    for worker in self._workers
+                    worker.build() for worker in self._workers
                 ]
         except BaseException:
             self.close()
@@ -796,7 +712,9 @@ class ShardedDeployment:
             # Same single draw as Deployment's rng.choice(alive) — choice
             # over a sequence is one _randbelow(len) — without
             # materializing the population as objects.
-            origin = self._address_at(self._rng.choice(range(population)))
+            origin = self._store.address_at(
+                self._rng.choice(range(population))
+            )
         shard = origin % self.num_shards
         worker = self._workers[shard]
         query_id = worker.issue(origin, query, sigma)

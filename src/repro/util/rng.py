@@ -12,12 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import List, Optional
+from typing import List
 
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None  # type: ignore[assignment]
+import numpy as np
 
 
 def _mix(seed: int, label: str) -> int:
@@ -35,7 +32,7 @@ def spawn_seeds(seed: int, label: str, count: int) -> List[int]:
     return [_mix(seed, f"{label}:{index}") for index in range(count)]
 
 
-def batched_random(rng: random.Random, count: int) -> Optional["_np.ndarray"]:
+def batched_random(rng: random.Random, count: int) -> np.ndarray:
     """Draw *count* doubles from *rng* as one vectorized batch.
 
     Returns exactly the array ``[rng.random() for _ in range(count)]``
@@ -47,17 +44,14 @@ def batched_random(rng: random.Random, count: int) -> Optional["_np.ndarray"]:
     produced by transplanting the Mersenne state into a ``RandomState``,
     drawing, and transplanting the advanced state back.
 
-    Returns None when numpy is unavailable (callers fall back to the
-    scalar loop). This is the primitive behind the columnar population
-    sampler (:mod:`repro.core.store`).
+    This is the primitive behind the columnar population sampler
+    (:mod:`repro.core.store`).
     """
-    if _np is None:
-        return None
     version, internal, gauss_next = rng.getstate()
-    state = _np.random.RandomState()
+    state = np.random.RandomState()
     # CPython's state tuple is 624 key words plus the stream position.
     state.set_state(
-        ("MT19937", _np.array(internal[:624], dtype=_np.uint32), internal[624])
+        ("MT19937", np.array(internal[:624], dtype=np.uint32), internal[624])
     )
     draws = state.random_sample(count)
     _, key, position, _, _ = state.get_state()

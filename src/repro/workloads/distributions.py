@@ -38,9 +38,9 @@ def uniform_sampler(schema: AttributeSchema) -> ValueSampler:
     to *count* scalar ``sampler(rng)`` calls, and leaving *rng* in the
     same state (see :func:`repro.util.rng.batched_random`). The columnar
     populate path (:meth:`repro.core.store.DescriptorStore.sample`) uses
-    the hook when present and falls back to the scalar loop otherwise —
+    the hook when present and draws with the scalar loop otherwise —
     categorical attributes interleave variable-length ``choice`` draws,
-    so they stay on the scalar path.
+    so they stay on the scalar loop.
     """
 
     def sampler(rng: random.Random) -> Mapping[str, AttributeValue]:
@@ -61,10 +61,9 @@ def uniform_sampler(schema: AttributeSchema) -> ValueSampler:
         ]
 
         def sample_batch(rng: random.Random, count: int):
-            draws = batched_random(rng, count * len(bounds))
-            if draws is None:
-                return None
-            matrix = draws.reshape(count, len(bounds))
+            matrix = batched_random(rng, count * len(bounds)).reshape(
+                count, len(bounds)
+            )
             for dim, (lower, upper) in enumerate(bounds):
                 # rng.uniform(a, b) is a + (b - a) * rng.random(); the same
                 # affine transform on the same doubles is IEEE-identical.

@@ -77,6 +77,16 @@ class TestAttributeSchema:
         with pytest.raises(ConfigurationError):
             AttributeSchema.regular([numeric("a", 0, 1)], max_level=0)
 
+    def test_rejects_geometry_whose_cell_keys_overflow_int64(self):
+        definitions = [numeric(f"a{dim}", 0, 1) for dim in range(21)]
+        with pytest.raises(ConfigurationError, match="int64"):
+            AttributeSchema.regular(definitions, max_level=3)  # 63 bits
+
+    def test_accepts_geometry_that_packs_into_62_bits(self):
+        definitions = [numeric(f"a{dim}", 0, 1) for dim in range(31)]
+        schema = AttributeSchema.regular(definitions, max_level=2)
+        assert schema.dimensions * schema.max_level == 62
+
     def test_dimension_lookup(self):
         schema = make_schema()
         assert schema.dimension_of("cpu") == 0

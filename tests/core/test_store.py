@@ -11,8 +11,6 @@ frozen columnar base.
 
 import random
 
-import pytest
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,13 +20,10 @@ from repro.core.attributes import AttributeSchema, categorical, numeric
 from repro.core.descriptors import NodeDescriptor
 from repro.core.index import CellIndex
 from repro.core.query import Query
-from repro.core.store import ColumnarCellIndex, DescriptorStore, store_enabled
-from repro.core.vector import HAVE_NUMPY
+from repro.core.store import ColumnarCellIndex, DescriptorStore
 from repro.util.rng import derive_rng
 from repro.workloads.distributions import uniform_sampler
 from repro.workloads.queries import aligned_selectivity_query, random_box_query
-
-pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="requires numpy")
 
 
 def make_schema(
@@ -67,7 +62,6 @@ def test_sampled_store_is_bit_identical_to_object_loop(
 
     batched_rng = derive_rng(seed, "population")
     store = DescriptorStore.sample(schema, sampler, batched_rng, population)
-    assert store_enabled(schema) and store is not None
 
     scalar_rng = derive_rng(seed, "population")
     reference = scalar_population(schema, sampler, scalar_rng, population)
@@ -188,13 +182,11 @@ def test_columnar_index_matches_object_index_under_churn(
     schema = make_schema(dimensions, max_level, categorical_dims)
     sampler = uniform_sampler(schema)
     population_rng = derive_rng(seed, "population")
-    store = None
     if start == "sampled":
-        # None for categorical schemas (no batch hook) and population 0.
+        # Categorical schemas have no batch hook: the scalar loop fills it.
         store = DescriptorStore.sample(
             schema, sampler, population_rng, population
         )
-    if store is not None:
         initial = list(store.descriptors())
     else:
         initial = scalar_population(schema, sampler, population_rng, population)
@@ -315,10 +307,18 @@ def test_sample_falls_back_without_batch_hook():
     def plain_sampler(rng):  # no sample_batch attribute
         return {d.name: rng.uniform(d.lower, d.upper) for d in schema.definitions}
 
-    assert (
-        DescriptorStore.sample(schema, plain_sampler, random.Random(1), 10)
-        is None
+    rng = random.Random(1)
+    store = DescriptorStore.sample(
+        schema, plain_sampler, rng, 10, base_address=5
     )
+    scalar_rng = random.Random(1)
+    reference = [
+        NodeDescriptor.build(address, schema, plain_sampler(scalar_rng))
+        for address in range(5, 15)
+    ]
+    assert rng.getstate() == scalar_rng.getstate()
+    assert list(store.descriptors()) == reference
+    assert store.address_at(0) == 5
 
 
 def test_concat_matches_single_pass():

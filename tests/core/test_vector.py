@@ -1,34 +1,31 @@
 """Property tests: the numpy cell algebra is bit-identical to the scalar one.
 
 Every vectorized function in :mod:`repro.core.vector` is checked against
-its scalar twin on randomized geometries (depth, dimensions, populations),
-including the N(l,k) partition invariant that underpins exactly-once
-delivery. The scalar implementation is the semantics of record; these
-tests are what allows the hot paths to switch implementations freely.
+the scalar algebra of :mod:`repro.core.cells` on randomized geometries
+(depth, dimensions, populations), including the N(l,k) partition
+invariant that underpins exactly-once delivery. The scalar code lives on
+only as this oracle: the bootstrap's tuple-key bucket derivation, for
+one, exists nowhere but in this file.
 """
 
 import random
+from collections import defaultdict
 
-import pytest
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-np = pytest.importorskip("numpy")
 
 from repro.core import vector
 from repro.core.attributes import AttributeSchema, numeric
 from repro.core.cells import (
-    ZERO_SLOT,
     bucket_key,
-    cell_region,
     flipped_key,
     iter_slots,
     neighboring_region,
-    slot_of,
 )
 
 # Geometry strategy: dimensions x max_level kept small enough for the
-# exhaustive checks but covering the packable/non-trivial range.
+# exhaustive checks but covering the non-trivial range.
 geometries = st.tuples(st.integers(1, 4), st.integers(1, 4))
 
 
@@ -74,21 +71,7 @@ def test_region_geometry_and_masks_match_scalar(geometry, seed):
     dimensions, max_level = geometry
     rng = random.Random(seed)
     coords = random_coords(rng, 30, dimensions, max_level)
-    for level in range(1, max_level + 1):
-        low, high = vector.cell_intervals(coords, level)
-        for i, row in enumerate(coords.tolist()):
-            region = cell_region(tuple(row), level)
-            assert region.intervals == tuple(
-                zip(low[i].tolist(), high[i].tolist())
-            )
-        for dim in range(dimensions):
-            nlow, nhigh = vector.neighboring_intervals(coords, level, dim)
-            for i, row in enumerate(coords.tolist()):
-                region = neighboring_region(tuple(row), level, dim)
-                assert region.intervals == tuple(
-                    zip(nlow[i].tolist(), nhigh[i].tolist())
-                )
-    # Membership and overlap against random boxes.
+    # Membership against random boxes.
     top = 1 << max_level
     for _ in range(5):
         ranges = []
@@ -101,29 +84,6 @@ def test_region_geometry_and_masks_match_scalar(geometry, seed):
                 lo <= index <= hi for index, (lo, hi) in zip(row, ranges)
             )
             assert bool(mask[i]) == expected
-        level = rng.randrange(1, max_level + 1)
-        dim = rng.randrange(dimensions)
-        nlow, nhigh = vector.neighboring_intervals(coords, level, dim)
-        overlap = vector.overlaps_mask(nlow, nhigh, ranges)
-        for i, row in enumerate(coords.tolist()):
-            region = neighboring_region(tuple(row), level, dim)
-            assert bool(overlap[i]) == region.overlaps(ranges)
-
-
-@settings(max_examples=50, deadline=None)
-@given(geometries, st.integers(0, 2**32 - 1))
-def test_slot_matrix_matches_slot_of(geometry, seed):
-    dimensions, max_level = geometry
-    rng = random.Random(seed)
-    own = tuple(rng.randrange(1 << max_level) for _ in range(dimensions))
-    others = random_coords(rng, 50, dimensions, max_level)
-    levels, dims = vector.slot_matrix(own, others, max_level)
-    for i, row in enumerate(others.tolist()):
-        expected = slot_of(own, tuple(row), max_level)
-        if expected == ZERO_SLOT:
-            assert levels[i] == 0
-        else:
-            assert (int(levels[i]), int(dims[i])) == expected
 
 
 @settings(max_examples=50, deadline=None)
@@ -147,8 +107,6 @@ def test_partition_invariant_vectorized(geometry, seed):
 @given(geometries, st.integers(0, 2**32 - 1))
 def test_pack_codes_equal_iff_bucket_keys_equal(geometry, seed):
     dimensions, max_level = geometry
-    if not vector.packable(dimensions, max_level):
-        return
     rng = random.Random(seed)
     coords = random_coords(rng, 40, dimensions, max_level)
     rows = [tuple(row) for row in coords.tolist()]
@@ -177,29 +135,52 @@ def test_pack_codes_equal_iff_bucket_keys_equal(geometry, seed):
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 60))
-def test_coordinates_batch_matches_and_interns(seed, count):
+def test_coordinates_are_interned(seed, count):
     rng = random.Random(seed)
     schema = AttributeSchema.regular(
         [numeric("x", 0, 8), numeric("y", 0, 8)], max_level=3
     )
-    values = [[rng.uniform(0, 8), rng.uniform(0, 8)] for _ in range(count)]
-    batch = schema.coordinates_batch(values)
-    for row, value_row in zip(batch, values):
-        scalar = schema.coordinates(value_row)
-        assert row == scalar
+    first_seen = {}
+    for _ in range(count):
+        coords = schema.coordinates([rng.uniform(0, 8), rng.uniform(0, 8)])
         # Interning: equal coordinates are the *same* tuple object.
-        assert row is scalar
+        assert first_seen.setdefault(coords, coords) is coords
+        assert schema.intern_coordinates(tuple(list(coords))) is coords
+
+
+def scalar_slot_buckets_by_cell(index, schema, picks_cap):
+    """``_slot_buckets_by_cell`` from the scalar tuple keys of ``cells``."""
+    cell_items = list(index.cells())
+    buckets = defaultdict(list)
+    for coordinates, members in cell_items:
+        for level, dim in iter_slots(schema.dimensions, schema.max_level):
+            buckets[bucket_key(coordinates, level, dim)].extend(members)
+    slot_buckets_of = {}
+    for coordinates, _members in cell_items:
+        slot_buckets = slot_buckets_of[coordinates] = []
+        for level, dim in iter_slots(schema.dimensions, schema.max_level):
+            bucket = buckets.get(flipped_key(coordinates, level, dim))
+            if bucket:
+                slot_buckets.append(
+                    (level, dim, bucket, min(len(bucket), picks_cap))
+                )
+    return slot_buckets_of
 
 
 def test_bootstrap_vector_path_matches_scalar(monkeypatch):
-    """End-to-end bit-identity: bootstrap with and without numpy agree."""
+    """End-to-end bit-identity: packed-code and tuple-key buckets agree."""
     from repro.experiments.config import PAPER_PEERSIM
     from repro.experiments.harness import build_deployment
+    from repro.sim import deployment as deployment_module
 
-    def tables(use_numpy):
+    def tables(scalar):
         with monkeypatch.context() as patch:
-            if not use_numpy:
-                patch.setattr(vector, "HAVE_NUMPY", False)
+            if scalar:
+                patch.setattr(
+                    deployment_module,
+                    "_slot_buckets_by_cell",
+                    scalar_slot_buckets_by_cell,
+                )
             deployment, _metrics = build_deployment(PAPER_PEERSIM.scaled(400))
             return {
                 address: (
@@ -217,4 +198,4 @@ def test_bootstrap_vector_path_matches_scalar(monkeypatch):
                 for address, host in deployment.hosts.items()
             }
 
-    assert tables(True) == tables(False)
+    assert tables(scalar=False) == tables(scalar=True)

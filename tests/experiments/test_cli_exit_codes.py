@@ -38,6 +38,11 @@ class TestUsageErrorsExitTwo:
         assert main(["run", "fig06"]) == 2
         assert "bad schema" in capsys.readouterr().err
 
+    def test_unpackable_geometry_exits_two(self, capsys):
+        # 21 dimensions x max(l)=3 is 63 bits: no int64 C0 cell key.
+        assert main(["serve", "--dimensions", "21", "--smoke", "1"]) == 2
+        assert "int64" in capsys.readouterr().err
+
 
 class TestRuntimeFailuresExitOne:
     def test_unexpected_exception_exits_one(self, monkeypatch, capsys):

@@ -9,12 +9,16 @@ supervised crashes — the full-scale sweeps live in CI's
 
 import pytest
 
+from repro.faults import live
 from repro.faults.harness import run_chaos
 from repro.faults.live import (
     LiveChaosConfig,
     live_scenario_names,
     run_live_chaos,
 )
+from repro.metrics.collectors import MetricsCollector
+from repro.obs.registry import MetricsRegistry
+from repro.obs.tracer import TraceRecorder
 
 
 def quick(scenario_severity, **overrides):
@@ -69,3 +73,32 @@ class TestLiveChaos:
         names = live_scenario_names()
         assert "burst-loss" in names
         assert "crash-restart" in names
+
+
+def test_adaptive_verdict_has_the_simulated_harness_name(monkeypatch):
+    """I5 is "adaptive-failure-detection" on live sockets too."""
+
+    async def canned_episode(*_args, **_kwargs):
+        return live._LiveEpisode(
+            metrics=MetricsCollector(),
+            tracer=TraceRecorder(),
+            registry=MetricsRegistry(),
+            rows=[],
+            crashed=set(),
+            schedule=None,
+            drivers=[],
+            leaks=[],
+            drained=True,
+            counters={
+                "datagrams_sent": 0,
+                "datagrams_received": 0,
+                "crashed_hosts": 0,
+            },
+        )
+
+    monkeypatch.setattr(live, "_run_live_episode", canned_episode)
+    report = run_live_chaos(
+        "burst-loss", LiveChaosConfig(compare_static=True, sweep=False)
+    )
+    names = [result.name for result in report.invariants]
+    assert "adaptive-failure-detection" in names

@@ -187,13 +187,30 @@ class TestGroundTruth:
             deployment.join(sampler(rng))
             self.assert_ground_truth(deployment, rng)
 
-    def test_sim_engines_agree(self, schema):
+    @pytest.mark.parametrize(
+        "make_sampler", [uniform_sampler, normal_sampler],
+        ids=["uniform", "normal"],
+    )
+    def test_sim_engines_agree(self, schema, make_sampler):
+        """Same ground truth and same query results on both engines.
+
+        ``normal_sampler`` has no batch hook, so the sharded engine draws
+        it with the scalar loop into its columnar store.
+        """
         single = Deployment(schema, seed=13)
-        single.populate(uniform_sampler(schema), 400)
+        single.populate(make_sampler(schema), 400)
+        single.bootstrap()
         sharded = ShardedDeployment(schema, num_shards=2, seed=13)
-        sharded.populate(uniform_sampler(schema), 400)
+        sharded.populate(make_sampler(schema), 400)
+        sharded.bootstrap()
         rng = derive_rng(13, "ground-truth-probe")
         for query in probe_queries(schema, rng):
-            assert [d.address for d in single.matching_descriptors(query)] == [
+            expected = [d.address for d in single.matching_descriptors(query)]
+            assert [
                 d.address for d in sharded.matching_descriptors(query)
+            ] == expected
+            found = [
+                sorted(d.address for d in engine.execute_query(query))
+                for engine in (single, sharded)
             ]
+            assert found == [expected, expected]
