@@ -119,6 +119,56 @@ def test_ground_truth_lookup_is_indexed(benchmark, monkeypatch):
     assert elapsed < 2.0
 
 
+def test_forward_decision_builds_no_regions(benchmark, monkeypatch):
+    """The per-hop forward decision is arithmetic, never geometric.
+
+    Host-independent counter gate: across a batch of exhaustive
+    (σ = None) queries, no node may call ``neighboring_region`` or
+    construct a ``Region`` — ``cells.overlapping_dimensions`` answers
+    "which N(l,k) overlap Q" from bitmasks. A per-hop region (or a
+    per-node region cache) reintroduced on the hot path trips this on
+    the first forward. The dissemination must stay exactly-once.
+    """
+    from repro.core import cells
+
+    cfg = PAPER_PEERSIM.scaled(SMOKE_N)
+    schema = cfg.schema()
+    deployment, metrics = build_deployment(cfg)
+
+    calls = {"neighboring_region": 0, "regions": 0}
+    neighboring_region, init = cells.neighboring_region, cells.Region.__init__
+
+    def counting_neighboring_region(*args, **kwargs):
+        calls["neighboring_region"] += 1
+        return neighboring_region(*args, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        calls["regions"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cells, "neighboring_region", counting_neighboring_region)
+    monkeypatch.setattr(cells.Region, "__init__", counting_init)
+
+    # f=0.01: about 50 matches each, traversed to the end. Much wider
+    # boxes (f=0.125 here) outlast the decayed failure timers, and the
+    # retries those spurious timeouts launch cause duplicate receipts
+    # whatever the forward decision.
+    def run_batch():
+        return measure_queries(
+            deployment,
+            metrics,
+            lambda rng: random_box_query(schema, 0.01, rng),
+            count=40,
+            sigma=None,
+            seed=cfg.seed,
+        )
+
+    outcomes = run_once(benchmark, run_batch)
+    assert sum(outcome.found for outcome in outcomes) > 0
+    assert calls == {"neighboring_region": 0, "regions": 0}
+    assert sum(outcome.duplicates for outcome in outcomes) == 0
+
+
 def test_memory_footprint_per_node(benchmark):
     """Compact-state gate: tracemalloc-attributed bytes per node.
 

@@ -20,7 +20,9 @@ space into *cells*. With nesting depth ``L = max(l)``:
   - dimensions ``j > k``: the bit is free.
 
 Every region is therefore a product of per-dimension closed integer
-intervals, which makes membership and query-overlap tests trivial.
+intervals, which makes membership and query-overlap tests trivial — and
+lets :func:`overlapping_dimensions` answer "which ``N(l, k)`` overlap Q"
+for all k at once from per-dimension bitmasks, without building a region.
 
 The key structural fact (verified by property tests) is that for any node X::
 
@@ -33,7 +35,7 @@ exactly-once delivery guarantee.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Sequence, Tuple, Union
+from typing import Iterator, Sequence, Tuple, Union
 
 from repro.util.intervals import Interval, interval_contains, intervals_overlap
 
@@ -44,20 +46,14 @@ ZERO_SLOT: Tuple[str] = ("zero",)
 
 Slot = Union[Tuple[str], Tuple[int, int]]
 
-#: Canonical copies of the aligned ``(low, high)`` intervals regions are
-#: built from. Only ``2**(L + 1) - 1`` exist per depth ``L``, so sharing
-#: them bounds the per-region cost to the outer tuple.
-_INTERVALS: Dict[Interval, Interval] = {}
-
 
 @dataclass(frozen=True, slots=True)
 class Region:
     """An axis-aligned box of cell indices (inclusive per-dimension bounds).
 
-    Slotted: every routing table caches the regions of the slots it has
-    forwarded through, so region count grows with the queries a
-    deployment has served, and a per-instance ``__dict__`` would double
-    each region's footprint.
+    The geometric form of a cell, used by tests, analysis and the
+    oracle of :func:`overlapping_dimensions`; the forwarding hot path
+    never builds one.
     """
 
     intervals: Tuple[Interval, ...]
@@ -130,8 +126,52 @@ def neighboring_region(
             # Free below the C_l prefix: the whole C_l interval.
             low = (index >> level) << level
             interval = (low, low + (1 << level) - 1)
-        intervals.append(_INTERVALS.setdefault(interval, interval))
+        intervals.append(interval)
     return Region(tuple(intervals))
+
+
+def overlapping_dimensions(
+    coordinates: Coordinates, level: int, ranges: Sequence[Interval]
+) -> int:
+    """Bitmask of the dimensions k whose ``N(level, k)(X)`` overlaps Q.
+
+    Bit k is set iff ``neighboring_region(coordinates, level, k)
+    .overlaps(ranges)`` — the forward decision of Figure 5 for every
+    dimension at once, in one pass over d and no :class:`Region`. Per
+    dimension j, three overlap bits are collected:
+
+    * ``same``: Q meets X's ``C_(level-1)`` interval (the half X is in),
+    * ``flip``: Q meets the sibling half,
+    * ``free``: Q meets X's ``C_level`` interval.
+
+    ``N(level, k)`` overlaps Q iff every j < k is in ``same``, k is in
+    ``flip`` and every j > k is in ``free``. The first condition holds
+    exactly for k up to the lowest zero bit of ``same``, the last for k
+    from the highest zero bit of ``free`` upwards, so the answer is
+    ``flip & prefix & suffix``.
+    """
+    if level < 1:
+        raise ValueError(f"neighboring cells exist only for level >= 1, got {level}")
+    shift = level - 1
+    half = 1 << shift
+    same = flip = free = 0
+    bit = 1
+    for index, (low, high) in zip(coordinates, ranges):
+        own = (index >> shift) << shift
+        sibling = own ^ half
+        if own <= high and low < own + half:
+            same |= bit
+        if sibling <= high and low < sibling + half:
+            flip |= bit
+        start = (index >> level) << level
+        if start <= high and low < start + (half << 1):
+            free |= bit
+        bit <<= 1
+    lowest_miss = ~same & (same + 1)
+    prefix = (lowest_miss << 1) - 1
+    highest_miss = ((bit - 1) & ~free).bit_length() - 1
+    suffix = -1 << max(highest_miss, 0)
+    return flip & prefix & suffix
 
 
 def slot_of(

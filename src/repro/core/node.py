@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.attributes import AttributeSchema
+from repro.core.cells import overlapping_dimensions
 from repro.core.descriptors import Address, NodeDescriptor
 from repro.core.health import HealthConfig, HealthMonitor
 from repro.core.messages import QueryId, QueryMessage, ReplyMessage
@@ -142,7 +143,8 @@ class _PendingQuery:
     index_ranges: Tuple[Interval, ...]
     sigma: Optional[int]
     level: int
-    dimensions: Set[int]
+    #: Dimensions still to scan at ``level``, as a bitmask (bit k = k).
+    dimensions: int
     parent: Optional[Address]
     budget: float = 30.0
     matching: Dict[Address, NodeDescriptor] = field(default_factory=dict)
@@ -162,6 +164,9 @@ class _PendingQuery:
     branch_total: int = 0
     #: Sum of the coverage fractions reported back by completed branches.
     branch_coverage: float = 0.0
+    #: Bitmask of the dimensions whose ``N(level, k)`` overlaps Q, for the
+    #: current level and node coordinates; None until first needed.
+    overlapping: Optional[int] = None
 
     def idle(self) -> bool:
         """No outstanding forwards and no parked branches."""
@@ -184,6 +189,24 @@ class _PendingQuery:
         return min(
             1.0, (1.0 + self.branch_coverage) / (1.0 + self.branch_total)
         )
+
+
+def _dimension_mask(dimensions: frozenset) -> int:
+    """The wire form of a dimension set as the node's internal bitmask."""
+    mask = 0
+    for dim in dimensions:
+        mask |= 1 << dim
+    return mask
+
+
+def _dimension_set(mask: int) -> frozenset:
+    """The node's dimension bitmask as the ``frozenset`` messages carry."""
+    dims = []
+    while mask:
+        bit = mask & -mask
+        dims.append(bit.bit_length() - 1)
+        mask ^= bit
+    return frozenset(dims)
 
 
 class ResourceNode:
@@ -256,6 +279,8 @@ class ResourceNode:
             raise ValueError("update_attributes must keep the address")
         self.descriptor = descriptor
         self.routing.rebuild(descriptor)
+        for state in self.pending.values():
+            state.overlapping = None  # computed from the old coordinates
 
     def set_dynamic_value(self, name: str, value: Optional[float]) -> None:
         """Publish (or clear, with ``None``) a dynamic attribute locally."""
@@ -291,7 +316,7 @@ class ResourceNode:
             index_ranges=query.index_ranges(),
             sigma=sigma,
             level=self.schema.max_level,
-            dimensions=set(range(self.schema.dimensions)),
+            dimensions=(1 << self.schema.dimensions) - 1,
             parent=None,
             budget=self.config.query_timeout,
             on_complete=on_complete,
@@ -336,7 +361,7 @@ class ResourceNode:
             index_ranges=message.index_ranges,
             sigma=message.sigma,
             level=message.level,
-            dimensions=set(message.dimensions),
+            dimensions=_dimension_mask(message.dimensions),
             parent=message.sender,
             budget=message.budget,
         )
@@ -443,7 +468,8 @@ class ResourceNode:
             if self._forward_at_level(query_id, state):
                 return
             state.level -= 1
-            state.dimensions = set(range(self.schema.dimensions))
+            state.dimensions = (1 << self.schema.dimensions) - 1
+            state.overlapping = None
         if state.level == 0:
             state.level = -1  # the C0 fan-out happens exactly once
             self._fan_out_zero(query_id, state)
@@ -457,15 +483,22 @@ class ResourceNode:
 
         Returns True if a message was sent (the scan resumes on reply).
         """
-        for dim in sorted(state.dimensions):
-            region = self.routing.region(state.level, dim)
-            if not region.overlaps(state.index_ranges):
-                continue
+        overlapping = state.overlapping
+        if overlapping is None:
+            overlapping = state.overlapping = overlapping_dimensions(
+                self.descriptor.coordinates, state.level, state.index_ranges
+            )
+        candidates = state.dimensions & overlapping
+        while candidates:
+            # Lowest remaining dimension first, as the paper's scan.
+            bit = candidates & -candidates
+            candidates ^= bit
+            dim = bit.bit_length() - 1
             # The neighboring cell overlaps Q. Whether or not we know an
             # inhabitant, this (level, dim) branch is now considered
             # explored: remove the dimension so the subtree rooted at the
             # neighbor cannot propagate back (Figure 5, forward line 4).
-            state.dimensions.discard(dim)
+            state.dimensions ^= bit
             neighbor = self._usable_neighbor(state, state.level, dim)
             if neighbor is None:
                 # Empty cell (no link must be maintained) — or a broken
@@ -483,8 +516,8 @@ class ResourceNode:
                 )
                 continue
             self._send_query(
-                query_id, state, neighbor, state.level, frozenset(state.dimensions),
-                slot=(state.level, dim),
+                query_id, state, neighbor, state.level,
+                _dimension_set(state.dimensions), slot=(state.level, dim),
             )
             return True
         return False

@@ -16,14 +16,7 @@ from __future__ import annotations
 import random
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.core.cells import (
-    Region,
-    Slot,
-    ZERO_SLOT,
-    iter_slots,
-    neighboring_region,
-    slot_of,
-)
+from repro.core.cells import Slot, ZERO_SLOT, iter_slots, slot_of
 from repro.core.descriptors import Address, NodeDescriptor
 
 
@@ -53,7 +46,6 @@ class RoutingTable:
         "_alternates",
         "_zero",
         "_by_address",
-        "_regions",
     )
 
     def __init__(
@@ -83,27 +75,12 @@ class RoutingTable:
         # (a per-link ``(slot, descriptor)`` tuple costs ~56 bytes, and
         # with ~60+ links per node that tuple dominated table memory).
         self._by_address: Dict[Address, NodeDescriptor] = {}
-        # Region geometry is computed on demand: most nodes in a large
-        # deployment never forward a query, and eagerly materializing
-        # d * max_level Region objects per node dominates memory at scale.
-        # Keyed by slot number: small ints are shared, (level, dim) tuples
-        # would cost one allocation per cached region.
-        self._regions: Dict[int, Region] = {}
 
     # -- classification --------------------------------------------------------
 
     def classify(self, descriptor: NodeDescriptor) -> Slot:
         """Which slot (``ZERO_SLOT`` or ``(level, dim)``) *descriptor* fills."""
         return slot_of(self.owner.coordinates, descriptor.coordinates, self.max_level)
-
-    def region(self, level: int, dim: int) -> Region:
-        """The region of the neighboring cell ``N(level, dim)(owner)``."""
-        key = level * self.dimensions + dim
-        region = self._regions.get(key)
-        if region is None:
-            region = neighboring_region(self.owner.coordinates, level, dim)
-            self._regions[key] = region
-        return region
 
     # -- mutation ---------------------------------------------------------------
 
@@ -224,7 +201,10 @@ class RoutingTable:
           :meth:`seed_zero` — each differs from the owner's cell
           coordinates at its own (level, dim) bit, so no address can
           arrive twice and the per-descriptor known/self guards the
-          general :meth:`install` path needs are dropped here.
+          general :meth:`add` path needs are dropped here. Both
+          bucket derivations are held to this by a property test over
+          random geometries and populations
+          (``tests/sim/test_bootstrap_buckets.py``).
 
         Indices come from ``int(rng.random() * count)`` — one C-level
         draw each — rather than ``_randbelow``'s Python retry loop. The
@@ -311,7 +291,6 @@ class RoutingTable:
         self._alternates.clear()
         self._zero.clear()
         self._by_address.clear()
-        self._regions.clear()
         for descriptor in known:
             self.add(descriptor)
         return known

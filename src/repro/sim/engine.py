@@ -4,31 +4,32 @@ A minimal but complete event scheduler in the style of PeerSim's
 event-driven mode: a priority queue of timestamped callbacks with stable
 FIFO ordering for simultaneous events, cancellation, and bounded runs.
 Time is a float in seconds.
+
+Heap entries are ``(time, sequence, event)`` tuples. The sequence number
+is unique, so tuple comparison never reaches the event: every heap
+operation compares two floats or two ints in C, and :class:`Event`
+defines no ordering at all.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 
 class Event:
-    """A scheduled callback; cancel via :meth:`Simulator.cancel`."""
+    """A scheduled callback; cancel via :meth:`Simulator.cancel`.
 
-    __slots__ = ("time", "sequence", "callback", "cancelled", "executed")
+    Its time and sequence number live in the heap entry, not here.
+    """
 
-    def __init__(
-        self, time: float, sequence: int, callback: Callable[[], None]
-    ) -> None:
-        self.time = time
-        self.sequence = sequence
+    __slots__ = ("callback", "cancelled", "executed")
+
+    def __init__(self, callback: Callable[[], None]) -> None:
         self.callback = callback
         self.cancelled = False
         self.executed = False
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.sequence) < (other.time, other.sequence)
 
 
 class Simulator:
@@ -57,7 +58,7 @@ class Simulator:
     )
 
     def __init__(self, compaction_threshold: int = 4096) -> None:
-        self._events: List[Event] = []
+        self._events: List[Tuple[float, int, Event]] = []
         self._sequence = itertools.count()
         self._now = 0.0
         self._processed = 0
@@ -90,8 +91,8 @@ class Simulator:
         """Schedule *callback* at absolute simulated *time*."""
         if time < self._now:
             raise ValueError(f"cannot schedule in the past ({time} < {self._now})")
-        event = Event(time, next(self._sequence), callback)
-        heapq.heappush(self._events, event)
+        event = Event(callback)
+        heapq.heappush(self._events, (time, next(self._sequence), event))
         self._pending += 1
         return event
 
@@ -110,7 +111,9 @@ class Simulator:
 
     def _compact(self) -> None:
         """Drop cancelled events from the heap and restore heap order."""
-        self._events = [event for event in self._events if not event.cancelled]
+        self._events = [
+            entry for entry in self._events if not entry[2].cancelled
+        ]
         heapq.heapify(self._events)
         self._cancelled_in_heap = 0
         self._compactions += 1
@@ -128,13 +131,13 @@ class Simulator:
     def step(self) -> bool:
         """Execute the next pending event; returns False if none remain."""
         while self._events:
-            event = heapq.heappop(self._events)
+            time, _, event = heapq.heappop(self._events)
             if event.cancelled:
                 self._cancelled_in_heap -= 1
                 continue
             event.executed = True
             self._pending -= 1
-            self._now = event.time
+            self._now = time
             self._processed += 1
             event.callback()
             return True
@@ -154,12 +157,12 @@ class Simulator:
         while self._events:
             if max_events is not None and executed >= max_events:
                 return
-            head = self._events[0]
+            time, _, head = self._events[0]
             if head.cancelled:
                 heapq.heappop(self._events)
                 self._cancelled_in_heap -= 1
                 continue
-            if until is not None and head.time > until:
+            if until is not None and time > until:
                 break
             self.step()
             executed += 1
@@ -172,10 +175,10 @@ class Simulator:
         Used by the sharded engine to fast-forward over empty lookahead
         windows; prunes cancelled events encountered at the heap head.
         """
-        while self._events and self._events[0].cancelled:
+        while self._events and self._events[0][2].cancelled:
             heapq.heappop(self._events)
             self._cancelled_in_heap -= 1
-        return self._events[0].time if self._events else None
+        return self._events[0][0] if self._events else None
 
     def run_until_idle(self, max_events: int = 10_000_000) -> int:
         """Run until no events remain; returns the number executed."""

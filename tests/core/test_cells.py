@@ -13,6 +13,7 @@ from repro.core.cells import (
     iter_slots,
     neighboring_region,
     num_cells,
+    overlapping_dimensions,
     slot_of,
 )
 
@@ -166,3 +167,53 @@ class TestRegionOverlap:
         assert neighboring_region((0, 0), 1, 0).size() == 2
         assert neighboring_region((0, 0), 1, 1).size() == 1
         assert cell_region((0, 0), 3).size() == 64
+
+
+@st.composite
+def positions_and_boxes(draw):
+    """A node's coordinates and a query box, d in [1, 10], max(l) in [1, 6].
+
+    Each query range is the full span, a single cell, or an arbitrary
+    sub-interval, so boxes mix every shape the forward decision meets.
+    """
+    dimensions = draw(st.integers(1, 10))
+    max_level = draw(st.integers(1, 6))
+    top = (1 << max_level) - 1
+    coordinates = tuple(
+        draw(st.integers(0, top)) for _ in range(dimensions)
+    )
+    ranges = []
+    for _ in range(dimensions):
+        shape = draw(st.sampled_from(["full", "cell", "span"]))
+        if shape == "full":
+            ranges.append((0, top))
+        elif shape == "cell":
+            index = draw(st.integers(0, top))
+            ranges.append((index, index))
+        else:
+            a, b = draw(st.integers(0, top)), draw(st.integers(0, top))
+            ranges.append((min(a, b), max(a, b)))
+    return coordinates, max_level, tuple(ranges)
+
+
+class TestOverlappingDimensions:
+    @given(positions_and_boxes())
+    @settings(max_examples=400, deadline=None)
+    def test_mask_equals_region_overlap(self, case):
+        """Bit k is set iff N(l, k)(X) overlaps Q, at every level."""
+        coordinates, max_level, ranges = case
+        for level in range(1, max_level + 1):
+            expected = sum(
+                1 << dim
+                for dim in range(len(coordinates))
+                if neighboring_region(coordinates, level, dim).overlaps(ranges)
+            )
+            assert overlapping_dimensions(coordinates, level, ranges) == expected
+
+    def test_level_zero_rejected(self):
+        try:
+            overlapping_dimensions((0, 0), 0, ((0, 7), (0, 7)))
+        except ValueError:
+            pass
+        else:
+            raise AssertionError("expected ValueError")

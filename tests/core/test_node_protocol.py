@@ -228,6 +228,51 @@ class TestAttributeUpdate:
         nodes[0].update_attributes(new_descriptor)
         assert nodes[0].routing.zero_count() == 1  # node 1 is now a C0 peer
 
+    def test_pending_query_forwards_by_new_coordinates(self):
+        """A move mid-query re-derives the level's forward decision.
+
+        The origin at (0, 0) forwards along (3, 0), then moves to (4, 0)
+        before the reply arrives. From (0, 0), N(3, 1) misses Q; from
+        (4, 0), it is exactly Q. The resumed scan must follow the new
+        geometry, not a decision cached under the old coordinates.
+        """
+        from repro.core.cells import neighboring_region
+        from repro.core.messages import ReplyMessage
+        from repro.core.observer import ProtocolObserver
+
+        class Forwards(ProtocolObserver):
+            def __init__(self):
+                self.slots = []
+
+            def query_forwarded(
+                self, sender, receiver, query_id, level, dim, dimensions
+            ):
+                self.slots.append((receiver, level, dim))
+
+        schema, transport, metrics, nodes = build_overlay(
+            [(0, 0), (7, 0), (5, 5)]
+        )
+        origin = nodes[0]
+        origin.observer = forwards = Forwards()
+        query = Query.where(schema, d0=(4, None), d1=(4, None))
+        ranges = query.index_ranges()
+        query_id = origin.issue_query(query)
+        assert forwards.slots == [(1, 3, 0)]
+
+        transport.disconnect(1)  # the reply is injected by hand below
+        transport.run()
+        moved = NodeDescriptor.build(0, schema, {"d0": 4.5, "d1": 0.5})
+        origin.update_attributes(moved)
+        origin.receive_reply(
+            ReplyMessage(query_id=query_id, sender=1, matching=())
+        )
+
+        new = moved.coordinates
+        assert not neighboring_region((0, 0), 3, 1).overlaps(ranges)
+        assert neighboring_region(new, 3, 1).overlaps(ranges)
+        assert origin.routing.neighbor(3, 1).address == 2
+        assert forwards.slots == [(1, 3, 0), (2, 3, 1)]
+
     def test_update_attributes_rejects_address_change(self):
         schema, transport, metrics, nodes = build_overlay([(0, 0)])
         other = NodeDescriptor.build(5, schema, {"d0": 1, "d1": 1})

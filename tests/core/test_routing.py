@@ -210,9 +210,17 @@ class TestQueries:
         assert table.addresses() == {1, 2}
 
     def test_region_matches_cells_module(self, schema, table):
+        """Every filled slot's primary lies in that slot's N(l,k)(owner)."""
         from repro.core.cells import neighboring_region
 
-        assert table.region(3, 0) == neighboring_region((0, 0), 3, 0)
+        for address, (x, y) in enumerate(
+            [(7.5, 7.5), (1.5, 0.5), (0.5, 1.5), (0.5, 2.5)], start=1
+        ):
+            table.add(descriptor(schema, address, x, y))
+        assert table.filled_slots() == {(3, 0), (1, 0), (1, 1), (2, 1)}
+        for level, dim in table.filled_slots():
+            region = neighboring_region(table.owner.coordinates, level, dim)
+            assert region.contains(table.neighbor(level, dim).coordinates)
 
 
 class TestBulkSeeding:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core.attributes import AttributeSchema, numeric
-from repro.core.cells import ZERO_SLOT, iter_slots
+from repro.core.cells import ZERO_SLOT, iter_slots, neighboring_region
 from repro.core.descriptors import NodeDescriptor
 from repro.core.routing import RoutingTable
 
@@ -63,7 +63,9 @@ class RoutingTableMachine(RuleBasedStateMachine):
         for level, dim in iter_slots(SCHEMA.dimensions, SCHEMA.max_level):
             primary = self.table.neighbor(level, dim)
             if primary is not None:
-                region = self.table.region(level, dim)
+                region = neighboring_region(
+                    self.table.owner.coordinates, level, dim
+                )
                 assert region.contains(primary.coordinates)
 
     @invariant()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.attributes import AttributeSchema, numeric
-from repro.core.cells import ZERO_SLOT, iter_slots
+from repro.core.cells import ZERO_SLOT, iter_slots, neighboring_region
 from repro.core.query import Query
 from repro.metrics.collectors import MetricsCollector
 from repro.sim.deployment import Deployment
@@ -36,7 +36,9 @@ class TestBootstrapCorrectness:
         for host in list(deployment.hosts.values())[:25]:
             routing = host.node.routing
             for level, dim in iter_slots(schema.dimensions, schema.max_level):
-                region = routing.region(level, dim)
+                region = neighboring_region(
+                    routing.owner.coordinates, level, dim
+                )
                 inhabited = any(
                     region.contains(d.coordinates) for d in descriptors
                 )

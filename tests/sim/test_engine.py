@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import Event, Simulator
 
 
 class TestScheduling:
@@ -175,6 +175,35 @@ class TestHeapHygiene:
         # 7 cancelled < threshold: no compaction yet.
         assert sim.compactions == 0
         assert sim.pending_events == 1000
+
+    def test_fifo_survives_interleaved_cancels_across_compaction(self):
+        # Equal timestamps, every other event cancelled: compaction
+        # re-heapifies the survivors, and they must still fire in the
+        # order they were scheduled.
+        sim = Simulator(compaction_threshold=16)
+        fired = []
+        for i in range(200):
+            sim.schedule(1.0, lambda i=i: fired.append(i))
+            sim.cancel(sim.schedule(1.0, lambda: fired.append(-1)))
+            if i % 50 == 49:
+                sim.schedule(1.0, lambda i=i: fired.append(1000 + i))
+        assert sim.compactions > 0
+        sim.run_until_idle()
+        expected = []
+        for i in range(200):
+            expected.append(i)
+            if i % 50 == 49:
+                expected.append(1000 + i)
+        assert fired == expected
+
+    def test_events_define_no_ordering(self):
+        # The heap orders (time, sequence, event) tuples; sequences are
+        # unique, so the event is never compared — and must not be
+        # comparable, or a Python-level comparison could slip back in.
+        first = Event(lambda: None)
+        second = Event(lambda: None)
+        with pytest.raises(TypeError):
+            first < second  # noqa: B015
 
     def test_next_event_time_skips_cancelled_heads(self):
         sim = Simulator()
