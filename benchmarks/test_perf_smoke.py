@@ -10,6 +10,7 @@ modest core, so they only trip on complexity regressions, not noise.
 
 from __future__ import annotations
 
+import random
 import time
 
 from conftest import run_once
@@ -167,6 +168,51 @@ def test_forward_decision_builds_no_regions(benchmark, monkeypatch):
     assert sum(outcome.found for outcome in outcomes) > 0
     assert calls == {"neighboring_region": 0, "regions": 0}
     assert sum(outcome.duplicates for outcome in outcomes) == 0
+
+
+def test_codec_decodes_records_in_one_call(benchmark, monkeypatch):
+    """A REPLY decodes each descriptor record with one compiled layout.
+
+    Host-independent counter gate on the ``serve`` geometry (d = 3,
+    max(l) = 3): the field-at-a-time ``_Reader`` primitives run the same
+    number of times for a 1-descriptor and a 100-descriptor REPLY, so a
+    per-field read reintroduced in the record path trips this at once.
+    """
+    from repro.core.codec import Codec, _Reader
+    from repro.core.descriptors import NodeDescriptor
+    from repro.core.messages import ReplyMessage
+    from repro.experiments.config import ExperimentConfig
+    from repro.workloads.distributions import uniform_sampler
+
+    schema = ExperimentConfig(network_size=256, seed=2009, dimensions=3).schema()
+    assert (schema.dimensions, schema.max_level) == (3, 3)
+    codec = Codec(schema)
+    sample = uniform_sampler(schema)
+    rng = random.Random(2009)
+    descriptors = tuple(
+        NodeDescriptor.build(address, schema, sample(rng))
+        for address in range(100)
+    )
+
+    calls = {"primitives": 0}
+    for name in ("u8", "u16", "u32", "i64", "f64", "text"):
+        primitive = getattr(_Reader, name)
+
+        def counting(self, *args, _primitive=primitive):
+            calls["primitives"] += 1
+            return _primitive(self, *args)
+
+        monkeypatch.setattr(_Reader, name, counting)
+
+    def primitive_calls(matching):
+        message = ReplyMessage(query_id=(1, 7), sender=1, matching=matching)
+        calls["primitives"] = 0
+        assert codec.decode(codec.encode(1, message)) == (1, message)
+        return calls["primitives"]
+
+    assert primitive_calls(descriptors[:1]) == run_once(
+        benchmark, primitive_calls, descriptors
+    )
 
 
 def test_memory_footprint_per_node(benchmark):

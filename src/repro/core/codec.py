@@ -1,9 +1,9 @@
 """Versioned, length-prefixed wire serialization for overlay messages.
 
-The simulator and the threaded runtime pass message *objects* between
-nodes; the asyncio runtime (:mod:`repro.runtime.aio`) passes real UDP
-datagrams between real sockets, so every message of the protocol needs an
-exact byte representation. This module provides it for the whole overlay
+The simulator passes message *objects* between nodes; the asyncio runtime
+(:mod:`repro.runtime.aio`) passes real UDP datagrams between real
+sockets, so every message of the protocol needs an exact byte
+representation. This module provides it for the whole overlay
 vocabulary: the query-routing messages of :mod:`repro.core.messages` and
 the gossip messages of :mod:`repro.gossip.messages`.
 
@@ -24,6 +24,14 @@ Decoding is *strict*: a wrong magic, an unsupported version, an unknown
 message type, a length that disagrees with the datagram, or a payload
 that ends mid-field all raise :class:`CodecError` (the UDP receive loop
 counts and drops such frames; it never crashes on hostile bytes).
+Encoding a field outside its wire width raises :class:`CodecError` too.
+
+Every fixed run of fields is one precompiled :class:`struct.Struct`: a
+descriptor record (address, value count, values, coordinate count,
+coordinates) is one ``pack`` / one ``unpack_from``, and so are the fixed
+head and tail sections of each message. The record layout for the
+schema's arity is compiled once per :class:`Codec`; a record whose count
+bytes say otherwise builds its layout on the spot.
 
 The codec is schema-bound: attribute *values* travel as raw doubles and
 cell coordinates as integers, while the :class:`~repro.core.attributes.
@@ -36,9 +44,10 @@ the canonical tuple with every local descriptor in the same cell.
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, List, Tuple, Type
 
 from repro.core.attributes import AttributeSchema
 from repro.core.descriptors import Address, NodeDescriptor
@@ -58,6 +67,25 @@ VERSION = 1
 #: Frame header: magic u16, version u8, type u8, sender i64, length u32.
 _HEADER = struct.Struct(">HBBqI")
 
+_U8 = struct.Struct(">B")
+_U16 = struct.Struct(">H")
+_U32 = struct.Struct(">I")
+_I64 = struct.Struct(">q")
+_F64 = struct.Struct(">d")
+
+#: QUERY head: query id (origin, counter), sender.
+_QUERY_HEAD = struct.Struct(">qqq")
+#: QUERY tail, first half: level, dimension count.
+_LEVEL_DIMENSIONS = struct.Struct(">iH")
+#: REPLY head: query id (origin, counter), sender, descriptor count.
+_REPLY_HEAD = struct.Struct(">qqqI")
+#: REPLY tail: coverage, duplicate flag.
+_REPLY_TAIL = struct.Struct(">d?")
+#: FRAGMENT head: message id, fragment index, fragment count.
+_FRAGMENT_HEAD = struct.Struct(">qHH")
+#: ACK: message id, fragment index.
+_ACK = struct.Struct(">qH")
+
 #: Upper bound on the declared payload length; anything larger is hostile
 #: or corrupt (a σ-bounded reply at paper scale is a few hundred KB).
 MAX_PAYLOAD = 16 * 1024 * 1024
@@ -76,11 +104,26 @@ _KIND_CATEGORICAL = 1
 
 #: Bytes a fragment payload spends before the chunk: message id (i64),
 #: fragment index (u16), fragment count (u16).
-FRAGMENT_OVERHEAD = 8 + 2 + 2
+FRAGMENT_OVERHEAD = _FRAGMENT_HEAD.size
+
+
+def _record_layout(value_count: int, coordinate_count: int) -> struct.Struct:
+    """Descriptor record: address, value count, values, coord count, coords."""
+    return struct.Struct(f">qB{value_count}dB{coordinate_count}i")
+
+
+def _ranges_layout(count: int) -> struct.Struct:
+    """*count* index ranges as flat (low, high) i32 pairs."""
+    return struct.Struct(f">{2 * count}i")
+
+
+def _dimensions_layout(count: int) -> struct.Struct:
+    """QUERY tail, second half: *count* dimensions (u16), budget (f64)."""
+    return struct.Struct(f">{count}Hd")
 
 
 class CodecError(ValueError):
-    """A frame or payload could not be decoded (corrupt, truncated, alien)."""
+    """A frame could not be decoded (corrupt, truncated, alien) or encoded."""
 
 
 @dataclass(frozen=True)
@@ -118,27 +161,23 @@ class _Writer:
 
     def u8(self, value: int) -> None:
         """Append an unsigned byte."""
-        self.parts.append(struct.pack(">B", value))
+        self.parts.append(_U8.pack(value))
 
     def u16(self, value: int) -> None:
         """Append an unsigned 16-bit integer."""
-        self.parts.append(struct.pack(">H", value))
+        self.parts.append(_U16.pack(value))
 
     def u32(self, value: int) -> None:
         """Append an unsigned 32-bit integer."""
-        self.parts.append(struct.pack(">I", value))
-
-    def i32(self, value: int) -> None:
-        """Append a signed 32-bit integer."""
-        self.parts.append(struct.pack(">i", value))
+        self.parts.append(_U32.pack(value))
 
     def i64(self, value: int) -> None:
         """Append a signed 64-bit integer."""
-        self.parts.append(struct.pack(">q", value))
+        self.parts.append(_I64.pack(value))
 
     def f64(self, value: float) -> None:
         """Append an IEEE-754 double (bit-exact round trip)."""
-        self.parts.append(struct.pack(">d", value))
+        self.parts.append(_F64.pack(value))
 
     def text(self, value: str) -> None:
         """Append a length-prefixed UTF-8 string."""
@@ -158,50 +197,52 @@ class _Reader:
 
     __slots__ = ("data", "offset")
 
-    def __init__(self, data: bytes) -> None:
+    def __init__(self, data: bytes, offset: int) -> None:
         self.data = data
-        self.offset = 0
+        self.offset = offset
 
-    def _take(self, count: int) -> bytes:
-        end = self.offset + count
+    def _claim(self, count: int) -> int:
+        """Advance past *count* bytes; return the offset they start at."""
+        offset = self.offset
+        end = offset + count
         if end > len(self.data):
             raise CodecError(
                 f"payload truncated: need {count} bytes at offset "
-                f"{self.offset}, have {len(self.data) - self.offset}"
+                f"{offset}, have {len(self.data) - offset}"
             )
-        chunk = self.data[self.offset:end]
         self.offset = end
-        return chunk
+        return offset
+
+    def unpack(self, layout: struct.Struct) -> Tuple[Any, ...]:
+        """Read one fixed run of fields laid out by *layout*."""
+        return layout.unpack_from(self.data, self._claim(layout.size))
 
     def u8(self) -> int:
         """Read an unsigned byte."""
-        return struct.unpack(">B", self._take(1))[0]
+        return _U8.unpack_from(self.data, self._claim(1))[0]
 
     def u16(self) -> int:
         """Read an unsigned 16-bit integer."""
-        return struct.unpack(">H", self._take(2))[0]
+        return _U16.unpack_from(self.data, self._claim(2))[0]
 
     def u32(self) -> int:
         """Read an unsigned 32-bit integer."""
-        return struct.unpack(">I", self._take(4))[0]
-
-    def i32(self) -> int:
-        """Read a signed 32-bit integer."""
-        return struct.unpack(">i", self._take(4))[0]
+        return _U32.unpack_from(self.data, self._claim(4))[0]
 
     def i64(self) -> int:
         """Read a signed 64-bit integer."""
-        return struct.unpack(">q", self._take(8))[0]
+        return _I64.unpack_from(self.data, self._claim(8))[0]
 
     def f64(self) -> float:
         """Read an IEEE-754 double."""
-        return struct.unpack(">d", self._take(8))[0]
+        return _F64.unpack_from(self.data, self._claim(8))[0]
 
     def text(self) -> str:
         """Read a length-prefixed UTF-8 string."""
         length = self.u16()
+        start = self._claim(length)
         try:
-            return self._take(length).decode("utf-8")
+            return self.data[start:start + length].decode("utf-8")
         except UnicodeDecodeError as error:
             raise CodecError(f"invalid UTF-8 in string field: {error}") from None
 
@@ -223,30 +264,47 @@ class Codec:
     """Schema-bound encoder/decoder for every overlay message type.
 
     One instance serves a whole deployment (it is stateless apart from the
-    shared schema). :meth:`encode` wraps a message object in a framed
-    datagram carrying the sender's overlay address; :meth:`decode` is its
-    strict inverse, returning ``(sender, message)``.
+    shared schema and the layouts compiled for its arity). :meth:`encode`
+    wraps a message object in a framed datagram carrying the sender's
+    overlay address; :meth:`decode` is its strict inverse, returning
+    ``(sender, message)``.
     """
 
-    __slots__ = ("schema",)
+    __slots__ = ("schema", "_arity", "_record", "_ranges", "_dimensions")
 
     def __init__(self, schema: AttributeSchema) -> None:
         self.schema = schema
+        arity = schema.dimensions
+        self._arity = arity
+        self._record = _record_layout(arity, arity)
+        self._ranges = _ranges_layout(arity)
+        #: One tail layout per dimension-set size a schema query can carry.
+        self._dimensions = tuple(
+            _dimensions_layout(count) for count in range(arity + 1)
+        )
 
     # -- framing ---------------------------------------------------------------
 
     def encode(self, sender: Address, message: Any) -> bytes:
-        """Encode *message* from *sender* as one framed datagram."""
+        """Encode *message* from *sender* as one framed datagram.
+
+        Raises :class:`CodecError` for an unencodable type or a field
+        outside its wire width (an address beyond i64, a coordinate
+        beyond i32, more than 255 values in a descriptor, ...).
+        """
         encoder = _ENCODERS.get(type(message))
         if encoder is None:
             raise CodecError(f"unencodable message type {type(message).__name__}")
         frame_type, encode_payload = encoder
         writer = _Writer()
-        encode_payload(self, writer, message)
-        payload = writer.getvalue()
-        return _HEADER.pack(
-            MAGIC, VERSION, frame_type, sender, len(payload)
-        ) + payload
+        try:
+            encode_payload(self, writer, message)
+            payload = writer.getvalue()
+            return _HEADER.pack(
+                MAGIC, VERSION, frame_type, sender, len(payload)
+            ) + payload
+        except struct.error as error:
+            raise CodecError(f"field outside its wire width: {error}") from None
 
     def decode(self, datagram: bytes) -> Tuple[Address, Any]:
         """Decode one framed datagram into ``(sender, message)``.
@@ -268,41 +326,69 @@ class Codec:
             raise CodecError(f"unsupported wire version {version}")
         if length > MAX_PAYLOAD:
             raise CodecError(f"declared payload too large ({length} bytes)")
-        payload = datagram[_HEADER.size:]
-        if len(payload) != length:
+        carried = len(datagram) - _HEADER.size
+        if carried != length:
             raise CodecError(
                 f"length mismatch: header says {length}, frame carries "
-                f"{len(payload)}"
+                f"{carried}"
             )
         decoder = _DECODERS.get(frame_type)
         if decoder is None:
             raise CodecError(f"unknown message type {frame_type}")
-        reader = _Reader(payload)
+        reader = _Reader(datagram, _HEADER.size)
         message = decoder(self, reader)
         reader.done()
         return sender, message
 
+    # -- compiled layouts ------------------------------------------------------
+
+    def _record_for(
+        self, value_count: int, coordinate_count: int
+    ) -> struct.Struct:
+        if value_count == coordinate_count == self._arity:
+            return self._record
+        return _record_layout(value_count, coordinate_count)
+
+    def _ranges_for(self, count: int) -> struct.Struct:
+        if count == self._arity:
+            return self._ranges
+        return _ranges_layout(count)
+
+    def _dimensions_for(self, count: int) -> struct.Struct:
+        if count <= self._arity:
+            return self._dimensions[count]
+        return _dimensions_layout(count)
+
     # -- shared value encoders -------------------------------------------------
 
-    def _encode_descriptor(
-        self, writer: _Writer, descriptor: NodeDescriptor
-    ) -> None:
-        writer.i64(descriptor.address)
-        writer.u8(len(descriptor.values))
-        for value in descriptor.values:
-            writer.f64(value)
-        writer.u8(len(descriptor.coordinates))
-        for coordinate in descriptor.coordinates:
-            writer.i32(coordinate)
+    def _pack_descriptor(self, descriptor: NodeDescriptor) -> bytes:
+        values = descriptor.values
+        coordinates = descriptor.coordinates
+        return self._record_for(len(values), len(coordinates)).pack(
+            descriptor.address,
+            len(values),
+            *values,
+            len(coordinates),
+            *coordinates,
+        )
 
     def _decode_descriptor(self, reader: _Reader) -> NodeDescriptor:
-        address = reader.i64()
-        values = tuple(reader.f64() for _ in range(reader.u8()))
-        coordinates = tuple(reader.i32() for _ in range(reader.u8()))
+        data = reader.data
+        offset = reader.offset
+        try:
+            value_count = data[offset + 8]
+            coordinate_count = data[offset + 9 + 8 * value_count]
+        except IndexError:
+            raise CodecError(
+                f"payload truncated: descriptor record at offset {offset} "
+                f"ends before its count bytes"
+            ) from None
+        fields = reader.unpack(self._record_for(value_count, coordinate_count))
+        split = 2 + value_count
         return NodeDescriptor(
-            address=address,
-            values=values,
-            coordinates=self.schema.intern_coordinates(coordinates),
+            address=fields[0],
+            values=fields[2:split],
+            coordinates=self.schema.intern_coordinates(fields[split + 1:]),
         )
 
     def _encode_constraint(self, writer: _Writer, constraint: Constraint) -> None:
@@ -370,79 +456,76 @@ class Codec:
             dynamic_constraints=tuple(dynamic),
         )
 
-    def _encode_query_id(self, writer: _Writer, query_id) -> None:
-        writer.i64(query_id[0])
-        writer.i64(query_id[1])
-
-    def _decode_query_id(self, reader: _Reader) -> Tuple[Address, int]:
-        return (reader.i64(), reader.i64())
-
     # -- message payloads ------------------------------------------------------
 
     def _encode_query_message(
         self, writer: _Writer, message: QueryMessage
     ) -> None:
-        self._encode_query_id(writer, message.query_id)
-        writer.i64(message.sender)
+        query_id = message.query_id
+        writer.parts.append(
+            _QUERY_HEAD.pack(query_id[0], query_id[1], message.sender)
+        )
         self._encode_query(writer, message.query)
-        writer.u8(len(message.index_ranges))
-        for low, high in message.index_ranges:
-            writer.i32(low)
-            writer.i32(high)
+        index_ranges = message.index_ranges
+        writer.u8(len(index_ranges))
+        writer.parts.append(
+            self._ranges_for(len(index_ranges)).pack(
+                *itertools.chain.from_iterable(index_ranges)
+            )
+        )
         if message.sigma is None:
             writer.u8(0)
         else:
             writer.u8(1)
             writer.i64(message.sigma)
-        writer.i32(message.level)
-        writer.u16(len(message.dimensions))
-        for dim in sorted(message.dimensions):
-            writer.u16(dim)
-        writer.f64(message.budget)
+        dimensions = sorted(message.dimensions)
+        writer.parts.append(
+            _LEVEL_DIMENSIONS.pack(message.level, len(dimensions))
+        )
+        writer.parts.append(
+            self._dimensions_for(len(dimensions)).pack(
+                *dimensions, message.budget
+            )
+        )
 
     def _decode_query_message(self, reader: _Reader) -> QueryMessage:
-        query_id = self._decode_query_id(reader)
-        sender = reader.i64()
+        origin, counter, sender = reader.unpack(_QUERY_HEAD)
         query = self._decode_query(reader)
-        index_ranges = tuple(
-            (reader.i32(), reader.i32()) for _ in range(reader.u8())
-        )
+        bounds = reader.unpack(self._ranges_for(reader.u8()))
         sigma = reader.i64() if reader.u8() else None
-        level = reader.i32()
-        dimensions = frozenset(reader.u16() for _ in range(reader.u16()))
-        budget = reader.f64()
+        level, count = reader.unpack(_LEVEL_DIMENSIONS)
+        tail = reader.unpack(self._dimensions_for(count))
         return QueryMessage(
-            query_id=query_id,
+            query_id=(origin, counter),
             sender=sender,
             query=query,
-            index_ranges=index_ranges,
+            index_ranges=tuple(zip(bounds[0::2], bounds[1::2])),
             sigma=sigma,
             level=level,
-            dimensions=dimensions,
-            budget=budget,
+            dimensions=frozenset(tail[:count]),
+            budget=tail[count],
         )
 
     def _encode_reply_message(
         self, writer: _Writer, message: ReplyMessage
     ) -> None:
-        self._encode_query_id(writer, message.query_id)
-        writer.i64(message.sender)
-        writer.u32(len(message.matching))
-        for descriptor in message.matching:
-            self._encode_descriptor(writer, descriptor)
-        writer.f64(message.coverage)
-        writer.u8(1 if message.duplicate else 0)
+        query_id = message.query_id
+        parts = writer.parts
+        parts.append(
+            _REPLY_HEAD.pack(
+                query_id[0], query_id[1], message.sender, len(message.matching)
+            )
+        )
+        parts.extend(map(self._pack_descriptor, message.matching))
+        parts.append(_REPLY_TAIL.pack(message.coverage, message.duplicate))
 
     def _decode_reply_message(self, reader: _Reader) -> ReplyMessage:
-        query_id = self._decode_query_id(reader)
-        sender = reader.i64()
-        matching = tuple(
-            self._decode_descriptor(reader) for _ in range(reader.u32())
-        )
-        coverage = reader.f64()
-        duplicate = bool(reader.u8())
+        origin, counter, sender, count = reader.unpack(_REPLY_HEAD)
+        decode_descriptor = self._decode_descriptor
+        matching = tuple(decode_descriptor(reader) for _ in range(count))
+        coverage, duplicate = reader.unpack(_REPLY_TAIL)
         return ReplyMessage(
-            query_id=query_id,
+            query_id=(origin, counter),
             sender=sender,
             matching=matching,
             coverage=coverage,
@@ -450,15 +533,13 @@ class Codec:
         )
 
     def _encode_fragment(self, writer: _Writer, message: Fragment) -> None:
-        writer.i64(message.message_id)
-        writer.u16(message.index)
-        writer.u16(message.count)
+        writer.parts.append(
+            _FRAGMENT_HEAD.pack(message.message_id, message.index, message.count)
+        )
         writer.parts.append(message.chunk)
 
     def _decode_fragment(self, reader: _Reader) -> Fragment:
-        message_id = reader.i64()
-        index = reader.u16()
-        count = reader.u16()
+        message_id, index, count = reader.unpack(_FRAGMENT_HEAD)
         chunk = reader.rest()
         if count == 0:
             raise CodecError("fragment with zero count")
@@ -471,11 +552,11 @@ class Codec:
         )
 
     def _encode_ack(self, writer: _Writer, message: FragmentAck) -> None:
-        writer.i64(message.message_id)
-        writer.u16(message.index)
+        writer.parts.append(_ACK.pack(message.message_id, message.index))
 
     def _decode_ack(self, reader: _Reader) -> FragmentAck:
-        return FragmentAck(message_id=reader.i64(), index=reader.u16())
+        message_id, index = reader.unpack(_ACK)
+        return FragmentAck(message_id=message_id, index=index)
 
     def fragment(
         self,
@@ -521,7 +602,7 @@ class Codec:
     ) -> None:
         writer.u16(len(entries))
         for entry in entries:
-            self._encode_descriptor(writer, entry.descriptor)
+            writer.parts.append(self._pack_descriptor(entry.descriptor))
             writer.u32(entry.age)
 
     def _decode_entries(self, reader: _Reader) -> Tuple[ViewEntry, ...]:

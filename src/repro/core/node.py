@@ -252,9 +252,10 @@ class ResourceNode:
             zero_capacity=self.config.zero_capacity,
         )
         self.pending: Dict[QueryId, _PendingQuery] = {}
-        #: Recently seen query ids → last-seen timestamp (LRU order, with
-        #: optional TTL expiry; see :meth:`_remember`).
-        self._seen: "OrderedDict[QueryId, float]" = OrderedDict()
+        #: Recently seen query ids in LRU order → last-seen timestamp when
+        #: ``seen_ttl`` is set (for expiry), else ``None``; see
+        #: :meth:`_remember`.
+        self._seen: "OrderedDict[QueryId, Optional[float]]" = OrderedDict()
         self._query_counter = itertools.count()
         #: Live, rapidly-changing local state checked against the dynamic
         #: constraints of queries (footnote 1 of the paper). Not gossiped,
@@ -966,10 +967,12 @@ class ResourceNode:
         )
 
     def _remember(self, query_id: QueryId) -> None:
-        now = self.transport.now()
+        ttl = self.config.seen_ttl
+        # Without a TTL only the size bound applies: no clock read and no
+        # timestamp to keep per entry.
+        now = None if ttl is None else self.transport.now()
         self._seen[query_id] = now
         self._seen.move_to_end(query_id)
-        ttl = self.config.seen_ttl
         if ttl is not None:
             horizon = now - ttl
             while self._seen:

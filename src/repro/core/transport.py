@@ -2,9 +2,10 @@
 
 A :class:`Transport` gives a node three capabilities — sending a message to
 an address, reading a clock, and scheduling timers. The discrete-event
-simulator (:mod:`repro.sim`), the threaded runtime (:mod:`repro.runtime`)
-and the in-process test harness all implement this interface around the
-*identical* protocol code in :mod:`repro.core.node`.
+simulator (:mod:`repro.sim`), the asyncio runtime
+(:mod:`repro.runtime.aio`) and the in-process test harness all implement
+this interface around the *identical* protocol code in
+:mod:`repro.core.node`.
 """
 
 from __future__ import annotations

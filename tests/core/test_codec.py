@@ -1,4 +1,6 @@
-"""Round-trip property tests for the wire codec (strict, bit-exact)."""
+"""Property tests for the wire codec: bit-exact round trips, byte identity
+with a field-at-a-time reference encoder, and fail-closed decoding and
+encoding."""
 
 import math
 import struct
@@ -100,20 +102,21 @@ def queries(draw):
 
 @st.composite
 def query_messages(draw):
-    """Arbitrary QUERY messages over the shared schema."""
+    """Arbitrary QUERY messages, at the schema's arity and off it."""
     query = draw(queries())
+    range_count = draw(st.sampled_from([SCHEMA.dimensions, 0, 1, 5]))
     return QueryMessage(
         query_id=draw(query_ids),
         sender=draw(addresses),
         query=query,
         index_ranges=tuple(
             (draw(st.integers(0, 7)), draw(st.integers(0, 7)))
-            for _ in range(SCHEMA.dimensions)
+            for _ in range(range_count)
         ),
         sigma=draw(st.none() | st.integers(min_value=0, max_value=2**31)),
         level=draw(st.integers(min_value=-1, max_value=SCHEMA.max_level)),
         dimensions=frozenset(
-            draw(st.sets(st.integers(0, SCHEMA.dimensions - 1), max_size=3))
+            draw(st.sets(st.integers(0, SCHEMA.dimensions + 2), max_size=5))
         ),
         budget=draw(st.floats(min_value=0.0, max_value=3600.0, allow_nan=False)),
     )
@@ -141,6 +144,175 @@ view_entries = st.builds(
 def roundtrip(sender, message):
     """Encode, decode, and return the decoded (sender, message) pair."""
     return CODEC.decode(CODEC.encode(sender, message))
+
+
+# -- reference encoder ---------------------------------------------------------
+#
+# The wire layout written out one field at a time, one ``struct.pack`` per
+# field, independent of the codec's compiled layouts. Round trips alone
+# cannot catch a reordered field whose decoder was reordered to match;
+# byte identity against this oracle can.
+
+
+def _field(fmt, value):
+    return struct.pack(">" + fmt, value)
+
+
+def _reference_descriptor(descriptor):
+    parts = [_field("q", descriptor.address), _field("B", len(descriptor.values))]
+    parts += [_field("d", value) for value in descriptor.values]
+    parts.append(_field("B", len(descriptor.coordinates)))
+    parts += [_field("i", coordinate) for coordinate in descriptor.coordinates]
+    return b"".join(parts)
+
+
+def _reference_constraint(constraint):
+    if isinstance(constraint, CategoricalSet):
+        ordinals = sorted(constraint.ordinals)
+        return b"".join(
+            [_field("B", 1), _field("H", len(ordinals))]
+            + [_field("q", ordinal) for ordinal in ordinals]
+        )
+    parts = [
+        _field("B", 0),
+        _field(
+            "B",
+            (0 if constraint.low is None else 1)
+            | (0 if constraint.high is None else 2),
+        ),
+    ]
+    if constraint.low is not None:
+        parts.append(_field("d", constraint.low))
+    if constraint.high is not None:
+        parts.append(_field("d", constraint.high))
+    return b"".join(parts)
+
+
+def _reference_query(query):
+    parts = []
+    for constraints in (query.constraints, query.dynamic_constraints):
+        parts.append(_field("H", len(constraints)))
+        for name, constraint in constraints:
+            raw = name.encode("utf-8")
+            parts += [_field("H", len(raw)), raw, _reference_constraint(constraint)]
+    return b"".join(parts)
+
+
+def _reference_payload(message):
+    """``(frame type, payload bytes)`` of *message*, field by field."""
+    if isinstance(message, QueryMessage):
+        parts = [
+            _field("q", message.query_id[0]),
+            _field("q", message.query_id[1]),
+            _field("q", message.sender),
+            _reference_query(message.query),
+            _field("B", len(message.index_ranges)),
+        ]
+        for low, high in message.index_ranges:
+            parts += [_field("i", low), _field("i", high)]
+        if message.sigma is None:
+            parts.append(_field("B", 0))
+        else:
+            parts += [_field("B", 1), _field("q", message.sigma)]
+        parts += [_field("i", message.level), _field("H", len(message.dimensions))]
+        parts += [_field("H", dim) for dim in sorted(message.dimensions)]
+        parts.append(_field("d", message.budget))
+        return 1, b"".join(parts)
+    if isinstance(message, ReplyMessage):
+        parts = [
+            _field("q", message.query_id[0]),
+            _field("q", message.query_id[1]),
+            _field("q", message.sender),
+            _field("I", len(message.matching)),
+        ]
+        parts += [_reference_descriptor(d) for d in message.matching]
+        parts += [
+            _field("d", message.coverage),
+            _field("B", 1 if message.duplicate else 0),
+        ]
+        return 2, b"".join(parts)
+    gossip_types = {
+        CyclonRequest: 3,
+        CyclonReply: 4,
+        VicinityRequest: 5,
+        VicinityReply: 6,
+    }
+    if type(message) in gossip_types:
+        parts = [_field("H", len(message.entries))]
+        for entry in message.entries:
+            parts += [_reference_descriptor(entry.descriptor), _field("I", entry.age)]
+        return gossip_types[type(message)], b"".join(parts)
+    if isinstance(message, Fragment):
+        return 7, b"".join(
+            [
+                _field("q", message.message_id),
+                _field("H", message.index),
+                _field("H", message.count),
+                message.chunk,
+            ]
+        )
+    assert isinstance(message, FragmentAck)
+    return 8, _field("q", message.message_id) + _field("H", message.index)
+
+
+def reference_encode(sender, message):
+    """The frame of *message* from *sender*, one field at a time."""
+    frame_type, payload = _reference_payload(message)
+    return (
+        struct.pack(">HBBqI", 0xA55E, 1, frame_type, sender, len(payload))
+        + payload
+    )
+
+
+# -- fixed frames for the fail-closed tests -----------------------------------
+
+SCHEMA_DESCRIPTORS = tuple(
+    NodeDescriptor.build(address, SCHEMA, values)
+    for address, values in (
+        (11, {"cpu": 10, "mem_mb": 512, "os": "linux"}),
+        (12, {"cpu": 55.5, "mem_mb": 4096, "os": "bsd"}),
+        (13, {"cpu": 99, "mem_mb": 8000, "os": "darwin"}),
+    )
+)
+
+OFF_ARITY_DESCRIPTORS = (
+    NodeDescriptor(address=21, values=(), coordinates=()),
+    NodeDescriptor(address=22, values=(1.5, 2.5, 3.5, 4.5, 5.5), coordinates=(1,)),
+    NodeDescriptor(address=23, values=(0.25,), coordinates=(7, 8, 9, 10)),
+)
+
+RICH_QUERY = QueryMessage(
+    query_id=(3, 1),
+    sender=3,
+    query=Query(
+        schema=SCHEMA,
+        constraints=(
+            ("cpu", ValueRange(10.0, None)),
+            ("os", CategoricalSet(frozenset({0, 2}))),
+        ),
+        dynamic_constraints=(("free_disk_gb", ValueRange(None, 50.0)),),
+    ),
+    index_ranges=((1, 7), (0, 7), (0, 2)),
+    sigma=None,
+    level=2,
+    dimensions=frozenset(),
+)
+
+FIXED_MESSAGES = {
+    "reply-schema-arity": ReplyMessage(
+        query_id=(5, 2), sender=6, matching=SCHEMA_DESCRIPTORS, coverage=0.75
+    ),
+    "reply-off-arity": ReplyMessage(
+        query_id=(5, 3), sender=6, matching=OFF_ARITY_DESCRIPTORS, duplicate=True
+    ),
+    "query-categorical-dynamic": RICH_QUERY,
+    "gossip-entries": VicinityReply(
+        entries=(
+            ViewEntry(descriptor=SCHEMA_DESCRIPTORS[0], age=4),
+            ViewEntry(descriptor=OFF_ARITY_DESCRIPTORS[2], age=0),
+        )
+    ),
+}
 
 
 class TestRoundTrips:
@@ -195,6 +367,48 @@ class TestRoundTrips:
             struct.pack(">d", a) == struct.pack(">d", b)
             for a, b in zip(tricky, got.matching[0].values)
         )
+
+
+gossip_messages = st.builds(
+    lambda message_type, entries: message_type(entries=tuple(entries)),
+    st.sampled_from([CyclonRequest, CyclonReply, VicinityRequest, VicinityReply]),
+    st.lists(view_entries, max_size=6),
+)
+
+
+class TestByteIdentity:
+    """The compiled layouts emit exactly the field-by-field bytes."""
+
+    @given(
+        sender=addresses,
+        message=st.one_of(
+            query_messages(),
+            reply_messages(),
+            gossip_messages,
+            st.builds(
+                Fragment,
+                message_id=st.integers(-(2**62), 2**62),
+                index=st.integers(0, 0xFFFF),
+                count=st.integers(0, 0xFFFF),
+                chunk=st.binary(max_size=64),
+            ),
+            st.builds(
+                FragmentAck,
+                message_id=st.integers(-(2**62), 2**62),
+                index=st.integers(0, 0xFFFF),
+            ),
+        ),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_every_message_type(self, sender, message):
+        assert CODEC.encode(sender, message) == reference_encode(sender, message)
+
+    @pytest.mark.parametrize("name", sorted(FIXED_MESSAGES))
+    def test_fixed_frames(self, name):
+        message = FIXED_MESSAGES[name]
+        frame = CODEC.encode(9, message)
+        assert frame == reference_encode(9, message)
+        assert CODEC.decode(frame) == (9, message)
 
 
 class TestRejection:
@@ -263,6 +477,111 @@ class TestRejection:
     def test_unencodable_object_raises(self):
         with pytest.raises(CodecError, match="unencodable"):
             CODEC.encode(0, object())
+
+
+def reply_frame(descriptor_bytes, count=1):
+    """A REPLY frame around hand-built descriptor record bytes."""
+    payload = (
+        struct.pack(">qqqI", 1, 0, 1, count)
+        + descriptor_bytes
+        + struct.pack(">dB", 1.0, 0)
+    )
+    return _HEADER.pack(MAGIC, VERSION, 2, 1, len(payload)) + payload
+
+
+class TestFailClosed:
+    """Every malformed frame raises CodecError; so does every unencodable one."""
+
+    @pytest.mark.parametrize("name", sorted(FIXED_MESSAGES))
+    def test_every_truncation_is_rejected(self, name):
+        frame = CODEC.encode(9, FIXED_MESSAGES[name])
+        for cut in range(len(frame)):
+            with pytest.raises(CodecError):
+                CODEC.decode(frame[:cut])
+
+    @pytest.mark.parametrize("name", sorted(FIXED_MESSAGES))
+    def test_every_single_byte_corruption_fails_closed(self, name):
+        frame = CODEC.encode(9, FIXED_MESSAGES[name])
+        for position in range(_HEADER.size, len(frame)):
+            for byte in (0x00, 0x7F, 0xFF):
+                corrupt = bytearray(frame)
+                corrupt[position] = byte
+                try:
+                    CODEC.decode(bytes(corrupt))
+                except CodecError:
+                    pass  # the only acceptable failure mode
+
+    def test_value_count_beyond_the_frame_is_rejected(self):
+        record = struct.pack(">qB", 7, 200) + struct.pack(">3d", 1.0, 2.0, 3.0)
+        with pytest.raises(CodecError, match="truncated"):
+            CODEC.decode(reply_frame(record))
+
+    def test_coordinate_count_beyond_the_frame_is_rejected(self):
+        record = (
+            struct.pack(">qB3d", 7, 3, 1.0, 2.0, 3.0)
+            + struct.pack(">B", 40)
+            + struct.pack(">3i", 1, 2, 3)
+        )
+        with pytest.raises(CodecError, match="truncated"):
+            CODEC.decode(reply_frame(record))
+
+    def test_descriptor_count_beyond_the_frame_is_rejected(self):
+        record = _reference_descriptor(SCHEMA_DESCRIPTORS[0])
+        with pytest.raises(CodecError, match="truncated"):
+            CODEC.decode(reply_frame(record, count=2))
+
+    @pytest.mark.parametrize(
+        "descriptor",
+        [
+            NodeDescriptor(address=1, values=(1.0,), coordinates=(2**31,)),
+            NodeDescriptor(address=1, values=(1.0,), coordinates=(-(2**31) - 1,)),
+            NodeDescriptor(address=2**63, values=(), coordinates=()),
+            NodeDescriptor(address=1, values=(0.5,) * 256, coordinates=()),
+            NodeDescriptor(address=1, values=(), coordinates=(0,) * 256),
+            NodeDescriptor(
+                address=-(2**63) - 1,
+                values=SCHEMA_DESCRIPTORS[0].values,
+                coordinates=SCHEMA_DESCRIPTORS[0].coordinates,
+            ),
+        ],
+    )
+    def test_descriptor_field_beyond_its_width_raises_codec_error(
+        self, descriptor
+    ):
+        for message in (
+            ReplyMessage(query_id=(1, 0), sender=1, matching=(descriptor,)),
+            CyclonRequest(entries=(ViewEntry(descriptor=descriptor, age=0),)),
+        ):
+            with pytest.raises(CodecError, match="wire width"):
+                CODEC.encode(1, message)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"query_id": (2**63, 0)},
+            {"sender": -(2**63) - 1},
+            {"index_ranges": ((0, 2**31),) * 3},
+            {"index_ranges": ((0, 1),) * 256},
+            {"sigma": 2**63},
+            {"level": 2**31},
+            {"dimensions": frozenset({0x10000})},
+        ],
+    )
+    def test_query_field_beyond_its_width_raises_codec_error(self, change):
+        fields = {
+            name: getattr(RICH_QUERY, name)
+            for name in (
+                "query_id", "sender", "query", "index_ranges", "sigma",
+                "level", "dimensions", "budget",
+            )
+        }
+        fields.update(change)
+        with pytest.raises(CodecError, match="wire width"):
+            CODEC.encode(1, QueryMessage(**fields))
+
+    def test_frame_sender_beyond_its_width_raises_codec_error(self):
+        with pytest.raises(CodecError, match="wire width"):
+            CODEC.encode(2**63, FragmentAck(message_id=1, index=0))
 
 
 message_ids = st.integers(min_value=-(2**62), max_value=2**62)

@@ -118,6 +118,27 @@ class TestTtlBound:
         transport.run()
         assert (1, 0) in node._seen
 
+    def test_ttl_entries_carry_their_last_seen_time(self):
+        config = NodeConfig(query_timeout=5.0, seen_ttl=100.0)
+        schema, transport, metrics, node = build_node(config)
+        transport.advance(7.0)
+        node.receive_query(query_message(schema, (1, 0)))
+        transport.run()
+        transport.advance(30.0)
+        node.receive_query(query_message(schema, (1, 0)))  # refresh
+        node.receive_query(query_message(schema, (2, 0)))
+        transport.run()
+        assert list(node._seen.items()) == [((1, 0), 37.0), ((2, 0), 37.0)]
+
+    def test_no_ttl_stores_no_timestamps(self):
+        config = NodeConfig(query_timeout=5.0, seen_history=2)
+        schema, transport, metrics, node = build_node(config)
+        for i in range(3):
+            transport.advance(1.0)
+            node.receive_query(query_message(schema, (i, 0)))
+            transport.run()
+        assert list(node._seen.items()) == [((1, 0), None), ((2, 0), None)]
+
     def test_no_ttl_means_size_bound_only(self):
         config = NodeConfig(query_timeout=5.0, seen_history=16)
         schema, transport, metrics, node = build_node(config)
