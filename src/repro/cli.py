@@ -397,7 +397,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     import dataclasses
     import json
 
-    from repro.faults import ChaosConfig, run_chaos
+    from repro.faults.harness import adapter_for, run_chaos, unknown_scenario
     from repro.faults.scenarios import SCENARIOS, scenario_names
 
     if args.list or not args.scenario:
@@ -410,51 +410,26 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
         return 0
-    if args.scenario not in SCENARIOS:
-        print(f"unknown scenario {args.scenario!r}; choose from: "
-              + ", ".join(scenario_names()), file=sys.stderr)
+    runtime = adapter_for(args.runtime)
+    if args.scenario not in runtime.scenarios:
+        print(unknown_scenario(args.scenario, args.runtime), file=sys.stderr)
         return 2
-    if args.runtime == "aio":
-        from repro.faults.live import (
-            LiveChaosConfig,
-            live_scenario_names,
-            run_live_chaos,
-        )
-
-        if args.scenario not in live_scenario_names():
-            print(f"scenario {args.scenario!r} has no live builder; "
-                  "live scenarios: " + ", ".join(live_scenario_names()),
-                  file=sys.stderr)
-            return 2
-        # The sim-scale defaults (N=256, minutes-long windows) make no
-        # sense against wall clocks: unchanged defaults map to the live
-        # config's loopback scale, explicit values pass through.
-        defaults = ChaosConfig()
-        live_defaults = LiveChaosConfig()
-        config = LiveChaosConfig(
-            size=live_defaults.size if args.size == 256 else args.size,
-            seed=args.seed,
-            severity=args.severity,
-            sweep=not args.no_sweep,
-            hold=(live_defaults.hold if args.hold == defaults.hold
-                  else args.hold),
-            recovery=(live_defaults.recovery
-                      if args.recovery == defaults.recovery
-                      else args.recovery),
-            compare_static=args.compare_static,
-        )
-        report = run_live_chaos(args.scenario, config)
-    else:
-        config = ChaosConfig(
-            size=args.size,
-            seed=args.seed,
-            severity=args.severity,
-            sweep=not args.no_sweep,
-            hold=args.hold,
-            recovery=args.recovery,
-            compare_static=args.compare_static,
-        )
-        report = run_chaos(args.scenario, config)
+    # Unset options keep the runtime's own defaults (the aio runtime's
+    # windows are wall-clock seconds); explicit values always pass through.
+    given = {
+        name: getattr(args, name)
+        for name in ("size", "hold", "recovery")
+        if getattr(args, name) is not None
+    }
+    config = dataclasses.replace(
+        runtime.defaults,
+        seed=args.seed,
+        severity=args.severity,
+        sweep=not args.no_sweep,
+        compare_static=args.compare_static,
+        **given,
+    )
+    report = run_chaos(args.scenario, config, runtime=args.runtime)
     print("\n".join(report.summary_lines()))
     if args.compare_static:
         adaptive = report.counters.get("spurious_timeouts", 0)
@@ -602,20 +577,22 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--runtime", choices=("sim", "aio"), default="sim",
                        help="run the scenario on the simulator (default) or "
                        "on a live loopback UDP overlay with socket-level "
-                       "fault injection (sizes/windows scale to seconds; "
-                       "unchanged defaults map to the live scale)")
+                       "fault injection (its default size and windows are "
+                       "loopback-scale: N=48, seconds)")
     chaos.add_argument("--list", action="store_true",
                        help="list available scenarios and exit")
-    chaos.add_argument("--size", type=_positive_int, default=256,
-                       help="network size N (default 256)")
+    chaos.add_argument("--size", type=_positive_int, default=None,
+                       help="network size N (default 256; aio 48)")
     chaos.add_argument("--seed", type=int, default=7)
     chaos.add_argument("--severity", type=float, default=None,
                        help="fault severity in (0, 1] "
                        "(default: scenario's own)")
-    chaos.add_argument("--hold", type=float, default=300.0,
-                       help="seconds the fault stays active (default 300)")
-    chaos.add_argument("--recovery", type=float, default=600.0,
-                       help="post-heal measurement window (default 600)")
+    chaos.add_argument("--hold", type=float, default=None,
+                       help="seconds the fault stays active "
+                       "(default 300; aio 6)")
+    chaos.add_argument("--recovery", type=float, default=None,
+                       help="post-heal measurement window "
+                       "(default 600; aio 3)")
     chaos.add_argument("--no-sweep", action="store_true",
                        help="skip the severity ladder backing the "
                        "monotonic-degradation invariant")

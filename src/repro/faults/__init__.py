@@ -1,4 +1,4 @@
-"""Composable fault injection for the simulated network (chaos testing).
+"""Composable fault injection and chaos testing, simulated and live.
 
 The paper's resilience claims (Sections 6.6-6.8) rest on *graceful
 degradation*: the overlay keeps answering queries while links break,
@@ -14,9 +14,16 @@ clear. This package makes those conditions scriptable:
   (``partition-50``, ``burst-loss``, ``crash-restart``, ...) built on the
   primitives plus the membership drivers in :mod:`repro.sim.churn`;
 * :mod:`repro.faults.harness` — the resilience harness behind
-  ``repro chaos``: runs a query workload across a fault window and checks
-  the four resilience invariants (termination, no leaks, no double
-  counting, monotonic degradation) using the observability stack.
+  ``repro chaos``: one episode script runs a query workload across a
+  fault window and checks the resilience invariants (termination, no
+  leaks, no double counting, monotonic degradation and, against a
+  static-timer replay, adaptive failure detection) using the
+  observability stack;
+* :mod:`repro.faults.live` — the same runner on real UDP sockets
+  (``run_chaos(..., runtime="aio")``): loopback-scaled timings and
+  defaults, live scenario builders, a crash-restart ``Supervisor``, and
+  the adapter that injects faults through the asyncio runtime's
+  ``FaultyTransport`` and sweeps its reliability channels for leaks.
 """
 
 from repro.faults.model import (

@@ -1,11 +1,14 @@
 """Resilience harness: run a query workload under a chaos scenario.
 
-``run_chaos`` builds a gossiping deployment, lets it converge, then drives
+``run_chaos`` builds a gossiping overlay, lets it converge, then drives
 a periodic query workload through three phases — *pre* (healthy baseline),
 *fault* (the named scenario active) and *recovery* (after healing) — and
-finally drains the simulator to quiescence. On the way it checks four
-resilience invariants, with evidence gathered through the observability
-stack (:class:`~repro.obs.tracer.TraceRecorder`,
+finally drains the overlay to quiescence. One episode script does this on
+either runtime through a small adapter: :class:`SimAdapter` over a
+simulated deployment, or :class:`repro.faults.live.AioAdapter` over a
+loopback UDP overlay. On the way it checks the resilience invariants,
+with evidence gathered through the observability stack
+(:class:`~repro.obs.tracer.TraceRecorder`,
 :class:`~repro.obs.registry.MetricsRegistry`,
 :class:`~repro.metrics.collectors.MetricsCollector`):
 
@@ -13,8 +16,10 @@ I1 **termination** — every issued query either completes at its origin or
    is accounted for (the origin crashed while it was in flight). Nothing
    hangs silently.
 I2 **no leaks** — after the drain, every live node has an empty pending
-   table, no parked branches, a bounded seen-set, and the simulator's
-   event queue is empty: no timer or state survives its query.
+   table, no parked branches, a bounded seen-set, and the runtime is
+   idle (the simulator's event queue is empty; live reliability channels
+   hold no unacked message or reassembly buffer): no timer or state
+   survives its query.
 I3 **no double counting** — duplicate deliveries (injected or organic)
    never inflate a result: candidate sets contain each node at most once,
    every reported match actually received the query, and delivery never
@@ -38,6 +43,7 @@ The ``repro chaos`` CLI subcommand is a thin wrapper over this module.
 
 from __future__ import annotations
 
+import asyncio
 import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -65,7 +71,12 @@ _DRAIN_EVENT_BUDGET = 5_000_000
 
 @dataclass(frozen=True)
 class ChaosConfig:
-    """Knobs of one chaos run (scenario specs may override some)."""
+    """Knobs of one chaos run (scenario specs may override some).
+
+    Times are in the runtime's seconds: simulated for ``sim`` (these
+    defaults), wall-clock for ``aio`` (see
+    :data:`repro.faults.live.LIVE_DEFAULTS`).
+    """
 
     size: int = 256
     seed: int = 7
@@ -112,6 +123,10 @@ class QueryRow:
     origin_crashed: bool
 
 
+def _mean_delivery(rows: Sequence[QueryRow]) -> float:
+    return sum(row.delivery for row in rows) / len(rows) if rows else 0.0
+
+
 @dataclass
 class InvariantResult:
     """Verdict for one resilience invariant."""
@@ -149,12 +164,9 @@ class ChaosReport:
 
     def mean_delivery(self, phase: Optional[str] = None) -> float:
         """Mean delivery over all rows, or over one phase's rows."""
-        rows = [
-            row for row in self.rows if phase is None or row.phase == phase
-        ]
-        if not rows:
-            return 0.0
-        return sum(row.delivery for row in rows) / len(rows)
+        return _mean_delivery(
+            [row for row in self.rows if phase is None or row.phase == phase]
+        )
 
     def summary_lines(self) -> List[str]:
         """Human-readable report for the CLI."""
@@ -167,6 +179,7 @@ class ChaosReport:
                 for phase in ("pre", "fault", "recovery")
             ),
         ]
+        # Runtimes measure different counters: print only those held.
         for key in (
             "messages_sent",
             "messages_lost",
@@ -175,7 +188,8 @@ class ChaosReport:
             "messages_duplicated",
             "spurious_timeouts",
         ):
-            lines.append(f"  {key}: {self.counters.get(key, 0)}")
+            if key in self.counters:
+                lines.append(f"  {key}: {self.counters[key]}")
         if "spurious_timeouts_static" in self.counters:
             static = self.counters["spurious_timeouts_static"]
             adaptive = self.counters.get("spurious_timeouts", 0)
@@ -199,71 +213,22 @@ class ChaosReport:
 
 @dataclass
 class _Episode:
-    """Raw artefacts of one simulated chaos episode."""
+    """Raw artefacts of one chaos episode, whatever the runtime."""
 
-    deployment: Deployment
     metrics: MetricsCollector
     tracer: TraceRecorder
     registry: MetricsRegistry
     rows: List[QueryRow]
     crashed: Set[Address]
     active: ActiveScenario
-    drained: bool
-    leftover_events: int
+    #: I2 findings: the runtime's drain findings, then the node sweep's.
+    leaks: List[str]
+    #: What a clean drain left empty, for the I2 readout.
+    quiescent: str
+    #: The runtime's message counters (``messages_*``).
+    counters: Dict[str, int]
     timeline: List[dict] = field(default_factory=list)
     annotations: List[Tuple[float, str]] = field(default_factory=list)
-
-
-def _issue_queries(
-    deployment: Deployment,
-    phase: str,
-    start: float,
-    duration: float,
-    interval: float,
-    selectivity: float,
-    rng,
-    issued: List[dict],
-    registry: MetricsRegistry,
-    origins: Optional[Set[Address]] = None,
-    note=None,
-) -> None:
-    """Fire-and-forget one query every *interval* seconds for *duration*.
-
-    *note* (e.g. :meth:`~repro.obs.telemetry.Telemetry.note_query`)
-    receives ``(query_id, expected)`` so the live delivery timeline can
-    track the most recent query.
-    """
-    queries = registry.counter("chaos.queries_issued")
-    time = start
-    end = start + duration
-    while time < end:
-        deployment.simulator.run(until=time)
-        alive = deployment.alive_hosts()
-        if origins:
-            preferred = [host for host in alive if host.address in origins]
-            alive = preferred or alive
-        if not alive:
-            break
-        query = aligned_selectivity_query(deployment.schema, selectivity, rng)
-        expected = {
-            descriptor.address
-            for descriptor in deployment.matching_descriptors(query)
-        }
-        origin = rng.choice(alive)
-        query_id = origin.issue_query(query)  # no sigma: measure spread
-        queries.inc()
-        if note is not None:
-            note(query_id, expected)
-        issued.append(
-            {
-                "time": time,
-                "phase": phase,
-                "query_id": query_id,
-                "origin": origin.address,
-                "expected": expected,
-            }
-        )
-        time += interval
 
 
 def _drain(deployment: Deployment, grace: float) -> Tuple[bool, int]:
@@ -285,9 +250,219 @@ def _drain(deployment: Deployment, grace: float) -> Tuple[bool, int]:
     return False, deployment.simulator.pending_events
 
 
-def _run_episode(
+class SimAdapter:
+    """The episode script's view of a simulated, gossiping deployment.
+
+    Every adapter offers the same members. Class attributes: ``defaults``
+    (the runtime's :class:`ChaosConfig`), ``scenarios`` (the names it can
+    build), ``quiescent`` (what a clean drain empties, for I2) and
+    ``stream`` (the prefix of its seeded workload and fault RNG streams,
+    so a seed draws the same episode on a runtime as it always has).
+    ``await open(config, session, tracer, static)`` builds and warms the
+    overlay; ``overlay`` then gives ``schema``, ``alive_hosts()`` and
+    ``matching_descriptors()``, and ``metrics`` the query records.
+    ``now()`` and ``await wait_until(t)`` run on the runtime's clock.
+    ``apply()`` starts a scenario (its :meth:`ActiveScenario.stop`
+    heals), ``crashed()`` names crashed origins, ``await drain(grace)``
+    returns I2 findings beyond the node sweep, ``counters()`` the
+    runtime's message counters, and ``await close()`` tears down.
+    """
+
+    defaults = ChaosConfig()
+    scenarios = SCENARIOS
+    quiescent = "event queue empty"
+    stream = "chaos"
+
+    def __init__(self, deployment: Deployment, metrics: MetricsCollector):
+        self.overlay = deployment
+        self.metrics = metrics
+        self._crashed: Set[Address] = set()
+        for host in deployment.hosts.values():
+            host.watch(self._watch)
+
+    @classmethod
+    async def open(
+        cls,
+        config: ChaosConfig,
+        session: Telemetry,
+        tracer: TraceRecorder,
+        static: bool,
+    ) -> "SimAdapter":
+        """Build the deployment and converge it for ``config.warmup``."""
+        experiment = ExperimentConfig(
+            network_size=config.size, seed=config.seed, testbed=config.testbed
+        )
+        node_config = None
+        if static:
+            node_config = dataclasses.replace(
+                experiment.node_config(retry_on_timeout=False),
+                adaptive_timeouts=False,
+                hedge=False,
+            )
+        deployment, metrics = build_deployment(
+            experiment,
+            gossip=True,
+            # Section 6.6 measures delivery with retries disabled; the chaos
+            # invariants must hold in that harsher mode too.
+            retry_on_timeout=False,
+            warmup=config.warmup,
+            node_config=node_config,
+            extra_observers=(tracer,),
+            telemetry=session,
+        )
+        tracer.bind_clock(lambda: deployment.simulator.now)
+        session.install_standard_series(
+            metrics=metrics, network=deployment.network
+        )
+        session.attach(deployment.simulator)
+        return cls(deployment, metrics)
+
+    def _watch(self, host, event: str) -> None:
+        if event == "fail":
+            self._crashed.add(host.address)
+
+    def now(self) -> float:
+        """Simulated time."""
+        return self.overlay.simulator.now
+
+    async def wait_until(self, time: float) -> None:
+        """Run the simulator up to *time*."""
+        self.overlay.simulator.run(until=time)
+
+    def apply(self, scenario, severity, heal_at, rng) -> ActiveScenario:
+        """Start *scenario* on the deployment (see :func:`apply_scenario`)."""
+        return apply_scenario(
+            self.overlay, scenario, severity=severity, heal_at=heal_at,
+            rng=rng,
+        )
+
+    def crashed(self) -> Set[Address]:
+        """Every host that failed during the episode."""
+        return self._crashed
+
+    async def drain(self, grace: float) -> List[str]:
+        """Run the event queue dry."""
+        drained, leftover = _drain(self.overlay, grace)
+        if drained:
+            return []
+        return [f"simulator not drained ({leftover} events left)"]
+
+    def counters(self) -> Dict[str, int]:
+        """The simulated network's message accounting."""
+        network = self.overlay.network
+        return {
+            "messages_sent": network.messages_sent,
+            "messages_delivered": network.messages_delivered,
+            "messages_lost": network.messages_lost,
+            "messages_lost_injected": network.messages_lost_injected,
+            "messages_dropped_dead": network.messages_dropped_dead,
+            "messages_duplicated": network.messages_duplicated,
+        }
+
+    async def close(self) -> None:
+        """Nothing to release: the deployment holds no OS resources."""
+
+
+def adapter_for(runtime: str):
+    """The adapter class for *runtime* (``sim`` or ``aio``)."""
+    if runtime == "sim":
+        return SimAdapter
+    if runtime == "aio":
+        from repro.faults.live import AioAdapter
+
+        return AioAdapter
+    raise ValueError(f"unknown runtime {runtime!r} (sim or aio)")
+
+
+def unknown_scenario(scenario: str, runtime: str) -> str:
+    """The error message for a scenario *runtime* cannot build."""
+    return (
+        f"unknown scenario {scenario!r} for the {runtime} runtime; choose "
+        "from: " + ", ".join(sorted(adapter_for(runtime).scenarios))
+    )
+
+
+async def _issue_queries(
+    adapter,
+    session: Telemetry,
+    phase: str,
+    start: float,
+    duration: float,
+    config: ChaosConfig,
+    rng,
+    issued: List[dict],
+    origins: Optional[Set[Address]] = None,
+) -> None:
+    """Fire-and-forget one query every ``query_interval`` for *duration*.
+
+    Issue times follow the fixed schedule ``start + k * interval`` on the
+    adapter's clock. *session* learns each ``(query_id, expected)`` so
+    the live delivery timeline tracks the most recent query.
+    """
+    queries = session.registry.counter("chaos.queries_issued")
+    overlay = adapter.overlay
+    time = start
+    end = start + duration
+    while time < end:
+        await adapter.wait_until(time)
+        alive = overlay.alive_hosts()
+        if origins:
+            preferred = [host for host in alive if host.address in origins]
+            alive = preferred or alive
+        if not alive:
+            break
+        query = aligned_selectivity_query(
+            overlay.schema, config.selectivity, rng
+        )
+        expected = {
+            descriptor.address
+            for descriptor in overlay.matching_descriptors(query)
+        }
+        origin = rng.choice(alive)
+        query_id = origin.issue_query(query)  # no sigma: measure spread
+        queries.inc()
+        session.note_query(query_id, expected)
+        issued.append(
+            {
+                "time": time,
+                "phase": phase,
+                "query_id": query_id,
+                "origin": origin.address,
+                "expected": expected,
+            }
+        )
+        time += config.query_interval
+
+
+def _sweep_nodes(hosts) -> List[str]:
+    """I2 findings on live hosts' query state after the drain."""
+    problems: List[str] = []
+    pending_nodes = 0
+    parked = 0
+    oversize_seen = 0
+    for host in hosts:
+        node = host.node
+        if node.pending:
+            pending_nodes += 1
+        parked += sum(
+            state.deferred + len(state.defer_timers)
+            for state in node.pending.values()
+        )
+        if len(node._seen) > node.config.seen_history:
+            oversize_seen += 1
+    if pending_nodes:
+        problems.append(f"{pending_nodes} nodes with non-empty pending tables")
+    if parked:
+        problems.append(f"{parked} parked branches / defer timers")
+    if oversize_seen:
+        problems.append(f"{oversize_seen} nodes with oversize seen-sets")
+    return problems
+
+
+async def _run_episode(
+    adapter_class,
     scenario: str,
-    severity: Optional[float],
+    severity: float,
     config: ChaosConfig,
     pre: float,
     hold: float,
@@ -295,124 +470,95 @@ def _run_episode(
     seed_salt: str = "main",
     static: bool = False,
 ) -> _Episode:
-    """Build a deployment, run the three phases, drain, and measure.
+    """Build an overlay, run the three phases, drain, and measure.
 
-    With ``static=True`` the adaptive failure-detection stack is disabled
-    end to end (static per-hop timers, no hedged forwards, and — via the
-    host wiring — static gossip answer timeouts): the I5 baseline. The
-    same ``seed_salt`` keeps workload and fault streams identical, so the
-    two episodes differ only in the machinery under test.
+    Warm-up (inside ``open``) → pre → fault → heal → recovery → drain →
+    rows. With ``static=True`` the adaptive failure-detection stack is
+    disabled end to end (static per-hop timers, no hedged forwards, and
+    static gossip answer timeouts): the I5 baseline. The same
+    ``seed_salt`` keeps workload and fault streams identical, so the two
+    episodes differ only in the machinery under test.
     """
-    registry = MetricsRegistry()
     tracer = TraceRecorder()
-    session = Telemetry(registry=registry, sample_interval=config.query_interval)
-    experiment = ExperimentConfig(
-        network_size=config.size, seed=config.seed, testbed=config.testbed
-    )
-    node_config = None
-    if static:
-        node_config = dataclasses.replace(
-            experiment.node_config(retry_on_timeout=False),
-            adaptive_timeouts=False,
-            hedge=False,
+    session = Telemetry(sample_interval=config.query_interval)
+    registry = session.registry
+    adapter = await adapter_class.open(config, session, tracer, static)
+    try:
+        workload_rng = derive_rng(
+            config.seed, f"{adapter.stream}-workload:{seed_salt}"
         )
-    deployment, metrics = build_deployment(
-        experiment,
-        gossip=True,
-        # Section 6.6 measures delivery with retries disabled; the chaos
-        # invariants must hold in that harsher mode too.
-        retry_on_timeout=False,
-        warmup=config.warmup,
-        node_config=node_config,
-        extra_observers=(tracer,),
-        telemetry=session,
-    )
-    tracer.bind_clock(lambda: deployment.simulator.now)
-    session.install_standard_series(metrics=metrics, network=deployment.network)
-    session.attach(deployment.simulator)
-    crashed: Set[Address] = set()
+        fault_rng = derive_rng(
+            config.seed, f"{adapter.stream}-faults:{seed_salt}"
+        )
+        issued: List[dict] = []
 
-    def _watch(host, event: str) -> None:
-        if event == "fail":
-            crashed.add(host.address)
+        start = adapter.now()
+        await _issue_queries(
+            adapter, session, "pre", start, pre, config, workload_rng, issued
+        )
+        await adapter.wait_until(start + pre)
+        fault_start = adapter.now()
+        session.annotate(fault_start, f"fault:{scenario}")
+        active = adapter.apply(
+            scenario, severity, fault_start + hold, fault_rng
+        )
+        await _issue_queries(
+            adapter, session, "fault", fault_start, hold, config,
+            workload_rng, issued, origins=active.preferred_origins,
+        )
+        await adapter.wait_until(fault_start + hold)
+        active.stop()
+        heal_time = adapter.now()
+        session.annotate(heal_time, "heal")
+        await _issue_queries(
+            adapter, session, "recovery", heal_time, recovery, config,
+            workload_rng, issued,
+        )
+        await adapter.wait_until(heal_time + recovery)
+        # The sampler re-arms itself forever; stop it before the drain or the
+        # I2 no-leak sweep would find its tick keeping the heap alive.
+        session.detach()
 
-    for host in deployment.hosts.values():
-        host.watch(_watch)
+        leaks = await adapter.drain(config.drain_grace)
+        leaks += _sweep_nodes(adapter.overlay.alive_hosts())
+        crashed = adapter.crashed()
+        records = adapter.metrics.records
 
-    workload_rng = derive_rng(config.seed, f"chaos-workload:{seed_salt}")
-    fault_rng = derive_rng(config.seed, f"chaos-faults:{seed_salt}")
-    issued: List[dict] = []
-
-    start = deployment.simulator.now
-    _issue_queries(
-        deployment, "pre", start, pre, config.query_interval,
-        config.selectivity, workload_rng, issued, registry,
-        note=session.note_query,
-    )
-    deployment.simulator.run(until=start + pre)
-    fault_start = deployment.simulator.now
-    session.annotate(fault_start, f"fault:{scenario}")
-    active = apply_scenario(
-        deployment,
-        scenario,
-        severity=severity,
-        heal_at=fault_start + hold,
-        rng=fault_rng,
-    )
-    _issue_queries(
-        deployment, "fault", fault_start, hold, config.query_interval,
-        config.selectivity, workload_rng, issued, registry,
-        origins=active.preferred_origins,
-        note=session.note_query,
-    )
-    deployment.simulator.run(until=fault_start + hold)
-    active.stop()
-    heal_time = deployment.simulator.now
-    session.annotate(heal_time, "heal")
-    _issue_queries(
-        deployment, "recovery", heal_time, recovery, config.query_interval,
-        config.selectivity, workload_rng, issued, registry,
-        note=session.note_query,
-    )
-    deployment.simulator.run(until=heal_time + recovery)
-    # The sampler re-arms itself forever; stop it before the drain or the
-    # I2 no-leak sweep would find its tick keeping the heap alive.
-    session.detach()
-    drained, leftover = _drain(deployment, config.drain_grace)
-
-    delivery_metric = registry.histogram("chaos.delivery")
-    rows: List[QueryRow] = []
-    for item in issued:
-        query_id = item["query_id"]
-        expected = item["expected"]
-        record = metrics.records.get(query_id)
-        delivery = record.delivery(expected) if record else 0.0
-        delivery_metric.observe(delivery)
-        rows.append(
-            QueryRow(
-                time=item["time"],
-                phase=item["phase"],
-                query_id=query_id,
-                origin=item["origin"],
-                expected=len(expected),
-                delivery=delivery,
-                completed=bool(record and record.completed),
-                origin_crashed=item["origin"] in crashed,
+        delivery_metric = registry.histogram("chaos.delivery")
+        rows: List[QueryRow] = []
+        for item in issued:
+            query_id = item["query_id"]
+            expected = item["expected"]
+            record = records.get(query_id)
+            delivery = record.delivery(expected) if record else 0.0
+            delivery_metric.observe(delivery)
+            rows.append(
+                QueryRow(
+                    time=item["time"],
+                    phase=item["phase"],
+                    query_id=query_id,
+                    origin=item["origin"],
+                    expected=len(expected),
+                    delivery=delivery,
+                    completed=bool(record and record.completed),
+                    origin_crashed=item["origin"] in crashed,
+                )
             )
+        return _Episode(
+            metrics=adapter.metrics,
+            tracer=tracer,
+            registry=registry,
+            rows=rows,
+            crashed=crashed,
+            active=active,
+            leaks=leaks,
+            quiescent=adapter.quiescent,
+            counters=adapter.counters(),
+            timeline=session.timeline(),
+            annotations=list(session.recorder.annotations),
         )
-    return _Episode(
-        deployment=deployment,
-        metrics=metrics,
-        tracer=tracer,
-        registry=registry,
-        rows=rows,
-        crashed=crashed,
-        active=active,
-        drained=drained,
-        leftover_events=leftover,
-        timeline=session.timeline(),
-        annotations=list(session.recorder.annotations),
-    )
+    finally:
+        await adapter.close()
 
 
 # -- invariant checks ---------------------------------------------------------------
@@ -446,37 +592,13 @@ def _check_termination(episode: _Episode) -> InvariantResult:
 
 
 def _check_no_leaks(episode: _Episode) -> InvariantResult:
-    """I2: empty pending tables, no parked branches, empty event queue."""
-    problems: List[str] = []
-    if not episode.drained:
-        problems.append(
-            f"simulator not drained ({episode.leftover_events} events left)"
-        )
-    pending_nodes = 0
-    parked = 0
-    oversize_seen = 0
-    for host in episode.deployment.alive_hosts():
-        node = host.node
-        if node.pending:
-            pending_nodes += 1
-        parked += sum(
-            state.deferred + len(state.defer_timers)
-            for state in node.pending.values()
-        )
-        if len(node._seen) > node.config.seen_history:
-            oversize_seen += 1
-    if pending_nodes:
-        problems.append(f"{pending_nodes} nodes with non-empty pending tables")
-    if parked:
-        problems.append(f"{parked} parked branches / defer timers")
-    if oversize_seen:
-        problems.append(f"{oversize_seen} nodes with oversize seen-sets")
-    if problems:
-        return InvariantResult("no-leaks", False, "; ".join(problems))
+    """I2: empty pending tables, no parked branches, runtime drained."""
+    if episode.leaks:
+        return InvariantResult("no-leaks", False, "; ".join(episode.leaks))
     return InvariantResult(
         "no-leaks",
         True,
-        "all pending tables empty, no defer timers, event queue empty "
+        f"all pending tables empty, no defer timers, {episode.quiescent} "
         "after drain",
     )
 
@@ -549,16 +671,8 @@ def _check_adaptive(
     """I5: adaptive detection halves spurious timeouts, delivery holds."""
     spurious = _count_spurious(episode.tracer)
     spurious_static = _count_spurious(baseline.tracer)
-    delivery = (
-        sum(row.delivery for row in episode.rows) / len(episode.rows)
-        if episode.rows
-        else 0.0
-    )
-    delivery_static = (
-        sum(row.delivery for row in baseline.rows) / len(baseline.rows)
-        if baseline.rows
-        else 0.0
-    )
+    delivery = _mean_delivery(episode.rows)
+    delivery_static = _mean_delivery(baseline.rows)
     problems = []
     if spurious_static > 0 and spurious > 0.5 * spurious_static:
         problems.append(
@@ -612,7 +726,12 @@ def _check_monotonic(
 
 
 def _effective_config(scenario: str, config: ChaosConfig) -> ChaosConfig:
-    """Apply the scenario's overrides to fields still at their defaults."""
+    """Apply the scenario's overrides to fields still at their defaults.
+
+    Overrides are simulated seconds and compare against the simulator's
+    defaults; :data:`repro.faults.live.LIVE_DEFAULTS` differs in every
+    overridden field, so loopback runs keep their own windows.
+    """
     spec = SCENARIOS[scenario]
     if not spec.overrides:
         return config
@@ -630,62 +749,53 @@ def run_chaos(
     config: Optional[ChaosConfig] = None,
     runtime: str = "sim",
 ) -> ChaosReport:
-    """Run *scenario* under *config* and evaluate the four invariants.
+    """Run *scenario* under *config* and evaluate the invariants.
 
-    ``runtime="sim"`` (default) runs the simulated episode described
-    above; ``runtime="aio"`` delegates to
-    :func:`repro.faults.live.run_live_chaos` — the same invariants on a
-    loopback UDP overlay with socket-level fault injection (*config*
-    must then be a :class:`~repro.faults.live.LiveChaosConfig` or None).
+    ``runtime="sim"`` (default) runs the episode on a simulated
+    deployment; ``runtime="aio"`` runs the same script on a loopback UDP
+    overlay with socket-level fault injection
+    (:class:`repro.faults.live.AioAdapter`). *config* defaults to the
+    runtime's own time scale (``adapter_for(runtime).defaults``). Runs
+    its own event loop, so call it from synchronous code.
     """
-    if runtime == "aio":
-        from repro.faults.live import run_live_chaos
+    adapter_class = adapter_for(runtime)
+    if scenario not in adapter_class.scenarios:
+        raise ValueError(unknown_scenario(scenario, runtime))
+    config = _effective_config(scenario, config or adapter_class.defaults)
+    severity = config.severity
+    if severity is None:
+        severity = SCENARIOS[scenario].default_severity
+    if not 0.0 < severity <= 1.0:
+        raise ValueError(f"severity must be in (0, 1], got {severity}")
+    return asyncio.run(_run_chaos(adapter_class, scenario, severity, config))
 
-        return run_live_chaos(scenario, config)
-    if runtime != "sim":
-        raise ValueError(f"unknown runtime {runtime!r} (sim or aio)")
-    config = _effective_config(scenario, config or ChaosConfig())
-    spec = SCENARIOS[scenario]
-    severity = (
-        spec.default_severity if config.severity is None else config.severity
-    )
 
-    episode = _run_episode(
-        scenario, severity, config, config.pre, config.hold, config.recovery
+async def _run_chaos(
+    adapter_class, scenario: str, severity: float, config: ChaosConfig
+) -> ChaosReport:
+    episode = await _run_episode(
+        adapter_class, scenario, severity, config, config.pre, config.hold,
+        config.recovery,
     )
     baseline: Optional[_Episode] = None
     if config.compare_static:
-        baseline = _run_episode(
-            scenario,
-            severity,
-            config,
-            config.pre,
-            config.hold,
-            config.recovery,
-            static=True,
+        baseline = await _run_episode(
+            adapter_class, scenario, severity, config, config.pre,
+            config.hold, config.recovery, static=True,
         )
 
     ladder: List[Tuple[float, float]] = []
     if config.sweep:
-        for step in spec.sweep:
-            sweep_episode = _run_episode(
-                scenario,
-                step,
-                config,
-                config.sweep_pre,
-                config.sweep_hold,
-                config.sweep_recovery,
+        for step in SCENARIOS[scenario].sweep:
+            sweep_episode = await _run_episode(
+                adapter_class, scenario, step, config, config.sweep_pre,
+                config.sweep_hold, config.sweep_recovery,
                 seed_salt=f"sweep:{step:g}",
             )
             fault_rows = [
                 row for row in sweep_episode.rows if row.phase == "fault"
             ]
-            delivery = (
-                sum(row.delivery for row in fault_rows) / len(fault_rows)
-                if fault_rows
-                else 0.0
-            )
-            ladder.append((step, delivery))
+            ladder.append((step, _mean_delivery(fault_rows)))
 
     invariants = [
         _check_termination(episode),
@@ -696,15 +806,9 @@ def run_chaos(
     if baseline is not None:
         invariants.append(_check_adaptive(episode, baseline))
 
-    network = episode.deployment.network
     counters: Dict[str, int] = {
         "spurious_timeouts": _count_spurious(episode.tracer),
-        "messages_sent": network.messages_sent,
-        "messages_delivered": network.messages_delivered,
-        "messages_lost": network.messages_lost,
-        "messages_lost_injected": network.messages_lost_injected,
-        "messages_dropped_dead": network.messages_dropped_dead,
-        "messages_duplicated": network.messages_duplicated,
+        **episode.counters,
         "crashed_hosts": len(episode.crashed),
     }
     if episode.active.schedule is not None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.core.descriptors import Address
 
@@ -36,11 +36,12 @@ from repro.sim.deployment import Deployment
 
 @dataclass
 class ActiveScenario:
-    """A scenario currently sabotaging a deployment."""
+    """A scenario currently sabotaging a deployment or live overlay."""
 
     name: str
     severity: float
-    deployment: Deployment
+    #: Removes the installed fault schedule from the substrate.
+    clear_faults: Callable[[], None]
     schedule: Optional[FaultSchedule] = None
     #: Membership drivers with a ``stop()`` (churn engines and the like).
     drivers: List[object] = field(default_factory=list)
@@ -61,7 +62,7 @@ class ActiveScenario:
             stop = getattr(driver, "stop", None)
             if stop is not None:
                 stop()
-        self.deployment.network.clear_faults()
+        self.clear_faults()
 
     @property
     def injected_drops(self) -> int:
@@ -76,8 +77,10 @@ class ActiveScenario:
 
 #: A builder receives (deployment, severity, now, heal_at, rng) and
 #: returns (schedule or None, drivers it started, preferred origins or None).
+#: The live builders of :mod:`repro.faults.live` receive an
+#: :class:`~repro.runtime.aio.AioOverlay` in place of the deployment.
 Builder = Callable[
-    [Deployment, float, float, Optional[float], random.Random],
+    [Any, float, float, Optional[float], random.Random],
     Tuple[Optional[FaultSchedule], List[object], Optional[Set[Address]]],
 ]
 
@@ -310,7 +313,7 @@ def apply_scenario(
     return ActiveScenario(
         name=name,
         severity=severity,
-        deployment=deployment,
+        clear_faults=deployment.network.clear_faults,
         schedule=schedule,
         drivers=drivers,
         preferred_origins=origins,

@@ -578,6 +578,10 @@ class AioOverlay:
         except asyncio.TimeoutError:
             return []
 
+    def alive_hosts(self) -> List[AioHost]:
+        """Hosts currently up (not crashed)."""
+        return [host for host in self.hosts.values() if host.alive]
+
     def matching_descriptors(self, query: Query) -> List[NodeDescriptor]:
         """Ground truth across live hosts."""
         return [

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import dataclasses
+
 import pytest
 
 from repro.cli import COMMANDS, build_parser, main
@@ -119,3 +121,40 @@ class TestTrace:
         assert expected  # the query matches someone
         assert all(counts[address] == 1 for address in expected)
         assert trace.duplicate_nodes() == []
+
+
+class TestChaosConfig:
+    @pytest.fixture
+    def captured(self, monkeypatch):
+        from repro.faults import harness
+
+        configs = []
+
+        def fake_run_chaos(scenario, config, runtime="sim"):
+            configs.append((runtime, config))
+            return harness.ChaosReport(
+                scenario=scenario, severity=0.5, seed=config.seed,
+                size=config.size, rows=[], invariants=[], counters={},
+            )
+
+        monkeypatch.setattr(harness, "run_chaos", fake_run_chaos)
+        return configs
+
+    def test_explicit_values_survive_the_aio_runtime(self, captured):
+        assert main(["chaos", "--scenario", "burst-loss", "--runtime", "aio",
+                     "--size", "256", "--hold", "300",
+                     "--recovery", "600"]) == 0
+        [(runtime, config)] = captured
+        assert runtime == "aio"
+        assert (config.size, config.hold, config.recovery) == (256, 300, 600)
+
+    def test_unset_values_take_the_runtime_defaults(self, captured):
+        from repro.faults.harness import ChaosConfig
+        from repro.faults.live import LIVE_DEFAULTS
+
+        assert main(["chaos", "--scenario", "burst-loss", "--runtime", "aio",
+                     "--hold", "4"]) == 0
+        assert main(["chaos", "--scenario", "burst-loss"]) == 0
+        (_, live_config), (_, sim_config) = captured
+        assert live_config == dataclasses.replace(LIVE_DEFAULTS, hold=4.0)
+        assert sim_config == ChaosConfig()
