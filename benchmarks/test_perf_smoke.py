@@ -170,6 +170,66 @@ def test_forward_decision_builds_no_regions(benchmark, monkeypatch):
     assert sum(outcome.duplicates for outcome in outcomes) == 0
 
 
+def test_one_observer_call_per_protocol_act(benchmark):
+    """Each protocol act fires exactly one observer call.
+
+    Host-independent counter gate: an observer that counts every
+    ``ProtocolObserver`` hook watches a batch of exhaustive (σ = None)
+    queries and must see one ``query_forwarded`` per QUERY sent, one
+    ``reply_sent`` per REPLY sent and one ``query_completed`` per query.
+    A second per-send or per-completion hook reintroduced in the node
+    trips this, because no other hook may fire on a clean batch.
+    """
+    from collections import Counter
+
+    from repro.core.observer import HOOKS, ProtocolObserver
+
+    def counting(name):
+        def hook(self, *args, **kwargs):
+            self.calls[name] += 1
+
+        return hook
+
+    hooks = {name: counting(name) for name in HOOKS}
+    Counting = type("Counting", (ProtocolObserver,), hooks)
+    observer = Counting()
+    observer.calls = Counter()
+
+    cfg = PAPER_PEERSIM.scaled(SMOKE_N)
+    schema = cfg.schema()
+    deployment, metrics = build_deployment(cfg, extra_observers=(observer,))
+    sent = deployment.network.type_counts
+    queries_before, replies_before = sent["QueryMessage"], sent["ReplyMessage"]
+    count = 40
+
+    # f=0.01 keeps the batch exactly-once (see the gate above).
+    def run_batch():
+        return measure_queries(
+            deployment,
+            metrics,
+            lambda rng: random_box_query(schema, 0.01, rng),
+            count=count,
+            sigma=None,
+            seed=cfg.seed,
+        )
+
+    outcomes = run_once(benchmark, run_batch)
+    queries = sent["QueryMessage"] - queries_before
+    replies = sent["ReplyMessage"] - replies_before
+    calls = observer.calls
+    assert queries > 0
+    assert sum(outcome.duplicates for outcome in outcomes) == 0
+    assert calls["query_forwarded"] == queries
+    assert calls["reply_sent"] == replies
+    assert calls["query_completed"] == count
+    # Every QUERY is received once, plus the origin's own reception.
+    assert calls["query_received"] == queries + count
+    assert set(calls) <= {
+        "query_forwarded", "query_received", "reply_sent",
+        "query_completed", "query_dropped",
+    }
+
+
 def test_codec_decodes_records_in_one_call(benchmark, monkeypatch):
     """A REPLY decodes each descriptor record with one compiled layout.
 

@@ -99,14 +99,11 @@ class SimulatedCluster:
         query can be issued at any node") and the simulation is run until
         the depth-first dissemination completes.
         """
-        before = set(self.metrics.records)
+        self.metrics.consume_opened()  # discard records opened before
         found = self.deployment.execute_query(
             query, sigma=max_nodes, origin=origin
         )
-        new_ids = set(self.metrics.records) - before
-        record = (
-            self.metrics.records[new_ids.pop()] if len(new_ids) == 1 else None
-        )
+        record = self.metrics.consume_opened()
         capped = found if max_nodes is None else found[:max_nodes]
         return SelectionResult(
             descriptors=capped,

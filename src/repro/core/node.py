@@ -619,7 +619,6 @@ class ResourceNode:
                 primary.partner = neighbor.address
         elif slot is not None:
             self._maybe_arm_hedge(query_id, state, entry, neighbor.address, floor, delay)
-        self.observer.query_sent(self.address, neighbor.address, query_id)
         self.observer.query_forwarded(
             self.address,
             neighbor.address,
@@ -932,12 +931,13 @@ class ResourceNode:
         # the subtree the candidates were actually drawn from.
         coverage = 1.0 if state.sigma_met() else state.coverage()
         if state.parent is None:
-            if coverage < 1.0:
-                # Explicit graceful degradation instead of a silent
-                # partial answer: every alternate was open-circuit, a
-                # region was partitioned, or branches timed out dry.
-                self.observer.query_degraded(self.address, query_id, coverage)
-            self.observer.query_completed(self.address, query_id, descriptors)
+            # Below 1.0 the observer sees an explicit graceful degradation
+            # instead of a silent partial answer: every alternate was
+            # open-circuit, a region was partitioned, or branches timed
+            # out dry.
+            self.observer.query_completed(
+                self.address, query_id, descriptors, coverage
+            )
             if state.on_complete is not None:
                 state.on_complete(query_id, descriptors)
         else:

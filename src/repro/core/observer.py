@@ -1,9 +1,11 @@
 """Observation hooks for protocol instrumentation.
 
 The node protocol reports every externally meaningful event to a
-:class:`ProtocolObserver`. Metric collectors (routing overhead, delivery,
-per-node load — see :mod:`repro.metrics`) subclass this instead of patching
-protocol internals, keeping measurement strictly separated from behaviour.
+:class:`ProtocolObserver`, one call per protocol act: one per QUERY
+sent, one per REPLY sent, one per completion. The metric collector
+(routing overhead, delivery, per-node load — see :mod:`repro.metrics`)
+subclasses this instead of patching protocol internals, keeping
+measurement strictly separated from behaviour.
 """
 
 from __future__ import annotations
@@ -18,11 +20,6 @@ if TYPE_CHECKING:
 class ProtocolObserver:
     """No-op base class; override the events you care about."""
 
-    def query_sent(
-        self, sender: "Address", receiver: "Address", query_id: "QueryId"
-    ) -> None:
-        """A QUERY message left *sender* toward *receiver*."""
-
     def query_forwarded(
         self,
         sender: "Address",
@@ -32,13 +29,12 @@ class ProtocolObserver:
         dim: Optional[int],
         dimensions: Sequence[int],
     ) -> None:
-        """Routing detail of a forward: fires together with ``query_sent``.
+        """A QUERY message left *sender* toward *receiver*.
 
         *level*/*dim* name the neighboring-cell slot the query travelled
         along (``level == -1`` and ``dim is None`` for the C0 fan-out);
         *dimensions* is the dimension set remaining in the query after
-        the traversed dimension was removed. Collectors that only count
-        messages can ignore this richer twin event.
+        the traversed dimension was removed. Fires once per send.
         """
 
     def query_received(
@@ -56,8 +52,14 @@ class ProtocolObserver:
         origin: "Address",
         query_id: "QueryId",
         matching: Sequence["NodeDescriptor"],
+        coverage: float,
     ) -> None:
-        """The originating node assembled the final candidate set."""
+        """The originating node assembled the final candidate set.
+
+        *coverage* is 1.0 when the query completed fully. Below 1.0 the
+        query degraded: σ was not met and at least one branch was
+        abandoned, and *coverage* estimates the explored fraction.
+        """
 
     def duplicate_query(self, node: "Address", query_id: "QueryId") -> None:
         """A node received the same QUERY twice (stale links under churn)."""
@@ -71,15 +73,14 @@ class ProtocolObserver:
         self,
         node: "Address",
         query_id: "QueryId",
-        reason: Optional[str] = None,
+        reason: str,
     ) -> None:
         """A QUERY branch was abandoned for good.
 
         *reason* classifies the failure mode: ``"empty_cell"`` (nowhere to
         forward — sparse overlay), ``"timeout_exhausted"`` (every retry
         and alternate failed), ``"defer_exhausted"`` (a deferred branch
-        never found a repaired link). None when the emitter predates the
-        classification.
+        never found a repaired link).
         """
 
     def query_hedged(
@@ -98,14 +99,14 @@ class ProtocolObserver:
         """A reply arrived from a neighbor already declared failed — the
         earlier ``neighbor_timeout`` was spurious (the peer was alive)."""
 
-    def query_degraded(
-        self, origin: "Address", query_id: "QueryId", coverage: float
-    ) -> None:
-        """The query completed *partially*: σ was not met and at least one
-        branch was abandoned; *coverage* estimates the explored fraction."""
-
     def branch_deferred(self, node: "Address", query_id: "QueryId") -> None:
         """A branch was parked on a broken link awaiting gossip repair."""
+
+
+#: The hook names, in declaration order.
+HOOKS = tuple(
+    name for name in vars(ProtocolObserver) if not name.startswith("_")
+)
 
 
 class FanoutObserver(ProtocolObserver):
@@ -113,72 +114,21 @@ class FanoutObserver(ProtocolObserver):
 
     Lets measurement (:class:`~repro.metrics.collectors.MetricsCollector`)
     and tracing (:class:`~repro.obs.tracer.TraceRecorder`) watch the same
-    run without either knowing about the other.
+    run without either knowing about the other. Each hook is bound once,
+    at construction, to the observers' own methods, so a hook added to
+    :class:`ProtocolObserver` fans out with no change here.
     """
 
     def __init__(self, *observers: ProtocolObserver) -> None:
         self.observers = tuple(observers)
+        for name in HOOKS:
+            handlers = tuple(getattr(observer, name) for observer in observers)
+            setattr(self, name, _broadcast(handlers))
 
-    def query_sent(self, sender, receiver, query_id) -> None:
-        """Fan out to every observer."""
-        for observer in self.observers:
-            observer.query_sent(sender, receiver, query_id)
 
-    def query_forwarded(
-        self, sender, receiver, query_id, level, dim, dimensions
-    ) -> None:
-        """Fan out to every observer."""
-        for observer in self.observers:
-            observer.query_forwarded(
-                sender, receiver, query_id, level, dim, dimensions
-            )
+def _broadcast(handlers):
+    def hook(*args, **kwargs) -> None:
+        for handler in handlers:
+            handler(*args, **kwargs)
 
-    def query_received(self, node, query_id, matched) -> None:
-        """Fan out to every observer."""
-        for observer in self.observers:
-            observer.query_received(node, query_id, matched)
-
-    def reply_sent(self, sender, receiver, query_id) -> None:
-        """Fan out to every observer."""
-        for observer in self.observers:
-            observer.reply_sent(sender, receiver, query_id)
-
-    def query_completed(self, origin, query_id, matching) -> None:
-        """Fan out to every observer."""
-        for observer in self.observers:
-            observer.query_completed(origin, query_id, matching)
-
-    def duplicate_query(self, node, query_id) -> None:
-        """Fan out to every observer."""
-        for observer in self.observers:
-            observer.duplicate_query(node, query_id)
-
-    def neighbor_timeout(self, node, neighbor, query_id) -> None:
-        """Fan out to every observer."""
-        for observer in self.observers:
-            observer.neighbor_timeout(node, neighbor, query_id)
-
-    def query_dropped(self, node, query_id, reason=None) -> None:
-        """Fan out to every observer."""
-        for observer in self.observers:
-            observer.query_dropped(node, query_id, reason)
-
-    def query_hedged(self, node, primary, alternate, query_id) -> None:
-        """Fan out to every observer."""
-        for observer in self.observers:
-            observer.query_hedged(node, primary, alternate, query_id)
-
-    def spurious_timeout(self, node, neighbor, query_id) -> None:
-        """Fan out to every observer."""
-        for observer in self.observers:
-            observer.spurious_timeout(node, neighbor, query_id)
-
-    def query_degraded(self, origin, query_id, coverage) -> None:
-        """Fan out to every observer."""
-        for observer in self.observers:
-            observer.query_degraded(origin, query_id, coverage)
-
-    def branch_deferred(self, node, query_id) -> None:
-        """Fan out to every observer."""
-        for observer in self.observers:
-            observer.branch_deferred(node, query_id)
+    return hook

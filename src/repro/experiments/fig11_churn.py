@@ -154,9 +154,7 @@ def run_with_telemetry(
     if on_deployment is not None:
         on_deployment(deployment)
     if session is not None:
-        session.install_standard_series(
-            metrics=metrics, network=deployment.network
-        )
+        session.install_standard_series(network=deployment.network)
         session.attach(deployment.simulator)
     probe = None
     if telemetry:

@@ -12,7 +12,6 @@ from repro.core.query import Query
 from repro.experiments.config import ExperimentConfig
 from repro.metrics.collectors import MetricsCollector, QueryRecord
 from repro.obs import profile
-from repro.obs.registry import MetricsRegistry
 from repro.sim.deployment import Deployment, ValueSampler
 from repro.sim.latency import LatencyModel, constant_latency, lan_latency, wan_latency
 from repro.util.rng import derive_rng
@@ -38,7 +37,6 @@ def build_deployment(
     warmup: float = 0.0,
     node_config=None,
     extra_observers: Sequence[ProtocolObserver] = (),
-    registry: Optional[MetricsRegistry] = None,
     telemetry=None,
 ) -> Tuple[Deployment, MetricsCollector]:
     """Build a populated deployment for *config*.
@@ -49,23 +47,22 @@ def build_deployment(
     *warmup* simulated seconds.
 
     *extra_observers* (e.g. a :class:`~repro.obs.tracer.TraceRecorder`)
-    watch the run alongside the metrics collector; *registry* collects
-    gossip-layer telemetry. *telemetry* is a
-    :class:`~repro.obs.telemetry.Telemetry` session: its registry and
-    observers are wired in (its timeline is attached to the simulator by
-    the caller, who decides the sampling window). The populate /
-    bootstrap / converge phases are reported to the active
+    watch the run alongside the metrics collector. *telemetry* is a
+    :class:`~repro.obs.telemetry.Telemetry` session: its collector is the
+    one returned, its registry collects gossip-layer telemetry, and its
+    tracer (if sampling) joins the observers (its timeline is attached to
+    the simulator by the caller, who decides the sampling window). The
+    populate / bootstrap / converge phases are reported to the active
     :mod:`repro.obs.profile` profiler, if any.
     """
     schema = config.schema()
-    metrics = MetricsCollector()
-    if telemetry is not None:
-        if registry is not None and registry is not telemetry.registry:
-            raise ValueError(
-                "pass either registry= or telemetry=, not two registries"
-            )
-        registry = telemetry.registry
-        extra_observers = tuple(extra_observers) + telemetry.observers()
+    registry = None
+    if telemetry is None:
+        metrics = MetricsCollector()
+    else:
+        metrics, registry = telemetry.collector, telemetry.registry
+        if telemetry.tracer is not None:
+            extra_observers = (*extra_observers, telemetry.tracer)
     observer: ProtocolObserver = metrics
     if extra_observers:
         observer = FanoutObserver(metrics, *extra_observers)

@@ -10,12 +10,24 @@ still reports how far it spread.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.metrics.collectors import MetricsCollector
 from repro.sim.deployment import Deployment
 from repro.util.rng import derive_rng
 from repro.workloads.queries import aligned_selectivity_query
+
+
+def issue_probe(overlay, alive: Sequence, selectivity: float, rng):
+    """Issue one threshold-less probe query from a random *alive* origin.
+
+    Returns ``(origin, query_id, expected)``: *expected* is the set of
+    addresses that matched at issue time, the ground truth of delivery.
+    """
+    query = aligned_selectivity_query(overlay.schema, selectivity, rng)
+    expected = {d.address for d in overlay.matching_descriptors(query)}
+    origin = rng.choice(alive)
+    return origin, origin.issue_query(query), expected
 
 
 def delivery_timeline(
@@ -41,7 +53,6 @@ def delivery_timeline(
     wiring it changes nothing about the measured run.
     """
     rng = derive_rng(seed, "timeline")
-    schema = deployment.schema
     pending: List[Dict[str, object]] = []
     time = start
     end = start + duration
@@ -50,13 +61,9 @@ def delivery_timeline(
         alive = deployment.alive_hosts()
         if not alive:
             break
-        query = aligned_selectivity_query(schema, selectivity, rng)
-        expected = {
-            descriptor.address
-            for descriptor in deployment.matching_descriptors(query)
-        }
-        origin = rng.choice(alive)
-        query_id = origin.issue_query(query)  # no threshold: measure spread
+        _, query_id, expected = issue_probe(
+            deployment, alive, selectivity, rng
+        )
         if on_issue is not None:
             on_issue(query_id, expected)
         pending.append(

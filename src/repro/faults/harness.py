@@ -52,6 +52,7 @@ from repro.core.descriptors import Address
 from repro.core.messages import QueryId
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.harness import build_deployment
+from repro.experiments.timeline import issue_probe
 from repro.faults.scenarios import SCENARIOS, ActiveScenario, apply_scenario
 from repro.metrics.collectors import MetricsCollector
 from repro.obs import events as ev
@@ -60,7 +61,6 @@ from repro.obs.telemetry import Telemetry
 from repro.obs.tracer import TraceRecorder
 from repro.sim.deployment import Deployment
 from repro.util.rng import derive_rng
-from repro.workloads.queries import aligned_selectivity_query
 
 #: Bound on drain passes: each pass stops every maintenance stack and runs
 #: the simulator dry; restarts landing mid-pass re-arm gossip, so we sweep
@@ -259,8 +259,8 @@ class SimAdapter:
     ``stream`` (the prefix of its seeded workload and fault RNG streams,
     so a seed draws the same episode on a runtime as it always has).
     ``await open(config, session, tracer, static)`` builds and warms the
-    overlay; ``overlay`` then gives ``schema``, ``alive_hosts()`` and
-    ``matching_descriptors()``, and ``metrics`` the query records.
+    overlay around the session's collector and *tracer*; ``overlay`` then
+    gives ``schema``, ``alive_hosts()`` and ``matching_descriptors()``.
     ``now()`` and ``await wait_until(t)`` run on the runtime's clock.
     ``apply()`` starts a scenario (its :meth:`ActiveScenario.stop`
     heals), ``crashed()`` names crashed origins, ``await drain(grace)``
@@ -273,9 +273,8 @@ class SimAdapter:
     quiescent = "event queue empty"
     stream = "chaos"
 
-    def __init__(self, deployment: Deployment, metrics: MetricsCollector):
+    def __init__(self, deployment: Deployment):
         self.overlay = deployment
-        self.metrics = metrics
         self._crashed: Set[Address] = set()
         for host in deployment.hosts.values():
             host.watch(self._watch)
@@ -299,7 +298,7 @@ class SimAdapter:
                 adaptive_timeouts=False,
                 hedge=False,
             )
-        deployment, metrics = build_deployment(
+        deployment, _ = build_deployment(
             experiment,
             gossip=True,
             # Section 6.6 measures delivery with retries disabled; the chaos
@@ -311,11 +310,9 @@ class SimAdapter:
             telemetry=session,
         )
         tracer.bind_clock(lambda: deployment.simulator.now)
-        session.install_standard_series(
-            metrics=metrics, network=deployment.network
-        )
+        session.install_standard_series(network=deployment.network)
         session.attach(deployment.simulator)
-        return cls(deployment, metrics)
+        return cls(deployment)
 
     def _watch(self, host, event: str) -> None:
         if event == "fail":
@@ -411,15 +408,9 @@ async def _issue_queries(
             alive = preferred or alive
         if not alive:
             break
-        query = aligned_selectivity_query(
-            overlay.schema, config.selectivity, rng
+        origin, query_id, expected = issue_probe(
+            overlay, alive, config.selectivity, rng
         )
-        expected = {
-            descriptor.address
-            for descriptor in overlay.matching_descriptors(query)
-        }
-        origin = rng.choice(alive)
-        query_id = origin.issue_query(query)  # no sigma: measure spread
         queries.inc()
         session.note_query(query_id, expected)
         issued.append(
@@ -522,16 +513,16 @@ async def _run_episode(
         leaks = await adapter.drain(config.drain_grace)
         leaks += _sweep_nodes(adapter.overlay.alive_hosts())
         crashed = adapter.crashed()
-        records = adapter.metrics.records
+        metrics = session.collector
 
         delivery_metric = registry.histogram("chaos.delivery")
         rows: List[QueryRow] = []
         for item in issued:
             query_id = item["query_id"]
             expected = item["expected"]
-            record = records.get(query_id)
-            delivery = record.delivery(expected) if record else 0.0
+            delivery = metrics.delivery_of(query_id, expected)
             delivery_metric.observe(delivery)
+            record = metrics.records.get(query_id)
             rows.append(
                 QueryRow(
                     time=item["time"],
@@ -545,7 +536,7 @@ async def _run_episode(
                 )
             )
         return _Episode(
-            metrics=adapter.metrics,
+            metrics=metrics,
             tracer=tracer,
             registry=registry,
             rows=rows,

@@ -47,7 +47,6 @@ from repro.faults.scenarios import (
     _build_partition,
 )
 from repro.gossip.maintenance import GossipConfig
-from repro.metrics.collectors import MetricsCollector
 from repro.obs.telemetry import Telemetry
 from repro.obs.tracer import TraceRecorder
 from repro.runtime.aio import AioOverlay
@@ -273,9 +272,8 @@ class AioAdapter:
     quiescent = "all reliability channels empty"
     stream = "live"
 
-    def __init__(self, overlay: AioOverlay, metrics: MetricsCollector):
+    def __init__(self, overlay: AioOverlay):
         self.overlay = overlay
-        self.metrics = metrics
         #: Set by :meth:`apply`, which the script calls before the drain.
         self.active: Optional[ActiveScenario] = None
 
@@ -291,17 +289,16 @@ class AioAdapter:
         schema = ExperimentConfig(
             network_size=config.size, seed=config.seed
         ).schema()
-        metrics = MetricsCollector()
         overlay = AioOverlay(
             schema,
             seed=config.seed,
             node_config=live_node_config(static=static),
             gossip_config=LIVE_GOSSIP,
-            observer=FanoutObserver(metrics, tracer),
+            observer=FanoutObserver(session.collector, tracer),
             registry=session.registry,
             reliable=LIVE_RELIABLE,
         )
-        adapter = cls(overlay, metrics)
+        adapter = cls(overlay)
         try:
             tracer.bind_clock(overlay.loop.time)
             await overlay.populate(uniform_sampler(schema), config.size)

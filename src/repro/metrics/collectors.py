@@ -1,4 +1,4 @@
-"""Protocol metric collection.
+"""Protocol metric collection: the one observer that counts every query.
 
 Implements the paper's measures (Section 6):
 
@@ -10,17 +10,33 @@ Implements the paper's measures (Section 6):
   node" (Fig. 9);
 * correctness counters: duplicate receptions (must be zero on a converged
   overlay) and drops due to broken links.
+
+They land in per-query :class:`QueryRecord` objects and per-node load.
+With a registry wired, the same hooks also write the labelled ``query.*``
+series that timelines sample and sharded runs merge (:class:`QuerySeries`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+)
 
 from repro.core.descriptors import Address, NodeDescriptor
 from repro.core.messages import QueryId
 from repro.core.observer import ProtocolObserver
+
+if TYPE_CHECKING:
+    from repro.obs.registry import CounterMetric, MetricsRegistry
 
 
 @dataclass
@@ -70,14 +86,48 @@ class QueryRecord:
         return len(expected_set & self.received_by) / len(expected_set)
 
 
-class MetricsCollector(ProtocolObserver):
-    """Observer aggregating per-query records and per-node message load."""
+class QuerySeries:
+    """The labelled ``query.*`` registry series a collector writes.
 
-    def __init__(self) -> None:
+    Instruments are resolved once, and cached per label value, so a hook
+    never formats a string.
+    """
+
+    def __init__(self, registry: MetricsRegistry) -> None:
+        self.registry = registry
+        self.received = registry.counter("query.received")
+        self.matched = registry.counter("query.matched")
+        self.replies = registry.counter("query.replies")
+        self.completed = registry.counter("query.completed")
+        self.duplicates = registry.counter("query.duplicates")
+        self.timeouts = registry.counter("query.timeouts")
+        self.hedges = registry.counter("query.hedges")
+        self.spurious = registry.counter("query.spurious_timeouts")
+        self.degraded = registry.counter("query.degraded")
+        self.deferred = registry.counter("query.deferred")
+        #: Queries issued here and not yet completed. Delta-maintained,
+        #: so per-shard gauges sum to the fleet value.
+        self.in_flight = registry.gauge("query.in_flight")
+        #: ``query.forwarded{level}`` by level (-1 = C0) and
+        #: ``query.dropped{reason}`` by reason, created on first use.
+        self.forwarded: Dict[int, CounterMetric] = {}
+        self.dropped: Dict[str, CounterMetric] = {}
+
+
+class MetricsCollector(ProtocolObserver):
+    """Observer aggregating per-query records and per-node message load.
+
+    With a *registry* it also writes the labelled series of
+    :class:`QuerySeries` (``series``); without one ``series`` is None and
+    each hook does only the record and load bookkeeping.
+    """
+
+    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.records: Dict[QueryId, QueryRecord] = {}
         self.load: Counter = Counter()
         self._opened: Optional[QueryRecord] = None
         self._opened_count = 0
+        self.series = QuerySeries(registry) if registry is not None else None
 
     def _record(self, query_id: QueryId) -> QueryRecord:
         record = self.records.get(query_id)
@@ -103,11 +153,26 @@ class MetricsCollector(ProtocolObserver):
 
     # -- ProtocolObserver -------------------------------------------------------
 
-    def query_sent(
-        self, sender: Address, receiver: Address, query_id: QueryId
+    def query_forwarded(
+        self,
+        sender: Address,
+        receiver: Address,
+        query_id: QueryId,
+        level: int,
+        dim: Optional[int],
+        dimensions: Sequence[int],
     ) -> None:
         self._record(query_id).queries_sent += 1
         self.load[sender] += 1
+        series = self.series
+        if series is not None:
+            counter = series.forwarded.get(level)
+            if counter is None:
+                label = "C0" if level < 0 else f"L{level}"
+                counter = series.forwarded[level] = series.registry.counter(
+                    "query.forwarded", level=label
+                )
+            counter.inc()
 
     def query_received(
         self, node: Address, query_id: QueryId, matched: bool
@@ -116,36 +181,66 @@ class MetricsCollector(ProtocolObserver):
         record.received_by.add(node)
         if matched:
             record.matched_receivers.add(node)
+        series = self.series
+        if series is not None:
+            series.received.inc()
+            if matched:
+                series.matched.inc()
+            if node == query_id[0]:
+                series.in_flight.add(1.0)
 
     def reply_sent(
         self, sender: Address, receiver: Address, query_id: QueryId
     ) -> None:
         self._record(query_id).replies_sent += 1
         self.load[sender] += 1
+        if self.series is not None:
+            self.series.replies.inc()
 
     def query_completed(
         self,
         origin: Address,
         query_id: QueryId,
         matching: Sequence[NodeDescriptor],
+        coverage: float,
     ) -> None:
-        self._record(query_id).result = list(matching)
+        record = self._record(query_id)
+        record.result = list(matching)
+        if coverage < 1.0:
+            record.coverage = coverage
+        series = self.series
+        if series is not None:
+            series.completed.inc()
+            if coverage < 1.0:
+                series.degraded.inc()
+            # A stray completion never drives the gauge negative.
+            if series.in_flight.value > 0:
+                series.in_flight.add(-1.0)
 
     def duplicate_query(self, node: Address, query_id: QueryId) -> None:
         self._record(query_id).duplicates += 1
+        if self.series is not None:
+            self.series.duplicates.inc()
 
     def neighbor_timeout(
         self, node: Address, neighbor: Address, query_id: QueryId
     ) -> None:
         self._record(query_id).timeouts += 1
+        if self.series is not None:
+            self.series.timeouts.inc()
 
     def query_dropped(
-        self,
-        node: Address,
-        query_id: QueryId,
-        reason: Optional[str] = None,
+        self, node: Address, query_id: QueryId, reason: str
     ) -> None:
         self._record(query_id).drops += 1
+        series = self.series
+        if series is not None:
+            counter = series.dropped.get(reason)
+            if counter is None:
+                counter = series.dropped[reason] = series.registry.counter(
+                    "query.dropped", reason=reason
+                )
+            counter.inc()
 
     def query_hedged(
         self,
@@ -155,19 +250,20 @@ class MetricsCollector(ProtocolObserver):
         query_id: QueryId,
     ) -> None:
         self._record(query_id).hedges += 1
+        if self.series is not None:
+            self.series.hedges.inc()
 
     def spurious_timeout(
         self, node: Address, neighbor: Address, query_id: QueryId
     ) -> None:
         self._record(query_id).spurious_timeouts += 1
-
-    def query_degraded(
-        self, origin: Address, query_id: QueryId, coverage: float
-    ) -> None:
-        self._record(query_id).coverage = coverage
+        if self.series is not None:
+            self.series.spurious.inc()
 
     def branch_deferred(self, node: Address, query_id: QueryId) -> None:
         self._record(query_id).deferrals += 1
+        if self.series is not None:
+            self.series.deferred.inc()
 
     # -- aggregates ----------------------------------------------------------------
 
@@ -212,20 +308,9 @@ class MetricsCollector(ProtocolObserver):
             record.spurious_timeouts for record in self.records.values()
         )
 
-    def total_hedges(self) -> int:
-        """Speculative re-forwards launched, across all queries."""
-        return sum(record.hedges for record in self.records.values())
-
     def total_deferrals(self) -> int:
         """Branches parked on broken links, across all queries."""
         return sum(record.deferrals for record in self.records.values())
-
-    def degraded_queries(self) -> int:
-        """Queries that completed with an explicit partial result."""
-        return sum(
-            1 for record in self.records.values()
-            if record.coverage is not None
-        )
 
     def load_distribution(self) -> List[int]:
         """Messages dispatched per node, ascending."""
@@ -236,7 +321,7 @@ class MetricsCollector(ProtocolObserver):
         self.load.clear()
 
     def reset(self) -> None:
-        """Clear everything."""
+        """Clear the records and the load (registry series keep counting)."""
         self.records.clear()
         self.load.clear()
         self._opened = None

@@ -8,9 +8,6 @@ runtime plugs into — all off (and near-free) by default:
   histograms (O(1) memory, ``quantile(q)``), and an associative,
   order-independent :func:`merge_snapshots` that makes sharded runs
   report bit-identical merged metrics.
-* :mod:`repro.obs.telemetry` — the scale-ready pipeline:
-  :class:`Telemetry` bundles a registry, a labeled-series protocol
-  collector, an optional sampled tracer, and sim-time-sampled timelines.
 * :mod:`repro.obs.timeseries` — :class:`TimeSeries` ring buffers and the
   cadence-driven :class:`TimeSeriesRecorder` (with fault-phase
   annotations).
@@ -27,8 +24,13 @@ runtime plugs into — all off (and near-free) by default:
   converge / measure) hooked into the experiment harness and merged
   across parallel sweep workers.
 
-:mod:`repro.obs.convergence` is imported on demand (it sits above the
-simulation layer) — ``from repro.obs.convergence import ConvergenceProbe``.
+:mod:`repro.obs.telemetry` and :mod:`repro.obs.convergence` sit above
+the measurement and simulation layers, so they are imported on demand.
+:class:`~repro.obs.telemetry.Telemetry` is the scale-ready pipeline: it
+owns a registry, the run's one protocol collector (a
+:class:`~repro.metrics.collectors.MetricsCollector` writing the labelled
+``query.*`` series into it), an optional sampled tracer, and
+sim-time-sampled timelines.
 """
 
 from repro.obs.events import EVENT_KINDS, TraceEvent, event_from_dict
@@ -44,7 +46,6 @@ from repro.obs.registry import (
     merge_snapshots,
 )
 from repro.obs.render import render_hop_tree
-from repro.obs.telemetry import Telemetry, TelemetryCollector
 from repro.obs.timeseries import TimeSeries, TimeSeriesRecorder
 from repro.obs.tracer import HopNode, QueryTrace, TraceRecorder, read_jsonl
 
@@ -61,8 +62,6 @@ __all__ = [
     "NULL_REGISTRY",
     "merge_snapshots",
     "render_hop_tree",
-    "Telemetry",
-    "TelemetryCollector",
     "TimeSeries",
     "TimeSeriesRecorder",
     "HopNode",

@@ -1,20 +1,15 @@
-"""Second-generation telemetry pipeline: labeled metrics + timelines.
+"""One run's telemetry session: labelled metrics, timelines, tracing.
 
-This module ties the observability layer together into one scale-ready,
-shard-aware surface:
-
-- :class:`TelemetryCollector` is a
-  :class:`~repro.core.observer.ProtocolObserver` that turns protocol
-  events into **labeled** registry series — per-level routing counters
-  (``query.forwarded{level=...}``), per-reason drop counters
-  (``query.dropped{reason=...}``), and an in-flight gauge maintained
-  with delta updates so per-shard values sum to the fleet total.
-- :class:`Telemetry` bundles a registry, a collector, an optional
-  sampled :class:`~repro.obs.tracer.TraceRecorder` and a
-  :class:`~repro.obs.timeseries.TimeSeriesRecorder`, and knows how to
-  wire the **standard series** every run wants: live delivery, in-flight
-  queries, open breakers, srtt/rto percentiles, hedge rate, message
-  rate, drop rate.
+:class:`Telemetry` owns the run's one protocol collector — a
+:class:`~repro.metrics.collectors.MetricsCollector` wired to the
+session's registry, so the same hooks that keep the per-query records
+also write the labelled ``query.*`` series (per-level forwards,
+per-reason drops, the delta-maintained in-flight gauge). Alongside it
+sit an optional sampled :class:`~repro.obs.tracer.TraceRecorder` and a
+:class:`~repro.obs.timeseries.TimeSeriesRecorder`, and the session wires
+the **standard series** every run wants: live delivery, in-flight
+queries, open breakers, srtt/rto percentiles, hedge rate, message rate,
+drop rate.
 
 Everything here is deterministic: series are sampled on the simulated
 clock, sampling decisions are seeded hashes, and all counter/gauge
@@ -26,117 +21,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Sequence, Tuple
 
-from repro.core.observer import ProtocolObserver
+from repro.metrics.collectors import MetricsCollector
 from repro.obs.registry import MetricsRegistry
 from repro.obs.timeseries import TimeSeriesRecorder
 from repro.obs.tracer import TraceRecorder
-
-
-class TelemetryCollector(ProtocolObserver):
-    """Protocol events → labeled registry series.
-
-    Instruments are resolved once and cached per label value, so the hot
-    path is a dict lookup plus an integer increment — no string
-    formatting per event.
-    """
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self.registry = registry
-        self._forwarded_by_level: Dict[int, Any] = {}
-        self._dropped_by_reason: Dict[Optional[str], Any] = {}
-        self._received = registry.counter("query.received")
-        self._matched = registry.counter("query.matched")
-        self._replies = registry.counter("query.replies")
-        self._completed = registry.counter("query.completed")
-        self._duplicates = registry.counter("query.duplicates")
-        self._timeouts = registry.counter("query.timeouts")
-        self._hedges = registry.counter("query.hedges")
-        self._spurious = registry.counter("query.spurious_timeouts")
-        self._degraded = registry.counter("query.degraded")
-        self._deferred = registry.counter("query.deferred")
-        # Delta-maintained so per-shard gauges sum to the fleet value.
-        self._in_flight_gauge = registry.gauge("query.in_flight")
-        #: Queries issued locally and not yet completed (fast local read
-        #: for timelines; the registry gauge carries the mergeable copy).
-        self.in_flight = 0
-        #: Running totals for rate series (plain ints, O(1) reads).
-        self.drops_total = 0
-        self.forwards_total = 0
-
-    # -- ProtocolObserver -------------------------------------------------------
-
-    def query_forwarded(
-        self,
-        sender,
-        receiver,
-        query_id,
-        level: int,
-        dim,
-        dimensions: Sequence[int],
-    ) -> None:
-        """Count the forward on its per-level series (level -1 = C0)."""
-        counter = self._forwarded_by_level.get(level)
-        if counter is None:
-            label = "C0" if level < 0 else f"L{level}"
-            counter = self.registry.counter("query.forwarded", level=label)
-            self._forwarded_by_level[level] = counter
-        counter.inc()
-        self.forwards_total += 1
-
-    def query_received(self, node, query_id, matched: bool) -> None:
-        """Count the reception; open the in-flight window at the origin."""
-        self._received.inc()
-        if matched:
-            self._matched.inc()
-        if node == query_id[0]:
-            self.in_flight += 1
-            self._in_flight_gauge.add(1.0)
-
-    def reply_sent(self, sender, receiver, query_id) -> None:
-        """Count the reply."""
-        self._replies.inc()
-
-    def query_completed(self, origin, query_id, matching) -> None:
-        """Count the completion; close the in-flight window."""
-        self._completed.inc()
-        if self.in_flight > 0:
-            self.in_flight -= 1
-            self._in_flight_gauge.add(-1.0)
-
-    def duplicate_query(self, node, query_id) -> None:
-        """Count the duplicate reception."""
-        self._duplicates.inc()
-
-    def neighbor_timeout(self, node, neighbor, query_id) -> None:
-        """Count the presumed-failed neighbor."""
-        self._timeouts.inc()
-
-    def query_dropped(self, node, query_id, reason: Optional[str] = None) -> None:
-        """Count the abandoned branch on its per-reason series."""
-        counter = self._dropped_by_reason.get(reason)
-        if counter is None:
-            counter = self.registry.counter(
-                "query.dropped", reason=reason or "unknown"
-            )
-            self._dropped_by_reason[reason] = counter
-        counter.inc()
-        self.drops_total += 1
-
-    def query_hedged(self, node, primary, alternate, query_id) -> None:
-        """Count the speculative re-forward."""
-        self._hedges.inc()
-
-    def spurious_timeout(self, node, neighbor, query_id) -> None:
-        """Count the contradicted timeout."""
-        self._spurious.inc()
-
-    def query_degraded(self, origin, query_id, coverage: float) -> None:
-        """Count the partial completion."""
-        self._degraded.inc()
-
-    def branch_deferred(self, node, query_id) -> None:
-        """Count the parked branch."""
-        self._deferred.inc()
 
 
 class Telemetry:
@@ -144,71 +32,50 @@ class Telemetry:
 
     Parameters
     ----------
-    registry:
-        Use an existing registry (e.g. one already threaded through the
-        gossip/health layers); a fresh enabled one is created otherwise.
-    sample_interval / capacity:
-        Timeline cadence and per-series ring size (see
+    sample_interval:
+        Timeline cadence (see
         :class:`~repro.obs.timeseries.TimeSeriesRecorder`).
     trace_sample_rate / trace_seed:
         When ``trace_sample_rate`` is not None a sampled
-        :class:`TraceRecorder` joins the observer set (1.0 = everything,
+        :class:`TraceRecorder` watches the run too (1.0 = everything,
         0.01 = ~1% of queries traced end-to-end).
     """
 
     def __init__(
         self,
-        registry: Optional[MetricsRegistry] = None,
         sample_interval: float = 10.0,
-        capacity: int = 1024,
         trace_sample_rate: Optional[float] = None,
         trace_seed: int = 0,
-        trace_keep_last: Optional[int] = None,
     ) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.collector = TelemetryCollector(self.registry)
-        self.recorder = TimeSeriesRecorder(sample_interval, capacity)
+        self.registry = MetricsRegistry()
+        self.collector = MetricsCollector(self.registry)
+        self.recorder = TimeSeriesRecorder(sample_interval)
         self.tracer: Optional[TraceRecorder] = None
         if trace_sample_rate is not None:
             self.tracer = TraceRecorder(
-                keep_last=trace_keep_last,
-                sample_rate=trace_sample_rate,
-                sample_seed=trace_seed,
+                sample_rate=trace_sample_rate, sample_seed=trace_seed
             )
         self._last_query: Optional[Tuple[Any, int]] = None
         self._last_expected: Sequence[Any] = ()
-        self._metrics: Optional[Any] = None
-
-    def observers(self) -> Tuple[ProtocolObserver, ...]:
-        """The observers to hang off the deployment's fan-out."""
-        if self.tracer is not None:
-            return (self.collector, self.tracer)
-        return (self.collector,)
 
     def note_query(self, query_id, expected: Sequence[Any]) -> None:
         """Tell the delivery series which query is the live one."""
         self._last_query = query_id
         self._last_expected = expected
 
-    def install_standard_series(
-        self,
-        metrics: Optional[Any] = None,
-        network: Optional[Any] = None,
-    ) -> None:
+    def install_standard_series(self, network: Optional[Any] = None) -> None:
         """Register the canonical timeline set.
 
-        *metrics* is a :class:`~repro.metrics.collectors.MetricsCollector`
-        (enables the live ``delivery`` series, fed by :meth:`note_query`);
         *network* is a :class:`~repro.sim.network.SimNetwork` (enables
-        ``messages.rate``). Everything else reads the registry and the
-        collector directly.
+        ``messages.rate``). The live ``delivery`` series follows the query
+        named by :meth:`note_query`; everything else reads the registry
+        and the collector directly.
         """
         recorder = self.recorder
-        self._metrics = metrics
-        if metrics is not None:
-            recorder.add_source("delivery", self._live_delivery)
+        series = self.collector.series
+        recorder.add_source("delivery", self._live_delivery)
         recorder.add_source(
-            "queries.in_flight", lambda: float(self.collector.in_flight)
+            "queries.in_flight", lambda: float(series.in_flight.value)
         )
         breaker_gauge = self.registry.gauge("health.breakers_open")
         recorder.add_source("breakers.open", lambda: breaker_gauge.value)
@@ -217,12 +84,14 @@ class Telemetry:
         recorder.add_source("rtt.p99", lambda: rtt.quantile(0.99))
         rto = self.registry.histogram("health.rto")
         recorder.add_source("rto.p99", lambda: rto.quantile(0.99))
-        hedges = self.registry.counter("query.hedges")
         recorder.add_source(
-            "hedge.rate", lambda: float(hedges.value), counter=True
+            "hedge.rate", lambda: float(series.hedges.value), counter=True
         )
+        dropped = series.dropped.values()
         recorder.add_source(
-            "drops.rate", lambda: float(self.collector.drops_total), counter=True
+            "drops.rate",
+            lambda: float(sum(counter.value for counter in dropped)),
+            counter=True,
         )
         if network is not None:
             recorder.add_source(
@@ -232,11 +101,13 @@ class Telemetry:
             )
 
     def _live_delivery(self) -> float:
-        if self._last_query is None or self._metrics is None:
+        if self._last_query is None:
             return 0.0
         if not self._last_expected:
             return 1.0
-        return self._metrics.delivery_of(self._last_query, self._last_expected)
+        return self.collector.delivery_of(
+            self._last_query, self._last_expected
+        )
 
     def attach(self, simulator: Any) -> None:
         """Start periodic sampling; bind the tracer clock if tracing."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -160,9 +160,6 @@ class TraceRecorder(ProtocolObserver):
         bind one later with :meth:`bind_clock` when the simulator does
         not exist yet at construction time (events recorded before a
         clock is bound are stamped 0.0).
-    keep_last:
-        Retain at most this many query traces, evicting the oldest
-        (None = unbounded). Bounds memory when tracing long churn runs.
     sample_rate:
         Head-based per-query sampling: trace roughly this fraction of
         queries end-to-end and ignore the rest entirely (None or 1.0 =
@@ -182,14 +179,12 @@ class TraceRecorder(ProtocolObserver):
     def __init__(
         self,
         clock: Optional[Clock] = None,
-        keep_last: Optional[int] = None,
         sample_rate: Optional[float] = None,
         sample_seed: int = 0,
     ) -> None:
         if sample_rate is not None and not 0.0 <= sample_rate <= 1.0:
             raise ValueError(f"sample_rate must be in [0, 1], got {sample_rate}")
-        self.traces: "OrderedDict[QueryId, QueryTrace]" = OrderedDict()
-        self.keep_last = keep_last
+        self.traces: Dict[QueryId, QueryTrace] = {}
         self.sample_rate = sample_rate
         self.sample_seed = sample_seed
         # Memoized per-query decisions (bounded: cleared when it grows
@@ -228,9 +223,6 @@ class TraceRecorder(ProtocolObserver):
         if trace is None:
             trace = QueryTrace(query_id=query_id)
             self.traces[query_id] = trace
-            if self.keep_last is not None:
-                while len(self.traces) > self.keep_last:
-                    self.traces.popitem(last=False)
         return trace
 
     def _record(self, kind: str, query_id: QueryId, node: Address, **extra) -> None:
@@ -281,6 +273,7 @@ class TraceRecorder(ProtocolObserver):
         origin: Address,
         query_id: QueryId,
         matching: Sequence[NodeDescriptor],
+        coverage: float,
     ) -> None:
         """Record the final candidate-set assembly at the origin."""
         self._record(ev.COMPLETED, query_id, origin)
@@ -299,7 +292,7 @@ class TraceRecorder(ProtocolObserver):
         self,
         node: Address,
         query_id: QueryId,
-        reason: Optional[str] = None,
+        reason: str,
     ) -> None:
         """Record an abandoned branch, annotated with why it was dropped."""
         self._record(ev.DROPPED, query_id, node, reason=reason)

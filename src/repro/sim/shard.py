@@ -66,7 +66,6 @@ from repro.core.store import BootstrapPlan, ColumnarCellIndex, DescriptorStore
 from repro.metrics.collectors import MetricsCollector, QueryRecord
 from repro.obs.events import TraceEvent, event_from_dict
 from repro.obs.registry import MetricsRegistry, merge_snapshots
-from repro.obs.telemetry import TelemetryCollector
 from repro.obs.tracer import TraceRecorder
 from repro.sim.deployment import ValueSampler, bootstrap_rng
 from repro.sim.engine import Simulator
@@ -140,17 +139,14 @@ class ShardWorker:
             rng=derive_rng(seed, "network"),
         )
         self.node_config = node_config or NodeConfig()
-        self.metrics = MetricsCollector()
         # Per-shard telemetry: a private registry fed by this shard's
-        # hosts/health monitors plus a labeled-series collector; snapshots
-        # merge bit-identically across shards (merge_snapshots). The
-        # tracer's head-based sampling is a pure seeded hash of the query
-        # id, so every shard makes the same keep/skip decision and a
-        # sampled query is traced end-to-end without coordination.
+        # hosts/health monitors and its one collector; snapshots merge
+        # bit-identically across shards (merge_snapshots). The tracer's
+        # head-based sampling is a pure seeded hash of the query id, so
+        # every shard makes the same keep/skip decision and a sampled
+        # query is traced end-to-end without coordination.
         self.registry = MetricsRegistry() if telemetry else None
-        self.telemetry_collector = (
-            TelemetryCollector(self.registry) if self.registry else None
-        )
+        self.metrics = MetricsCollector(self.registry)
         self.tracer: Optional[TraceRecorder] = None
         if trace_sample_rate is not None:
             self.tracer = TraceRecorder(
@@ -158,13 +154,10 @@ class ShardWorker:
                 sample_rate=trace_sample_rate,
                 sample_seed=trace_seed,
             )
-        extras = [
-            observer
-            for observer in (self.telemetry_collector, self.tracer)
-            if observer is not None
-        ]
         self._observer = (
-            FanoutObserver(self.metrics, *extras) if extras else self.metrics
+            FanoutObserver(self.metrics, self.tracer)
+            if self.tracer is not None
+            else self.metrics
         )
         # The shared columnar population and bootstrap plan
         # (fork-inherited copy-on-write in process mode).

@@ -17,7 +17,6 @@ from repro.faults import live
 from repro.faults.harness import ChaosConfig, ChaosReport, run_chaos
 from repro.faults.live import LIVE_BUILDERS, LIVE_DEFAULTS, live_scenario_names
 from repro.faults.scenarios import SCENARIOS, ActiveScenario
-from repro.metrics.collectors import MetricsCollector
 
 
 def quick(scenario_severity, **overrides):
@@ -49,7 +48,6 @@ class FakeAdapter:
         self.config = config
         self.static = static
         self.clock = 0.0
-        self.metrics = MetricsCollector()
         self.overlay = SimpleNamespace(alive_hosts=lambda: [])
 
     @classmethod
@@ -178,6 +176,11 @@ def test_both_runtimes_report_the_same_invariants():
         result.name for result in sim_report.invariants
     ]
     assert len(sim_report.invariants) == 4
+    # The session's collector sees every query on either runtime.
+    for report in (live_report, sim_report):
+        counters = report.metrics["counters"]
+        assert counters["query.completed"] > 0
+        assert counters["query.received"] >= counters["chaos.queries_issued"]
 
 
 def test_summary_prints_only_measured_counters():

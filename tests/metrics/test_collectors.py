@@ -62,13 +62,13 @@ class TestMetricsCollector:
     def test_event_accumulation(self):
         collector = MetricsCollector()
         qid = (0, 0)
-        collector.query_sent(0, 1, qid)
+        collector.query_forwarded(0, 1, qid, 1, 0, ())
         collector.query_received(1, qid, True)
-        collector.query_sent(1, 2, qid)
+        collector.query_forwarded(1, 2, qid, 1, 0, ())
         collector.query_received(2, qid, False)
         collector.reply_sent(2, 1, qid)
         collector.reply_sent(1, 0, qid)
-        collector.query_completed(0, qid, [make_descriptor(1)])
+        collector.query_completed(0, qid, [make_descriptor(1)], 1.0)
         record = collector.records[qid]
         assert record.queries_sent == 2
         assert record.replies_sent == 2
@@ -80,8 +80,8 @@ class TestMetricsCollector:
     def test_load_counts_dispatched_messages(self):
         collector = MetricsCollector()
         qid = (0, 0)
-        collector.query_sent(0, 1, qid)
-        collector.query_sent(0, 2, qid)
+        collector.query_forwarded(0, 1, qid, 1, 0, ())
+        collector.query_forwarded(0, 2, qid, 1, 0, ())
         collector.reply_sent(1, 0, qid)
         assert collector.load[0] == 2
         assert collector.load[1] == 1
@@ -98,16 +98,24 @@ class TestMetricsCollector:
         collector = MetricsCollector()
         collector.duplicate_query(3, (0, 0))
         collector.neighbor_timeout(3, 4, (0, 0))
-        collector.query_dropped(3, (0, 0))
+        collector.query_dropped(3, (0, 0), "empty_cell")
         record = collector.records[(0, 0)]
         assert record.duplicates == 1
         assert record.timeouts == 1
         assert record.drops == 1
         assert collector.total_duplicates() == 1
 
+    def test_partial_completion_records_coverage(self):
+        collector = MetricsCollector()
+        collector.query_completed(0, (0, 0), [], 1.0)
+        collector.query_completed(0, (0, 1), [], 0.75)
+        assert collector.records[(0, 0)].coverage is None
+        assert collector.records[(0, 1)].coverage == 0.75
+        assert collector.series is None  # no registry wired
+
     def test_resets(self):
         collector = MetricsCollector()
-        collector.query_sent(0, 1, (0, 0))
+        collector.query_forwarded(0, 1, (0, 0), 1, 0, ())
         collector.reset_load()
         assert collector.load == {}
         assert (0, 0) in collector.records
@@ -116,14 +124,14 @@ class TestMetricsCollector:
 
     def test_consume_opened_returns_single_new_record(self):
         collector = MetricsCollector()
-        collector.query_sent(0, 1, (0, 0))
+        collector.query_forwarded(0, 1, (0, 0), 1, 0, ())
         record = collector.consume_opened()
         assert record is not None and record.query_id == (0, 0)
         # Consumed: a second call has nothing new to report.
         assert collector.consume_opened() is None
         # Two records opened since the last consume: ambiguous -> None.
-        collector.query_sent(0, 1, (0, 1))
-        collector.query_sent(0, 2, (0, 2))
+        collector.query_forwarded(0, 1, (0, 1), 1, 0, ())
+        collector.query_forwarded(0, 2, (0, 2), 1, 0, ())
         assert collector.consume_opened() is None
 
     def test_reset_between_open_and_consume_drops_stale_record(self):
@@ -131,11 +139,11 @@ class TestMetricsCollector:
         # otherwise consume_opened() hands back a record that is no
         # longer in ``records``.
         collector = MetricsCollector()
-        collector.query_sent(0, 1, (0, 0))
+        collector.query_forwarded(0, 1, (0, 0), 1, 0, ())
         collector.reset()
         assert collector.consume_opened() is None
         # The next opened record after the reset is reported normally.
-        collector.query_sent(0, 1, (0, 7))
+        collector.query_forwarded(0, 1, (0, 7), 1, 0, ())
         record = collector.consume_opened()
         assert record is not None and record.query_id == (0, 7)
 

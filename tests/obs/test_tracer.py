@@ -19,7 +19,7 @@ def record_simple_run(tracer):
     tracer.reply_sent(98, 421, QID)
     tracer.reply_sent(7, 421, QID)
     tracer.reply_sent(421, 17, QID)
-    tracer.query_completed(17, QID, [])
+    tracer.query_completed(17, QID, [], 1.0)
 
 
 class TestTraceRecorder:
@@ -52,17 +52,11 @@ class TestTraceRecorder:
         times = [event.time for event in tracer.last_trace().events]
         assert times == [0.0, 9.0]
 
-    def test_keep_last_evicts_oldest(self):
-        tracer = TraceRecorder(keep_last=2)
-        for index in range(4):
-            tracer.query_received(index, (index, 0), False)
-        assert list(tracer.traces) == [(2, 0), (3, 0)]
-
     def test_anomaly_events(self):
         tracer = TraceRecorder()
         tracer.duplicate_query(5, QID)
         tracer.neighbor_timeout(5, 9, QID)
-        tracer.query_dropped(5, QID)
+        tracer.query_dropped(5, QID, reason="empty_cell")
         trace = tracer.last_trace()
         assert trace.count(ev.DUPLICATE) == 1
         assert trace.count(ev.TIMEOUT) == 1
@@ -167,7 +161,7 @@ def record_many_runs(tracer, count):
         tracer.query_forwarded(origin, origin + 10_000, qid, 1, 0, ())
         tracer.query_received(origin + 10_000, qid, True)
         tracer.reply_sent(origin + 10_000, origin, qid)
-        tracer.query_completed(origin, qid, [origin + 10_000])
+        tracer.query_completed(origin, qid, [origin + 10_000], 1.0)
 
 
 class TestSampling:
@@ -232,7 +226,7 @@ class TestSampling:
         for origin in range(100_000):
             qid = (origin, 0)
             tracer.query_received(origin, qid, False)
-            tracer.query_completed(origin, qid, [])
+            tracer.query_completed(origin, qid, [], 1.0)
             if tracer.sampled(qid):
                 kept += 1
         assert len(tracer.traces) == kept
