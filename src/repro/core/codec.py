@@ -51,7 +51,7 @@ from typing import Any, Callable, Dict, List, Tuple, Type
 
 from repro.core.attributes import AttributeSchema
 from repro.core.descriptors import Address, NodeDescriptor
-from repro.core.messages import QueryMessage, ReplyMessage
+from repro.core.messages import QueryMessage, ReplyMessage, mask_dimensions
 from repro.core.query import CategoricalSet, Constraint, Query, ValueRange
 from repro.gossip.messages import (
     CyclonReply,
@@ -120,6 +120,19 @@ def _ranges_layout(count: int) -> struct.Struct:
 def _dimensions_layout(count: int) -> struct.Struct:
     """QUERY tail, second half: *count* dimensions (u16), budget (f64)."""
     return struct.Struct(f">{count}Hd")
+
+
+def _mask_of(dimensions: Tuple[int, ...]) -> int:
+    """The bitmask of a QUERY's wire dimensions, built in linear time.
+
+    ORing ``1 << dim`` per entry would copy an up-to-8 KB integer per entry.
+    """
+    if not dimensions:
+        return 0
+    bits = bytearray((max(dimensions) >> 3) + 1)
+    for dim in dimensions:
+        bits[dim >> 3] |= 1 << (dim & 7)
+    return int.from_bytes(bits, "little")
 
 
 class CodecError(ValueError):
@@ -478,7 +491,11 @@ class Codec:
         else:
             writer.u8(1)
             writer.i64(message.sigma)
-        dimensions = sorted(message.dimensions)
+        mask = message.dimensions
+        if mask < 0:
+            raise CodecError("dimension bitmask outside its wire width")
+        # The bitmask travels as its set bits, ascending, one u16 each.
+        dimensions = mask_dimensions(mask)
         writer.parts.append(
             _LEVEL_DIMENSIONS.pack(message.level, len(dimensions))
         )
@@ -502,7 +519,7 @@ class Codec:
             index_ranges=tuple(zip(bounds[0::2], bounds[1::2])),
             sigma=sigma,
             level=level,
-            dimensions=frozenset(tail[:count]),
+            dimensions=_mask_of(tail[:count]),
             budget=tail[count],
         )
 

@@ -4,8 +4,7 @@ The paper's query routing declares a neighbor failed after a *static*
 timeout ``T(q)`` (Section 4.3). Static timers are brittle: under latency
 spikes and stragglers they fire while the neighbor's reply is still in
 flight (a *spurious* timeout), dropping live branches and re-forwarding
-into retry storms. This module replaces the static detector with the
-standard production trio:
+into retry storms. This module provides the standard production trio:
 
 * :class:`RttEstimator` — Jacobson/Karn smoothed RTT plus variance per
   neighbor, with three robustness twists: it can be *seeded* from the
@@ -18,22 +17,24 @@ standard production trio:
   the same neighbor (retries go to *alternates*), so every reply matched
   to an outstanding forward measures exactly one exchange.
 * :class:`CircuitBreaker` — per-neighbor three-state breaker: ``closed``
-  until :attr:`~HealthConfig.breaker_threshold` consecutive failures,
-  then ``open`` (the neighbor is not selected for forwards) until
+  until :data:`BREAKER_THRESHOLD` consecutive failures, then ``open``
+  (the neighbor is not selected for forwards) until
   :attr:`~HealthConfig.breaker_reset` seconds pass without a failure,
   then ``half-open`` (eligible for one gossip liveness probe; a success
   closes it, a failure re-arms the open window).
-* :class:`HealthMonitor` — the per-node facade shared by the query layer
-  (:mod:`repro.core.node`) and gossip maintenance
+* :class:`HealthMonitor` — the per-node facade shared by the query
+  protocol's failure handling (:mod:`repro.core.reliability`, which sizes
+  timers and hedges from it) and gossip maintenance
   (:mod:`repro.gossip.maintenance`), owning the per-neighbor state and
   the observability series (rto histograms, breaker gauge, hedge and
   spurious-timeout counters).
 
-Both consumers feed the same estimators: gossip answer round trips warm
-a neighbor's estimate before any query travels its link, and query reply
-times (which include the neighbor's subtree exploration) dominate once
-traffic flows — which is the quantity the failure timer actually waits
-for.
+Both consumers feed the same estimators with link round trips: gossip
+answers, and the replies of the C0 fan-out (a slot forward's reply times
+a whole subtree, so the failure timer scales the link estimate by the
+subtree's span instead). :class:`HealthConfig` holds the four
+deployment-dependent knobs; the filter gains, slack and thresholds are
+module constants.
 
 Per-neighbor samples are sparse — a node exchanges with only a couple of
 peers per gossip cycle, so most neighbors' private estimators have never
@@ -47,7 +48,7 @@ single slow neighbor still stands out through its own filter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set
+from typing import Callable, Dict, Optional, Set
 
 from repro.core.descriptors import Address
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
@@ -57,10 +58,28 @@ CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half-open"
 
+#: EWMA gain for the smoothed RTT (Jacobson's 1/8).
+RTO_ALPHA = 0.125
+#: EWMA gain for the mean deviation (Jacobson's 1/4).
+RTO_BETA = 0.25
+#: Deviations of slack in the timeout: ``rto = srtt + k * rttvar``.
+RTO_DEVIATIONS = 4.0
+#: Karn backoff cap: after repeated timeouts the rto is multiplied by at
+#: most this factor (cleared by the next genuine sample).
+BACKOFF_CAP = 8.0
+#: Deviations used for the hedge delay (a p99-style quantile bound: wider
+#: than the timeout slack, so hedges fire later than the typical reply but
+#: well before the failure timer).
+HEDGE_DEVIATIONS = 6.0
+#: Minimum samples before a neighbor's estimate may arm a hedge.
+HEDGE_MIN_SAMPLES = 3
+#: Consecutive failures that trip a neighbor's breaker open.
+BREAKER_THRESHOLD = 3
+
 
 @dataclass(frozen=True)
 class HealthConfig:
-    """Tuning knobs for RTT estimation, hedging, and circuit breakers."""
+    """The deployment-dependent knobs of RTT estimation and breakers."""
 
     #: Floor for the adaptive retransmission timeout (seconds). Keeps a
     #: freshly trained estimator over a fast link from arming hair-trigger
@@ -70,28 +89,6 @@ class HealthConfig:
     #: estimate can stall failure detection (invariant I1 depends on every
     #: failure timer eventually firing).
     rto_max: float = 15.0
-    #: EWMA gain for the smoothed RTT (Jacobson's 1/8).
-    rto_alpha: float = 0.125
-    #: EWMA gain for the mean deviation (Jacobson's 1/4).
-    rto_beta: float = 0.25
-    #: Deviations of slack in the timeout: ``rto = srtt + k * rttvar``.
-    rto_deviations: float = 4.0
-    #: Karn backoff cap: after repeated timeouts the rto is multiplied by
-    #: at most this factor (cleared by the next genuine sample).
-    backoff_cap: float = 8.0
-    #: Deviations used for the hedge delay (a p99-style quantile bound:
-    #: wider than the timeout slack, so hedges fire later than the typical
-    #: reply but well before the failure timer).
-    hedge_deviations: float = 6.0
-    #: Minimum samples before a neighbor's estimate may arm a hedge.
-    hedge_min_samples: int = 3
-    #: The hedge delay never undercuts this fraction of the child's budget
-    #: window: estimators trained on fast exchanges (gossip answers, leaf
-    #: replies) must not speculate against a deep forward whose reply
-    #: legitimately takes longer than any individual round trip.
-    hedge_fraction: float = 0.5
-    #: Consecutive failures that trip a neighbor's breaker open.
-    breaker_threshold: int = 3
     #: Seconds after the last failure before an open breaker turns
     #: half-open (eligible for a gossip probe).
     breaker_reset: float = 30.0
@@ -134,36 +131,34 @@ class RttEstimator:
         above = (
             self.srtt is not None
             and rtt
-            > self.srtt + self.config.rto_deviations * self.rttvar
+            > self.srtt + RTO_DEVIATIONS * self.rttvar
         )
         if cold or above or self.srtt is None:
             self.srtt = rtt
             self.rttvar = rtt / 2.0
         else:
-            self.rttvar += self.config.rto_beta * (
-                abs(self.srtt - rtt) - self.rttvar
-            )
-            self.srtt += self.config.rto_alpha * (rtt - self.srtt)
+            self.rttvar += RTO_BETA * (abs(self.srtt - rtt) - self.rttvar)
+            self.srtt += RTO_ALPHA * (rtt - self.srtt)
         self.samples += 1
         self.backoff = 1.0
 
     def on_timeout(self) -> None:
         """Karn backoff: double the timeout multiplier (capped)."""
-        self.backoff = min(self.backoff * 2.0, self.config.backoff_cap)
+        self.backoff = min(self.backoff * 2.0, BACKOFF_CAP)
 
     def rto(self) -> Optional[float]:
         """The retransmission timeout, or None while cold (unseeded)."""
         if self.srtt is None:
             return None
-        raw = self.srtt + self.config.rto_deviations * self.rttvar
+        raw = self.srtt + RTO_DEVIATIONS * self.rttvar
         clamped = min(max(raw, self.config.rto_min), self.config.rto_max)
         return min(clamped * self.backoff, self.config.rto_max)
 
     def hedge_delay(self) -> Optional[float]:
         """A p99-style reply-time bound, or None below the sample floor."""
-        if self.samples < self.config.hedge_min_samples or self.srtt is None:
+        if self.samples < HEDGE_MIN_SAMPLES or self.srtt is None:
             return None
-        return self.srtt + self.config.hedge_deviations * self.rttvar
+        return self.srtt + HEDGE_DEVIATIONS * self.rttvar
 
 
 class CircuitBreaker:
@@ -187,7 +182,7 @@ class CircuitBreaker:
 
     def state(self, now: float) -> str:
         """Current state name: ``closed``, ``open`` or ``half-open``."""
-        if self.failures < self.config.breaker_threshold:
+        if self.failures < BREAKER_THRESHOLD:
             return CLOSED
         if (
             self.last_failure is not None
@@ -200,11 +195,11 @@ class CircuitBreaker:
         """Count one failure; True iff this transition tripped it open."""
         self.failures += 1
         self.last_failure = now
-        return self.failures == self.config.breaker_threshold
+        return self.failures == BREAKER_THRESHOLD
 
     def record_success(self) -> bool:
         """Reset on success; True iff a tripped breaker just closed."""
-        was_tripped = self.failures >= self.config.breaker_threshold
+        was_tripped = self.failures >= BREAKER_THRESHOLD
         self.failures = 0
         self.last_failure = None
         return was_tripped
@@ -323,19 +318,9 @@ class HealthMonitor:
         *right now* (per-pair samples are too sparse to catch a global
         spike through the private filter alone).
         """
-        estimator = self._estimators.get(address)
-        candidates = [
-            value
-            for value in (
-                estimator.rto() if estimator is not None else None,
-                self._ambient.rto(),
-            )
-            if value is not None
-        ]
-        if not candidates:
-            return None
-        value = max(candidates)
-        self._rto_hist.observe(value)
+        value = self._conservative(address, RttEstimator.rto)
+        if value is not None:
+            self._rto_hist.observe(value)
         return value
 
     def hedge_delay(self, address: Address) -> Optional[float]:
@@ -346,16 +331,22 @@ class HealthMonitor:
         enough to speculate against, and under a global spike the ambient
         term keeps hedges from firing on the network norm.
         """
+        return self._conservative(address, RttEstimator.hedge_delay)
+
+    def _conservative(
+        self, address: Address, bound: Callable[[RttEstimator], Optional[float]]
+    ) -> Optional[float]:
+        """The larger *bound* of the private and ambient estimators."""
         estimator = self._estimators.get(address)
-        candidates = [
+        values = [
             value
             for value in (
-                estimator.hedge_delay() if estimator is not None else None,
-                self._ambient.hedge_delay(),
+                bound(estimator) if estimator is not None else None,
+                bound(self._ambient),
             )
             if value is not None
         ]
-        return max(candidates) if candidates else None
+        return max(values) if values else None
 
     def usable(self, address: Address, now: float) -> bool:
         """False iff the neighbor's breaker is currently open."""

@@ -9,7 +9,7 @@ same protocol without aliasing hazards inside a single-process simulator.)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.descriptors import Address, NodeDescriptor
 from repro.core.query import Query
@@ -17,6 +17,11 @@ from repro.util.intervals import Interval
 
 #: Query identifiers must be globally unique; we use (origin address, counter).
 QueryId = Tuple[Address, int]
+
+
+def mask_dimensions(mask: int) -> List[int]:
+    """The dimensions set in a non-negative bitmask, ascending."""
+    return [dim for dim, bit in enumerate(reversed(bin(mask))) if bit == "1"]
 
 
 @dataclass(frozen=True)
@@ -36,7 +41,9 @@ class QueryMessage:
     index_ranges: Tuple[Interval, ...]
     sigma: Optional[int]
     level: int
-    dimensions: FrozenSet[int]
+    #: The dimensions still to scan at ``level``, as a bitmask (bit k set
+    #: = dimension k remains). The wire carries them as sorted u16s.
+    dimensions: int
     #: Remaining timeout budget T(q) in seconds. Each hop arms its
     #: per-neighbor failure timer with its own budget and hands children a
     #: geometrically smaller one, so a child always gives up (and reports

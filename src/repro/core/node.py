@@ -24,6 +24,12 @@ Control flow follows the paper's pseudo-code line by line:
   replied, either resume forwarding (σ not yet met and levels remain) or
   reply to the parent / complete at the origin.
 
+Failure handling — the timeout ``T(q)`` and what grew around it: adaptive
+timers, hedges, retries, deferral and breaker-aware fail-over — lives in
+:mod:`repro.core.reliability`. This module arms, cancels and sizes no
+timer; it calls that seam when it picks a slot's neighbor, sends a
+forward, receives a reply, completes a query and restarts.
+
 One deliberate deviation from the pseudo-code as printed: after the level-0
 fan-out we set the local level to ``-1`` so the fan-out happens at most once
 and, when *no* C0 member matched, the code falls through to the
@@ -37,7 +43,7 @@ from __future__ import annotations
 import itertools
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.attributes import AttributeSchema
 from repro.core.cells import overlapping_dimensions
@@ -46,6 +52,7 @@ from repro.core.health import HealthConfig, HealthMonitor
 from repro.core.messages import QueryId, QueryMessage, ReplyMessage
 from repro.core.observer import ProtocolObserver
 from repro.core.query import Query
+from repro.core.reliability import BUDGET_DECAY, Outstanding, Reliability
 from repro.core.routing import RoutingTable
 from repro.core.transport import TimerHandle, Transport
 from repro.util.intervals import Interval
@@ -59,30 +66,20 @@ class NodeConfig:
 
     #: Seconds to wait for a reply before presuming the neighbor failed.
     query_timeout: float = 30.0
-    #: Fraction of the remaining timeout budget handed to each child, so
-    #: failure timers deep in the dissemination tree fire before shallow
-    #: ones and partial results propagate back instead of being lost.
-    budget_decay: float = 0.75
     #: Floor for the decayed timeout budget.
     min_timeout: float = 0.5
     #: Minimum slack, in seconds, between a child's timeout budget and the
-    #: parent's failure timer. The decay margin ``budget * (1 - decay)``
-    #: ignores link latency entirely and shrinks to *zero* once budgets hit
-    #: the ``min_timeout`` floor, so deep branches over slow links time out
-    #: at the parent before the child's own reply can arrive, triggering
-    #: spurious retry storms. The failure timer is therefore never armed
-    #: closer than this headroom to the child's budget. Size it to one
-    #: round trip on the deployment's links and no larger: excess headroom
-    #: compounds down the tree (each floored child waits ``min_timeout +
-    #: headroom`` while its parent only allows one headroom of slack), so
-    #: over-sizing it makes parents abandon live branches.
+    #: parent's failure timer, so that a deep branch over slow links can
+    #: reply before its parent gives up on it. Size it to one round trip on
+    #: the deployment's links and no larger: excess headroom compounds down
+    #: the tree (each floored child waits ``min_timeout + headroom`` while
+    #: its parent only allows one headroom of slack), so over-sizing it
+    #: makes parents abandon live branches.
     latency_headroom: float = 0.25
     #: Re-forward to an alternate neighbor after a timeout (Section 4.3).
     #: The paper's churn experiments disable this ("the message is dropped")
     #: to avoid biasing delivery measurements.
     retry_on_timeout: bool = True
-    #: Fallback descriptors kept per neighboring-cell slot.
-    alternates_per_slot: int = 3
     #: Cap on the C0 member list (None = unbounded, as the paper assumes).
     zero_capacity: Optional[int] = None
     #: When a query hits a broken link (an overlapping neighboring cell
@@ -95,44 +92,17 @@ class NodeConfig:
     defer_broken_links: Optional[float] = None
     #: Remember this many completed/seen query ids for duplicate detection.
     seen_history: int = 4096
-    #: Forget seen query ids older than this many seconds (None = keep
-    #: until the ``seen_history`` size bound evicts them). A long-running
-    #: node otherwise pins ``seen_history`` dead ids forever.
-    seen_ttl: Optional[float] = None
-    #: Stretch failure timers by the per-neighbor RTT estimate (Jacobson
-    #: ``srtt + 4*rttvar`` with Karn backoff), scaled by the depth of the
-    #: subtree the timer guards, when that exceeds the static decayed
-    #: budget; and skip neighbors whose circuit breaker is open. The
-    #: static formula is the floor (a subtree reply may legitimately take
-    #: the whole budget window) and the span-scaled ``rto_max`` the
-    #: ceiling, so a spike-inflated estimate can never stall failure
-    #: detection indefinitely.
+    #: Stretch failure timers past the static budget window by the
+    #: per-neighbor RTT estimate, up to a span-scaled ``rto_max``, and skip
+    #: neighbors whose circuit breaker is open (see
+    #: :mod:`repro.core.reliability`).
     adaptive_timeouts: bool = True
     #: Speculatively re-forward a slow branch to the best alternate after a
     #: p99-derived hedge delay (first reply wins; the seen-LRU suppresses
     #: the duplicate exploration on the receiving side, preserving I3).
     hedge: bool = True
-    #: Estimator/breaker/hedging knobs (see :mod:`repro.core.health`).
+    #: Estimator/breaker knobs (see :mod:`repro.core.health`).
     health: HealthConfig = field(default_factory=HealthConfig)
-
-
-@dataclass(slots=True)
-class _Outstanding:
-    """Book-keeping for one entry of the ``waiting`` table."""
-
-    timer: Optional[TimerHandle]
-    slot: Optional[Tuple[int, int]]
-    sent_level: int
-    sent_dimensions: frozenset
-    #: Send time, for RTT sampling when the reply comes back.
-    sent_at: float = 0.0
-    #: True when this entry is a speculative (hedged) copy of a branch.
-    hedged: bool = False
-    #: The other member of a hedge pair (primary <-> hedge), if both are
-    #: still outstanding. First reply wins: it cancels the partner.
-    partner: Optional[Address] = None
-    #: Pending speculation timer for this entry (primaries only).
-    hedge_timer: Optional[TimerHandle] = None
 
 
 @dataclass(slots=True)
@@ -148,14 +118,12 @@ class _PendingQuery:
     parent: Optional[Address]
     budget: float = 30.0
     matching: Dict[Address, NodeDescriptor] = field(default_factory=dict)
-    waiting: Dict[Address, _Outstanding] = field(default_factory=dict)
+    waiting: Dict[Address, Outstanding] = field(default_factory=dict)
     failed: Set[Address] = field(default_factory=set)
     on_complete: Optional[CompletionCallback] = None
     completed: bool = False
-    #: Branches parked on a broken link awaiting gossip repair.
-    deferred: int = 0
-    #: Live defer-retry timers, so completion can cancel parked branches
-    #: instead of leaking timers that fire into a finished query.
+    #: Retry timers of the branches parked on a broken link awaiting
+    #: gossip repair, one per parked branch.
     defer_timers: List[TimerHandle] = field(default_factory=list)
     #: Distinct branches actually opened below this node (fresh
     #: forwards). Denominator of the coverage estimate: a branch that
@@ -170,7 +138,7 @@ class _PendingQuery:
 
     def idle(self) -> bool:
         """No outstanding forwards and no parked branches."""
-        return not self.waiting and self.deferred == 0
+        return not self.waiting and not self.defer_timers
 
     def sigma_met(self) -> bool:
         """True once enough candidates have been collected."""
@@ -191,24 +159,6 @@ class _PendingQuery:
         )
 
 
-def _dimension_mask(dimensions: frozenset) -> int:
-    """The wire form of a dimension set as the node's internal bitmask."""
-    mask = 0
-    for dim in dimensions:
-        mask |= 1 << dim
-    return mask
-
-
-def _dimension_set(mask: int) -> frozenset:
-    """The node's dimension bitmask as the ``frozenset`` messages carry."""
-    dims = []
-    while mask:
-        bit = mask & -mask
-        dims.append(bit.bit_length() - 1)
-        mask ^= bit
-    return frozenset(dims)
-
-
 class ResourceNode:
     """Protocol logic of a single overlay node (transport-agnostic)."""
 
@@ -217,7 +167,7 @@ class ResourceNode:
         "transport",
         "config",
         "observer",
-        "health",
+        "reliability",
         "descriptor",
         "routing",
         "pending",
@@ -239,23 +189,18 @@ class ResourceNode:
         self.transport = transport
         self.config = config or NodeConfig()
         self.observer = observer or ProtocolObserver()
-        #: Per-neighbor failure-detection state, shared with the gossip
-        #: layer when the embedding (e.g. :class:`~repro.sim.host.SimHost`)
-        #: passes one in; standalone nodes build their own cold monitor.
-        self.health = health or HealthMonitor(self.config.health)
         self.descriptor = descriptor
         self.routing = RoutingTable(
             descriptor,
             schema.dimensions,
             schema.max_level,
-            alternates_per_slot=self.config.alternates_per_slot,
             zero_capacity=self.config.zero_capacity,
         )
+        #: Every timer, retry, hedge and fail-over decision of this node.
+        self.reliability = Reliability(self, health)
         self.pending: Dict[QueryId, _PendingQuery] = {}
-        #: Recently seen query ids in LRU order → last-seen timestamp when
-        #: ``seen_ttl`` is set (for expiry), else ``None``; see
-        #: :meth:`_remember`.
-        self._seen: "OrderedDict[QueryId, Optional[float]]" = OrderedDict()
+        #: Recently seen query ids in LRU order; see :meth:`_remember`.
+        self._seen: "OrderedDict[QueryId, None]" = OrderedDict()
         self._query_counter = itertools.count()
         #: Live, rapidly-changing local state checked against the dynamic
         #: constraints of queries (footnote 1 of the paper). Not gossiped,
@@ -268,6 +213,11 @@ class ResourceNode:
     def address(self) -> Address:
         """This node's address."""
         return self.descriptor.address
+
+    @property
+    def health(self) -> HealthMonitor:
+        """This node's per-neighbor failure-detection state."""
+        return self.reliability.health
 
     def update_attributes(self, descriptor: NodeDescriptor) -> None:
         """Adopt a new self-descriptor (the node's attributes changed).
@@ -322,16 +272,7 @@ class ResourceNode:
             budget=self.config.query_timeout,
             on_complete=on_complete,
         )
-        self.pending[query_id] = state
-        self._remember(query_id)
-        matched = self._self_matches(query)
-        self.observer.query_received(self.address, query_id, matched)
-        if matched:
-            state.matching[self.address] = self.descriptor
-        if state.sigma_met():
-            self._complete(query_id, state)
-        else:
-            self._forward(query_id, state)
+        self._admit(query_id, state)
         return query_id
 
     # -- message handling -----------------------------------------------------------
@@ -362,13 +303,17 @@ class ResourceNode:
             index_ranges=message.index_ranges,
             sigma=message.sigma,
             level=message.level,
-            dimensions=_dimension_mask(message.dimensions),
+            dimensions=message.dimensions,
             parent=message.sender,
             budget=message.budget,
         )
+        self._admit(query_id, state)
+
+    def _admit(self, query_id: QueryId, state: _PendingQuery) -> None:
+        """Record a new query, match self, and forward unless σ is met."""
         self.pending[query_id] = state
         self._remember(query_id)
-        matched = self._self_matches(message.query)
+        matched = self._self_matches(state.query)
         self.observer.query_received(self.address, query_id, matched)
         if matched:
             state.matching[self.address] = self.descriptor
@@ -387,80 +332,19 @@ class ResourceNode:
         for descriptor in message.matching:
             state.matching.setdefault(descriptor.address, descriptor)
         outstanding = state.waiting.pop(sender, None)
-        if outstanding is None:
-            if sender in state.failed:
-                # The "failed" neighbor answered after all: the timeout was
-                # spurious. Rehabilitate it (breaker success) and let
-                # retries pick it again.
-                self.observer.spurious_timeout(self.address, sender, query_id)
-                self.health.spurious_timeout()
-                self.health.record_success(sender)
-                state.failed.discard(sender)
+        if not self.reliability.reply_arrived(state, outstanding, message):
             return
-        self._cancel_entry(outstanding)
-        if outstanding.sent_level < 0:
-            # A C0 fan-out reply is an immediate echo — the one reply
-            # whose latency is a clean link round trip. Replies to slot
-            # forwards measure the child's whole subtree exploration, a
-            # span-dependent quantity that must NOT train the link
-            # estimator (the failure timer reconstructs subtree time from
-            # link time by span-scaling; feeding it subtree samples would
-            # compound the span twice).
-            self.health.observe_rtt(
-                sender, self.transport.now() - outstanding.sent_at
-            )
-        else:
-            self.health.record_success(sender)
-        if outstanding.partner is not None:
-            # First reply of a live hedge pair: merge and *detach* — never
-            # cancel the survivor. The seen-LRU splits the subtree between
-            # the two copies (each node under the slot answers whichever
-            # copy reached it first and duplicate-rejects the other), so
-            # the two replies carry disjoint shares of the matches and
-            # both must be awaited; cancelling the one still in flight
-            # would forfeit its share. Cancellation is only ever applied
-            # where it is safe: query completion.
-            partner = state.waiting.get(outstanding.partner)
-            if partner is not None:
-                partner.partner = None
-                if outstanding.hedged:
-                    # Hedge first: its share is merged now (the latency
-                    # win); the primary still carries the branch's
-                    # coverage bookkeeping, so stop here.
-                    if message.matching and not message.duplicate:
-                        self.health.hedge_won()
-                    else:
-                        self.health.hedge_lost()
-                    return
-                # Primary first: the speculation saved no latency. The
-                # detached copy is awaited like a normal branch from here
-                # on (its share merges on reply), so swap its
-                # maximum-patience timer for an ordinary failure window.
-                partner.hedged = False
-                self._rearm_survivor(
-                    query_id, state, outstanding.partner, partner
-                )
-                self.health.hedge_lost()
-        elif outstanding.hedged:
-            # Sole survivor of a pair whose primary already timed out:
-            # the speculation is what kept the branch alive.
-            self.health.hedge_won()
         state.branch_coverage += max(0.0, min(1.0, message.coverage))
+        self._settle(query_id, state)
+
+    def _settle(self, query_id: QueryId, state: _PendingQuery) -> None:
+        """Once no branch is outstanding, resume forwarding or complete."""
         if not state.idle():
             return
         if not state.sigma_met() and state.level >= 0:
             self._forward(query_id, state)
         else:
             self._complete(query_id, state)
-
-    def _cancel_entry(self, outstanding: _Outstanding) -> None:
-        """Cancel the timers attached to one ``waiting`` entry."""
-        if outstanding.timer is not None:
-            self.transport.cancel(outstanding.timer)
-            outstanding.timer = None
-        if outstanding.hedge_timer is not None:
-            self.transport.cancel(outstanding.hedge_timer)
-            outstanding.hedge_timer = None
 
     # -- forwarding (Figure 5, ``forward``) ----------------------------------------
 
@@ -474,8 +358,6 @@ class ResourceNode:
         if state.level == 0:
             state.level = -1  # the C0 fan-out happens exactly once
             self._fan_out_zero(query_id, state)
-            if not state.idle():
-                return
         if state.idle():
             self._complete(query_id, state)
 
@@ -500,7 +382,7 @@ class ResourceNode:
             # explored: remove the dimension so the subtree rooted at the
             # neighbor cannot propagate back (Figure 5, forward line 4).
             state.dimensions ^= bit
-            neighbor = self._usable_neighbor(state, state.level, dim)
+            neighbor = self.reliability.neighbor(state, state.level, dim)
             if neighbor is None:
                 # Empty cell (no link must be maintained) — or a broken
                 # link under churn, in which case the region is lost for
@@ -517,8 +399,8 @@ class ResourceNode:
                 )
                 continue
             self._send_query(
-                query_id, state, neighbor, state.level,
-                _dimension_set(state.dimensions), slot=(state.level, dim),
+                query_id, state, neighbor, state.level, state.dimensions,
+                (state.level, dim),
             )
             return True
         return False
@@ -526,47 +408,12 @@ class ResourceNode:
     def _fan_out_zero(self, query_id: QueryId, state: _PendingQuery) -> None:
         """Fan the query out to the matching members of the own C0 cell."""
         for neighbor in self.routing.zero_neighbors():
-            if neighbor.address in state.matching:
-                continue
-            if neighbor.address in state.failed:
+            address = neighbor.address
+            if address in state.matching or address in state.failed:
                 continue
             if not state.query.matches(neighbor.values):
                 continue
-            self._send_query(
-                query_id, state, neighbor, -1, frozenset(), slot=None
-            )
-
-    def _usable_neighbor(
-        self, state: _PendingQuery, level: int, dim: int
-    ) -> Optional[NodeDescriptor]:
-        neighbor = self.routing.neighbor(level, dim)
-        if neighbor is not None and neighbor.address not in self._excluded(state):
-            return neighbor
-        return self._pick_alternative(state, level, dim)
-
-    def _pick_alternative(
-        self, state: _PendingQuery, level: int, dim: int
-    ) -> Optional[NodeDescriptor]:
-        """Fail-over choice for a slot, avoiding open-circuit peers.
-
-        Preference order: any inhabitant whose breaker is not open, then —
-        when every candidate is suspect — an open-circuit inhabitant after
-        all. Trying a suspect peer costs one (adaptively sized) timeout;
-        dropping the region outright forfeits its matches, so breakers
-        only ever *reorder* fail-over, never shrink reachability.
-        """
-        exclude = self._excluded(state)
-        choice = self.routing.alternative(level, dim, exclude)
-        if choice is None and exclude is not state.failed:
-            choice = self.routing.alternative(level, dim, state.failed)
-        return choice
-
-    def _excluded(self, state: _PendingQuery) -> Set[Address]:
-        """Addresses not to forward to: failed this query or open-circuit."""
-        if not self.config.adaptive_timeouts:
-            return state.failed
-        open_now = self.health.open_addresses(self.transport.now())
-        return state.failed | open_now if open_now else state.failed
+            self._send_query(query_id, state, neighbor, -1, 0, None)
 
     def _send_query(
         self,
@@ -574,356 +421,39 @@ class ResourceNode:
         state: _PendingQuery,
         neighbor: NodeDescriptor,
         level: int,
-        dimensions: frozenset,
+        dimensions: int,
         slot: Optional[Tuple[int, int]],
         fresh: bool = True,
         hedge_of: Optional[Address] = None,
     ) -> None:
-        child_budget = max(
-            self.config.min_timeout,
-            state.budget * self.config.budget_decay,
-        )
+        """Send one QUERY, guarded by the reliability seam's timers.
+
+        *fresh* is False when a retry, deferral or hedge re-opens a
+        branch; *hedge_of* names the primary a hedge copies.
+        """
+        address = neighbor.address
         message = QueryMessage(
-            query_id=query_id,
-            sender=self.address,
-            query=state.query,
-            index_ranges=state.index_ranges,
-            sigma=state.sigma,
-            level=level,
+            query_id=query_id, sender=self.address, query=state.query,
+            index_ranges=state.index_ranges, sigma=state.sigma, level=level,
             dimensions=dimensions,
-            budget=child_budget,
+            budget=max(self.config.min_timeout, state.budget * BUDGET_DECAY),
         )
-        delay, floor = self._failure_delay(
-            state, level, neighbor.address, hedge=hedge_of is not None
+        state.waiting[address] = self.reliability.forward_sent(
+            state, address, message, slot, hedge_of
         )
-        now = self.transport.now()
-        timer = self.transport.call_later(
-            delay,
-            lambda: self._on_timeout(query_id, neighbor.address),
-        )
-        entry = _Outstanding(
-            timer=timer,
-            slot=slot,
-            sent_level=level,
-            sent_dimensions=dimensions,
-            sent_at=now,
-            hedged=hedge_of is not None,
-        )
-        state.waiting[neighbor.address] = entry
         if fresh:
             state.branch_total += 1
-        if hedge_of is not None:
-            entry.partner = hedge_of
-            primary = state.waiting.get(hedge_of)
-            if primary is not None:
-                primary.partner = neighbor.address
-        elif slot is not None:
-            self._maybe_arm_hedge(query_id, state, entry, neighbor.address, floor, delay)
+        dim = slot[1] if slot is not None else None
         self.observer.query_forwarded(
-            self.address,
-            neighbor.address,
-            query_id,
-            level,
-            slot[1] if slot is not None else None,
-            dimensions,
+            self.address, address, query_id, level, dim, dimensions
         )
-        self.transport.send(self.address, neighbor.address, message)
-
-    def _failure_delay(
-        self,
-        state: _PendingQuery,
-        level: int,
-        address: Address,
-        hedge: bool,
-    ) -> Tuple[float, float]:
-        """Failure-timer delay for a forward, plus the child budget floor.
-
-        The failure timer must outlast the child's own budget by enough
-        to cover the round trip, or the parent declares the neighbor
-        dead while its (partial) reply is still in flight and re-forwards
-        — a retry storm under WAN latency. The decay margin provides
-        that slack at the top of the tree but collapses to zero at the
-        min_timeout floor, so enforce an explicit clamped headroom.
-
-        Per-neighbor adaptive timeout: the static decayed budget is the
-        floor — the reply this timer guards is a whole subtree
-        (including the child's own retries), so no RTT estimate, however
-        confident, may undercut the budget window the retry math is
-        sized for. The measured estimate only *extends* the wait, and is
-        scaled by the subtree *span* (hop-layers below the child: levels
-        ``level-1 .. 0`` plus the C0 fan-out) because the reply travels
-        the critical path of that whole subtree, not one round trip — a
-        spike that inflates every hop inflates the top-level reply
-        span-fold. The span-scaled ``rto_max`` bounds the stretch so
-        failure detection never stalls (invariant I1).
-
-        A live hedge copy gets the ceiling outright: while its primary's
-        (normal) timer guards the branch, the copy is a speculative
-        bonus whose only timing duty is to eventually unblock completion
-        if both pair members die. A tight timer on it would re-create
-        the spurious timeouts hedging exists to absorb — the copy's late
-        reply contradicting its own timer. When the copy becomes the
-        branch's sole carrier, ``_rearm_survivor`` restores a normal
-        window.
-        """
-        child_budget = max(
-            self.config.min_timeout,
-            state.budget * self.config.budget_decay,
-        )
-        headroom = min(
-            max(self.config.latency_headroom, 0.0), self.config.query_timeout
-        )
-        floor = child_budget + headroom
-        static_timer = max(state.budget, floor)
-        delay = static_timer
-        if self.config.adaptive_timeouts:
-            rto = self.health.rto(address)
-            if rto is not None:
-                span = max(1, level + 2)
-                ceiling = max(static_timer, span * self.config.health.rto_max)
-                if hedge:
-                    delay = ceiling
-                else:
-                    delay = min(max(static_timer, span * rto), ceiling)
-        return delay, floor
-
-    def _rearm_survivor(
-        self,
-        query_id: QueryId,
-        state: _PendingQuery,
-        address: Address,
-        entry: _Outstanding,
-    ) -> None:
-        """Give a detached hedge copy a normal failure window from now.
-
-        A hedge copy is armed with maximum patience while its primary's
-        timer guards the branch. The moment the copy becomes the
-        branch's sole carrier — the primary replied or timed out — that
-        patience would turn into stalled failure detection (a copy sent
-        to a dead alternate would hold completion open for the full
-        ceiling), so its timer is re-armed with the ordinary adaptive
-        delay, measured from now.
-        """
-        if entry.timer is not None:
-            self.transport.cancel(entry.timer)
-        delay, _ = self._failure_delay(
-            state, entry.sent_level, address, hedge=False
-        )
-        entry.timer = self.transport.call_later(
-            delay, lambda: self._on_timeout(query_id, address)
-        )
-
-    # -- hedged forwards ---------------------------------------------------------------
-
-    def _maybe_arm_hedge(
-        self,
-        query_id: QueryId,
-        state: _PendingQuery,
-        entry: _Outstanding,
-        neighbor: Address,
-        floor: float,
-        timer_delay: float,
-    ) -> None:
-        """Arm a speculation timer for a slot forward, when evidence allows.
-
-        A hedge fires only when the neighbor's estimator has real samples
-        (a p99-style reply-time bound exists), and the hedge delay is both
-        floored at a fraction of the child's budget window — estimators
-        trained on fast exchanges must not speculate against a deep
-        forward whose reply legitimately takes longer than any single
-        round trip — and required to undercut the failure timer by a
-        margin (a hedge firing just before the timeout saves nothing).
-        """
-        if not self.config.hedge:
-            return
-        bound = self.health.hedge_delay(neighbor)
-        if bound is None:
-            return
-        # The estimator's bound is per-link; a slot forward's reply covers
-        # a whole subtree whose depth grows with the level, so scale the
-        # bound by the same span factor the failure timer uses. Without
-        # this, a top-level forward is hedged after a link-scale delay and
-        # the overlay speculates constantly during global slowdowns.
-        span = max(1, entry.sent_level + 2)
-        hedge_delay = max(span * bound, self.config.health.hedge_fraction * floor)
-        if hedge_delay >= 0.9 * timer_delay:
-            return
-        entry.hedge_timer = self.transport.call_later(
-            hedge_delay, lambda: self._fire_hedge(query_id, neighbor)
-        )
-
-    def _fire_hedge(self, query_id: QueryId, primary: Address) -> None:
-        """Speculatively re-forward a slow branch to the best alternate."""
-        state = self.pending.get(query_id)
-        if state is None or state.completed:
-            return
-        outstanding = state.waiting.get(primary)
-        if outstanding is None or outstanding.partner is not None:
-            return
-        outstanding.hedge_timer = None
-        slot = outstanding.slot
-        if slot is None or state.sigma_met():
-            return
-        exclude = self._excluded(state) | set(state.waiting)
-        alternate = self.routing.alternative(slot[0], slot[1], exclude)
-        if alternate is None:
-            return
-        self.observer.query_hedged(
-            self.address, primary, alternate.address, query_id
-        )
-        self.health.hedge_launched()
-        self._send_query(
-            query_id,
-            state,
-            alternate,
-            outstanding.sent_level,
-            outstanding.sent_dimensions,
-            slot=slot,
-            fresh=False,
-            hedge_of=primary,
-        )
-
-    # -- timeouts --------------------------------------------------------------------
-
-    def _on_timeout(self, query_id: QueryId, neighbor: Address) -> None:
-        state = self.pending.get(query_id)
-        if state is None or state.completed:
-            return
-        outstanding = state.waiting.pop(neighbor, None)
-        if outstanding is None:
-            return
-        self._cancel_entry(outstanding)
-        state.failed.add(neighbor)
-        self.observer.neighbor_timeout(self.address, neighbor, query_id)
-        self.routing.remove(neighbor)
-        self.health.record_failure(neighbor, self.transport.now())
-        if outstanding.partner is not None:
-            # The other member of the hedge pair is still in flight and
-            # keeps the branch alive; no retry, no deferral, no drop.
-            partner = state.waiting.get(outstanding.partner)
-            if partner is not None:
-                partner.partner = None
-                if partner.hedged:
-                    # The hedge copy is now the branch's sole carrier:
-                    # trade its maximum-patience timer for an ordinary
-                    # failure window so detection doesn't stall.
-                    self._rearm_survivor(
-                        query_id, state, outstanding.partner, partner
-                    )
-            if outstanding.hedged:
-                self.health.hedge_lost()
-            return
-        if self.config.retry_on_timeout and outstanding.slot is not None:
-            level, dim = outstanding.slot
-            alternate = self._pick_alternative(state, level, dim)
-            if alternate is not None:
-                self._send_query(
-                    query_id,
-                    state,
-                    alternate,
-                    outstanding.sent_level,
-                    outstanding.sent_dimensions,
-                    slot=outstanding.slot,
-                    fresh=False,
-                )
-                return
-        if (
-            self.config.defer_broken_links is not None
-            and outstanding.slot is not None
-        ):
-            # A link we used just broke and no alternate is known: park the
-            # branch and let the gossip layer repair the slot (Section 6.6's
-            # "delay the query until the overlay has been restored").
-            self._defer_branch(
-                query_id,
-                state,
-                outstanding.slot,
-                outstanding.sent_level,
-                outstanding.sent_dimensions,
-            )
-            return
-        # The branch is abandoned for good: no alternate to retry and no
-        # deferral window. Account it exactly once, on this path — the
-        # same event the forward-time drop and the deferral give-up emit.
-        self.observer.query_dropped(
-            self.address, query_id, reason="timeout_exhausted"
-        )
-        if not state.idle():
-            return
-        if not state.sigma_met() and state.level >= 0:
-            self._forward(query_id, state)
-        else:
-            self._complete(query_id, state)
-
-    # -- deferred branches (broken-link repair window) -------------------------------
-
-    def _defer_branch(
-        self,
-        query_id: QueryId,
-        state: _PendingQuery,
-        slot: Tuple[int, int],
-        sent_level: int,
-        sent_dimensions: frozenset,
-    ) -> None:
-        state.deferred += 1
-        self.observer.branch_deferred(self.address, query_id)
-        handle_box: List[TimerHandle] = []
-
-        def fire() -> None:
-            if handle_box:
-                try:
-                    state.defer_timers.remove(handle_box[0])
-                except ValueError:
-                    pass
-            self._retry_deferred(query_id, slot, sent_level, sent_dimensions)
-
-        handle = self.transport.call_later(self.config.defer_broken_links, fire)
-        handle_box.append(handle)
-        state.defer_timers.append(handle)
-
-    def _retry_deferred(
-        self,
-        query_id: QueryId,
-        slot: Tuple[int, int],
-        sent_level: int,
-        sent_dimensions: frozenset,
-    ) -> None:
-        state = self.pending.get(query_id)
-        if state is None or state.completed:
-            return
-        state.deferred -= 1
-        level, dim = slot
-        neighbor = self._pick_alternative(state, level, dim)
-        if neighbor is not None and not state.sigma_met():
-            self._send_query(
-                query_id, state, neighbor, sent_level, sent_dimensions,
-                slot=slot, fresh=False,
-            )
-            return
-        if neighbor is None:
-            self.observer.query_dropped(
-                self.address, query_id, reason="defer_exhausted"
-            )
-        if not state.idle():
-            return
-        if not state.sigma_met() and state.level >= 0:
-            self._forward(query_id, state)
-        else:
-            self._complete(query_id, state)
+        self.transport.send(self.address, address, message)
 
     # -- completion --------------------------------------------------------------------
 
     def _complete(self, query_id: QueryId, state: _PendingQuery) -> None:
         state.completed = True
-        for outstanding in state.waiting.values():
-            self._cancel_entry(outstanding)
-            if outstanding.hedged:
-                self.health.hedge_cancelled()
-        state.waiting.clear()
-        for timer in state.defer_timers:
-            self.transport.cancel(timer)
-        state.defer_timers.clear()
-        state.deferred = 0
+        self.reliability.query_completed(state)
         self.pending.pop(query_id, None)
         descriptors = list(state.matching.values())
         # σ met means the job is done regardless of unexplored regions; a
@@ -967,19 +497,9 @@ class ResourceNode:
         )
 
     def _remember(self, query_id: QueryId) -> None:
-        ttl = self.config.seen_ttl
-        # Without a TTL only the size bound applies: no clock read and no
-        # timestamp to keep per entry.
-        now = None if ttl is None else self.transport.now()
-        self._seen[query_id] = now
+        """Move *query_id* to the fresh end of the bounded seen-LRU."""
+        self._seen[query_id] = None
         self._seen.move_to_end(query_id)
-        if ttl is not None:
-            horizon = now - ttl
-            while self._seen:
-                oldest_id, stamp = next(iter(self._seen.items()))
-                if stamp >= horizon:
-                    break
-                del self._seen[oldest_id]
         while len(self._seen) > self.config.seen_history:
             self._seen.popitem(last=False)
 
@@ -996,12 +516,7 @@ class ResourceNode:
         rather than population turnover. Pending queries and the seen set
         die with the process, exactly as they would in a real restart.
         """
-        for state in self.pending.values():
-            state.completed = True
-            for outstanding in state.waiting.values():
-                self._cancel_entry(outstanding)
-            for timer in state.defer_timers:
-                self.transport.cancel(timer)
+        self.reliability.restart(self.pending.values())
         self.pending.clear()
         self._seen.clear()
         self.dynamic_values.clear()

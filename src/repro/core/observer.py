@@ -27,14 +27,15 @@ class ProtocolObserver:
         query_id: "QueryId",
         level: int,
         dim: Optional[int],
-        dimensions: Sequence[int],
+        dimensions: int,
     ) -> None:
         """A QUERY message left *sender* toward *receiver*.
 
         *level*/*dim* name the neighboring-cell slot the query travelled
         along (``level == -1`` and ``dim is None`` for the C0 fan-out);
-        *dimensions* is the dimension set remaining in the query after
-        the traversed dimension was removed. Fires once per send.
+        *dimensions* is the bitmask of the dimensions remaining in the
+        query after the traversed dimension was removed. Fires once per
+        send.
         """
 
     def query_received(

@@ -19,6 +19,12 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 from repro.core.cells import Slot, ZERO_SLOT, iter_slots, slot_of
 from repro.core.descriptors import Address, NodeDescriptor
 
+#: Fallback descriptors kept per neighboring-cell slot, beside its
+#: selected neighbor. Every engine seeds tables with this many.
+ALTERNATES_PER_SLOT = 3
+#: Bootstrap draws per slot: the selected neighbor plus its alternates.
+PICKS_CAP = 1 + ALTERNATES_PER_SLOT
+
 
 class RoutingTable:
     """Cell-classified link state of one node.
@@ -53,7 +59,7 @@ class RoutingTable:
         owner: NodeDescriptor,
         dimensions: int,
         max_level: int,
-        alternates_per_slot: int = 3,
+        alternates_per_slot: int = ALTERNATES_PER_SLOT,
         zero_capacity: Optional[int] = None,
     ) -> None:
         self.owner = owner

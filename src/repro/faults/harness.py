@@ -436,15 +436,14 @@ def _sweep_nodes(hosts) -> List[str]:
         if node.pending:
             pending_nodes += 1
         parked += sum(
-            state.deferred + len(state.defer_timers)
-            for state in node.pending.values()
+            len(state.defer_timers) for state in node.pending.values()
         )
         if len(node._seen) > node.config.seen_history:
             oversize_seen += 1
     if pending_nodes:
         problems.append(f"{pending_nodes} nodes with non-empty pending tables")
     if parked:
-        problems.append(f"{parked} parked branches / defer timers")
+        problems.append(f"{parked} parked branches")
     if oversize_seen:
         problems.append(f"{oversize_seen} nodes with oversize seen-sets")
     return problems

@@ -160,7 +160,7 @@ class MetricsCollector(ProtocolObserver):
         query_id: QueryId,
         level: int,
         dim: Optional[int],
-        dimensions: Sequence[int],
+        dimensions: int,
     ) -> None:
         self._record(query_id).queries_sent += 1
         self.load[sender] += 1

@@ -37,7 +37,7 @@ from typing import (
 import json
 
 from repro.core.descriptors import Address, NodeDescriptor
-from repro.core.messages import QueryId
+from repro.core.messages import QueryId, mask_dimensions
 from repro.core.observer import ProtocolObserver
 from repro.obs import events as ev
 
@@ -243,7 +243,7 @@ class TraceRecorder(ProtocolObserver):
         query_id: QueryId,
         level: int,
         dim: Optional[int],
-        dimensions: Sequence[int],
+        dimensions: int,
     ) -> None:
         """Record a forward edge with its routing annotation."""
         self._record(
@@ -253,7 +253,7 @@ class TraceRecorder(ProtocolObserver):
             peer=receiver,
             level=level,
             dim=dim,
-            dimensions=tuple(sorted(dimensions)),
+            dimensions=tuple(mask_dimensions(dimensions)),
         )
 
     def query_received(

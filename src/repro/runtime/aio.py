@@ -273,7 +273,7 @@ class AioHost:
                 derive_rng(seed, f"runtime-host:{descriptor.address}"),
                 gossip_config,
                 registry=overlay.registry,
-                health=self.health if config.adaptive_timeouts else None,
+                health=self.node.reliability.gossip_health,
             )
         self.channel = ReliableChannel(
             address=descriptor.address,
@@ -507,15 +507,12 @@ class AioOverlay:
         rng = derive_rng(self.seed, "runtime-population")
         return [await self.add_host(sampler(rng)) for _ in range(count)]
 
-    def bootstrap(self, alternates_per_slot: int = 3) -> None:
+    def bootstrap(self) -> None:
         """Install converged routing tables (no gossip warm-up needed)."""
         from repro.sim.deployment import bootstrap_links
 
         bootstrap_links(
-            list(self.hosts.values()),
-            self.seed,
-            alternates_per_slot=alternates_per_slot,
-            stream="runtime-bootstrap",
+            list(self.hosts.values()), self.seed, stream="runtime-bootstrap"
         )
 
     def start_gossip(self, seeds_per_node: int = 5) -> None:

@@ -64,8 +64,6 @@ class ReliableConfig:
     #: Floor/ceiling for the retransmission timeout (seconds).
     rto_min: float = 0.05
     rto_max: float = 2.0
-    #: Karn backoff cap across consecutive retransmissions.
-    backoff_cap: float = 8.0
     #: Seconds an incomplete reassembly buffer may idle before eviction.
     reassembly_ttl: float = 5.0
     #: At most this many concurrent reassembly buffers per host.
@@ -80,7 +78,6 @@ class ReliableConfig:
         return HealthConfig(
             rto_min=self.rto_min,
             rto_max=self.rto_max,
-            backoff_cap=self.backoff_cap,
             initial_rtt=self.initial_rtt,
         )
 

@@ -293,7 +293,16 @@ class HttpServer:
                 )
                 if not keep_alive:
                     break
-        except (HttpError, asyncio.IncompleteReadError, ConnectionError):
+        except HttpError as exc:
+            # A framing error: answer it, then close the untrusted stream.
+            self._m_requests[exc.status].inc()
+            try:
+                await self._write_response(
+                    writer, exc.status, {"error": exc.detail}, keep_alive=False
+                )
+            except (ConnectionError, OSError):
+                pass
+        except (asyncio.IncompleteReadError, ConnectionError):
             pass
         finally:
             try:
@@ -324,7 +333,10 @@ class HttpServer:
                 raise HttpError(400, "headers too large")
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        declared = headers.get("content-length", "0") or "0"
+        if not (declared.isascii() and declared.isdecimal()):
+            raise HttpError(400, "Content-Length must be a decimal integer")
+        length = int(declared)
         if length > MAX_BODY:
             raise HttpError(413, "body too large")
         body = await reader.readexactly(length) if length else b""

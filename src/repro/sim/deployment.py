@@ -21,7 +21,7 @@ from repro.core.attributes import AttributeSchema, AttributeValue
 from repro.core.descriptors import Address, NodeDescriptor
 from repro.core.index import CellIndex
 from repro.core.node import NodeConfig
-from repro.core.routing import RoutingTable
+from repro.core.routing import PICKS_CAP, RoutingTable
 from repro.core import vector
 from repro.core.store import ground_truth_index
 from repro.core.observer import ProtocolObserver
@@ -113,7 +113,6 @@ def bootstrap_tables(
     seed: int,
     table_for: Callable[[Address], Optional[RoutingTable]],
     schema: AttributeSchema,
-    alternates_per_slot: int = 3,
     stream: str = "bootstrap",
 ) -> None:
     """Seed converged routing tables for a (possibly partial) population.
@@ -138,8 +137,7 @@ def bootstrap_tables(
         index.add(descriptor)
         by_cell[descriptor.coordinates].append(descriptor)
 
-    picks_cap = 1 + alternates_per_slot
-    slot_buckets_of = _slot_buckets_by_cell(index, schema, picks_cap)
+    slot_buckets_of = _slot_buckets_by_cell(index, schema, PICKS_CAP)
     for coordinates, cell_descriptors in by_cell.items():
         # Nodes in the same C0 cell see the same slot buckets; resolve
         # them once per cell. Each node still draws its *own* random
@@ -160,7 +158,6 @@ def bootstrap_tables(
 def bootstrap_links(
     hosts: Sequence[SimHost],
     seed: int,
-    alternates_per_slot: int = 3,
     stream: str = "bootstrap",
 ) -> None:
     """Install the converged routing tables directly (no gossip warm-up).
@@ -183,7 +180,6 @@ def bootstrap_links(
         seed,
         tables.get,
         schema,
-        alternates_per_slot=alternates_per_slot,
         stream=stream,
     )
 
@@ -281,14 +277,10 @@ class Deployment:
                 for _ in range(count)
             ]
 
-    def bootstrap(self, alternates_per_slot: int = 3) -> None:
+    def bootstrap(self) -> None:
         """Install converged routing tables for all current hosts."""
         with paused_gc():
-            bootstrap_links(
-                list(self.hosts.values()),
-                self.seed,
-                alternates_per_slot=alternates_per_slot,
-            )
+            bootstrap_links(list(self.hosts.values()), self.seed)
 
     def start_gossip(self, seeds_per_node: int = 5) -> None:
         """Seed every host with random contacts and start maintenance."""

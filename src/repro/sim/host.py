@@ -86,10 +86,7 @@ class SimHost:
                 self.rng,
                 gossip_config,
                 registry=registry,
-                # A static-timeout node gets a static gossip layer too, so
-                # the chaos harness's compare-static episodes measure the
-                # whole adaptive stack against the whole static one.
-                health=self.health if config.adaptive_timeouts else None,
+                health=self.node.reliability.gossip_health,
             )
         network.attach(descriptor.address, self.handle_message)
         self.alive = True

@@ -62,6 +62,7 @@ from repro.core.descriptors import Address, NodeDescriptor
 from repro.core.node import NodeConfig
 from repro.core.observer import FanoutObserver
 from repro.core.query import Query
+from repro.core.routing import PICKS_CAP
 from repro.core.store import BootstrapPlan, ColumnarCellIndex, DescriptorStore
 from repro.metrics.collectors import MetricsCollector, QueryRecord
 from repro.obs.events import TraceEvent, event_from_dict
@@ -563,7 +564,7 @@ class ShardedDeployment:
             )
             self._next_address += count
 
-    def bootstrap(self, alternates_per_slot: int = 3) -> None:
+    def bootstrap(self) -> None:
         """Spin up the shard workers and seed their converged tables.
 
         The shared bootstrap plan is derived once here (master side,
@@ -596,7 +597,7 @@ class ShardedDeployment:
             return factory
 
         try:
-            self._plan = BootstrapPlan(self._store, 1 + alternates_per_slot)
+            self._plan = BootstrapPlan(self._store, PICKS_CAP)
             if self.mode == "process":
                 # Warm the plan once, master side: the forked children
                 # inherit the materialized caches through copy-on-write

@@ -2,8 +2,10 @@
 with a field-at-a-time reference encoder, and fail-closed decoding and
 encoding."""
 
+import dataclasses
 import math
 import struct
+import timeit
 
 import pytest
 from hypothesis import given, settings
@@ -115,8 +117,11 @@ def query_messages(draw):
         ),
         sigma=draw(st.none() | st.integers(min_value=0, max_value=2**31)),
         level=draw(st.integers(min_value=-1, max_value=SCHEMA.max_level)),
-        dimensions=frozenset(
-            draw(st.sets(st.integers(0, SCHEMA.dimensions + 2), max_size=5))
+        dimensions=sum(
+            1 << dim
+            for dim in draw(
+                st.sets(st.integers(0, SCHEMA.dimensions + 2), max_size=5)
+            )
         ),
         budget=draw(st.floats(min_value=0.0, max_value=3600.0, allow_nan=False)),
     )
@@ -214,8 +219,13 @@ def _reference_payload(message):
             parts.append(_field("B", 0))
         else:
             parts += [_field("B", 1), _field("q", message.sigma)]
-        parts += [_field("i", message.level), _field("H", len(message.dimensions))]
-        parts += [_field("H", dim) for dim in sorted(message.dimensions)]
+        dims = [
+            dim
+            for dim in range(message.dimensions.bit_length())
+            if message.dimensions >> dim & 1
+        ]
+        parts += [_field("i", message.level), _field("H", len(dims))]
+        parts += [_field("H", dim) for dim in dims]
         parts.append(_field("d", message.budget))
         return 1, b"".join(parts)
     if isinstance(message, ReplyMessage):
@@ -295,7 +305,7 @@ RICH_QUERY = QueryMessage(
     index_ranges=((1, 7), (0, 7), (0, 2)),
     sigma=None,
     level=2,
-    dimensions=frozenset(),
+    dimensions=0,
 )
 
 FIXED_MESSAGES = {
@@ -420,7 +430,7 @@ class TestRejection:
             index_ranges=((0, 7), (0, 7), (0, 2)),
             sigma=5,
             level=3,
-            dimensions=frozenset({0, 1, 2}),
+            dimensions=0b111,
         )
         return CODEC.encode(3, message)
 
@@ -564,7 +574,8 @@ class TestFailClosed:
             {"index_ranges": ((0, 1),) * 256},
             {"sigma": 2**63},
             {"level": 2**31},
-            {"dimensions": frozenset({0x10000})},
+            {"dimensions": 1 << 0x10000},
+            {"dimensions": -1},
         ],
     )
     def test_query_field_beyond_its_width_raises_codec_error(self, change):
@@ -578,6 +589,34 @@ class TestFailClosed:
         fields.update(change)
         with pytest.raises(CodecError, match="wire width"):
             CODEC.encode(1, QueryMessage(**fields))
+
+    def test_maximal_dimension_count_decodes_in_linear_time(self):
+        """65,535 wire dimensions near 65535 decode as fast as near 0.
+
+        The entries are wire-controlled: building the bitmask one OR at
+        a time copies an 8 KB integer per entry when the values are
+        high, an order of magnitude slower than for small values.
+        """
+        count = 0xFFFF
+        frame = CODEC.encode(
+            1, dataclasses.replace(RICH_QUERY, dimensions=(1 << count) - 1)
+        )
+        start, stop = len(frame) - 8 - 2 * count, len(frame) - 8
+
+        def with_dimensions(value):
+            entries = struct.pack(f">{count}H", *[value] * count)
+            return frame[:start] + entries + frame[stop:]
+
+        high, low = with_dimensions(0xFFFF), with_dimensions(0)
+        assert CODEC.decode(high)[1].dimensions == 1 << 0xFFFF
+        assert CODEC.decode(low)[1].dimensions == 1
+
+        def fastest(frame):
+            return min(
+                timeit.repeat(lambda: CODEC.decode(frame), number=1, repeat=5)
+            )
+
+        assert fastest(high) < 3 * fastest(low)
 
     def test_frame_sender_beyond_its_width_raises_codec_error(self):
         with pytest.raises(CodecError, match="wire width"):

@@ -9,6 +9,7 @@ bookkeeping, probe candidacy).
 import pytest
 
 from repro.core.health import (
+    BACKOFF_CAP,
     CLOSED,
     HALF_OPEN,
     OPEN,
@@ -72,7 +73,7 @@ class TestRttEstimator:
         assert est.rto() == pytest.approx(min(2.0 * base, config.rto_max))
         for _ in range(10):
             est.on_timeout()
-        assert est.backoff == config.backoff_cap
+        assert est.backoff == BACKOFF_CAP
         assert est.rto() <= config.rto_max
 
     def test_genuine_sample_clears_backoff(self):
@@ -92,7 +93,7 @@ class TestRttEstimator:
         assert slow.rto() == config.rto_max
 
     def test_hedge_delay_gated_by_sample_floor(self):
-        est = RttEstimator(HealthConfig(hedge_min_samples=3))
+        est = RttEstimator(HealthConfig())
         est.observe(0.2)
         est.observe(0.2)
         assert est.hedge_delay() is None
@@ -104,7 +105,7 @@ class TestRttEstimator:
 
 
 class TestCircuitBreaker:
-    CONFIG = HealthConfig(breaker_threshold=3, breaker_reset=30.0)
+    CONFIG = HealthConfig(breaker_reset=30.0)
 
     def test_stays_closed_below_threshold(self):
         breaker = CircuitBreaker(self.CONFIG)
@@ -168,7 +169,7 @@ class TestHealthMonitor:
         assert monitor.rto(1) > fast
 
     def test_hedge_delay_combines_private_and_ambient(self):
-        monitor = HealthMonitor(HealthConfig(hedge_min_samples=3))
+        monitor = HealthMonitor(HealthConfig())
         assert monitor.hedge_delay(7) is None
         for _ in range(3):
             monitor.observe_rtt(1, 0.2)
@@ -176,9 +177,7 @@ class TestHealthMonitor:
         assert monitor.hedge_delay(7) is not None
 
     def test_breaker_lifecycle_through_the_monitor(self):
-        monitor = HealthMonitor(
-            HealthConfig(breaker_threshold=3, breaker_reset=30.0)
-        )
+        monitor = HealthMonitor(HealthConfig(breaker_reset=30.0))
         for t in (1.0, 2.0, 3.0):
             monitor.record_failure(5, t)
         assert not monitor.usable(5, 3.0)

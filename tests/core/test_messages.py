@@ -24,7 +24,7 @@ def make_query_message(schema, **overrides):
         index_ranges=query.index_ranges(),
         sigma=None,
         level=3,
-        dimensions=frozenset({0}),
+        dimensions=0b1,
     )
     fields.update(overrides)
     return QueryMessage(**fields)
@@ -42,11 +42,11 @@ class TestQueryMessage:
     def test_forwarding_creates_new_value(self, schema):
         original = make_query_message(schema)
         forwarded = dataclasses.replace(
-            original, level=2, dimensions=frozenset()
+            original, level=2, dimensions=0
         )
         assert original.level == 3
         assert forwarded.level == 2
-        assert original.dimensions == frozenset({0})
+        assert original.dimensions == 0b1
 
 
 class TestReplyMessage:

@@ -1,8 +1,11 @@
 """Edge-case tests for the node protocol internals."""
 
+from types import SimpleNamespace
+
 from repro.core.messages import QueryMessage, ReplyMessage
 from repro.core.node import NodeConfig
 from repro.core.query import Query
+from repro.faults.harness import _sweep_nodes
 
 from test_node_protocol import build_overlay, run_query
 
@@ -11,7 +14,7 @@ class TestTimeoutBudget:
     def test_children_get_decayed_budget(self):
         coords = [(0, 0), (7, 7)]
         schema, transport, metrics, nodes = build_overlay(
-            coords, config=NodeConfig(query_timeout=10.0, budget_decay=0.5)
+            coords, config=NodeConfig(query_timeout=10.0)
         )
         sent = []
         original_send = transport.send
@@ -24,15 +27,13 @@ class TestTimeoutBudget:
         transport.send = spy
         nodes[0].issue_query(Query.where(schema, d0=(7, None)))
         transport.run()
-        assert sent[0].budget == 5.0  # 10.0 * 0.5
+        assert sent[0].budget == 7.5  # 10.0 * 0.75
 
     def test_budget_floor(self):
         coords = [(0, 0), (7, 7)]
         schema, transport, metrics, nodes = build_overlay(
             coords,
-            config=NodeConfig(
-                query_timeout=1.0, budget_decay=0.1, min_timeout=0.5
-            ),
+            config=NodeConfig(query_timeout=1.0, min_timeout=0.8),
         )
         sent = []
         original_send = transport.send
@@ -45,7 +46,7 @@ class TestTimeoutBudget:
         transport.send = spy
         nodes[0].issue_query(Query.where(schema, d0=(7, None)))
         transport.run()
-        assert sent[0].budget == 0.5  # floored, not 0.1
+        assert sent[0].budget == 0.8  # floored, not 0.75
 
 
 class TestSeenHistory:
@@ -63,7 +64,7 @@ class TestSeenHistory:
         message = QueryMessage(
             query_id=(42, 0), sender=0, query=query,
             index_ranges=query.index_ranges(), sigma=None,
-            level=3, dimensions=frozenset({0, 1}),
+            level=3, dimensions=0b11,
         )
         nodes[1].receive_query(message)
         transport.run()  # completes and leaves pending
@@ -93,7 +94,7 @@ class TestLevelMinusOne:
         message = QueryMessage(
             query_id=(9, 9), sender=0, query=query,
             index_ranges=query.index_ranges(), sigma=None,
-            level=-1, dimensions=frozenset(),
+            level=-1, dimensions=0,
         )
         nodes[1].receive_query(message)
         transport.run()
@@ -116,3 +117,95 @@ class TestReplyMerging:
             ReplyMessage(query_id=qid, sender=1, matching=())
         )
         assert nodes[0].pending == {}
+
+
+class TestRestart:
+    def test_restart_mid_flight_disarms_every_timer(self):
+        """A crash-restart cancels forward, hedge and deferral timers.
+
+        Node 0 holds two queries: one parked on a broken link (its only
+        slot inhabitant, node 3, is dead and has no alternate), and one
+        whose slot forward to a dead primary is guarded by a failure
+        timer plus an armed hedge timer. After restart none of them
+        fires: nothing is sent, retried, hedged or timed out.
+        """
+        coords = [(0, 0), (7, 7), (7, 7), (0, 7)]
+        schema, transport, metrics, nodes = build_overlay(
+            coords,
+            config=NodeConfig(query_timeout=10.0, defer_broken_links=2.0),
+        )
+        origin = nodes[0]
+        primary = origin.routing.neighbor(3, 0).address
+        for _ in range(3):  # enough samples to arm hedges
+            origin.health.observe_rtt(primary, 0.2)
+        transport.disconnect(primary)
+        transport.disconnect(3)
+
+        completed = []
+        parked = origin.issue_query(
+            Query.where(schema, d0=(None, 3), d1=(7, None)),
+            on_complete=lambda qid, found: completed.append(qid),
+        )
+        transport.run()
+        transport.advance(10.5)  # node 3 timed out: the branch parks
+        hedged = origin.issue_query(
+            Query.where(schema, d0=(7, None)),
+            on_complete=lambda qid, found: completed.append(qid),
+        )
+        transport.run()
+        assert len(origin.pending[parked].defer_timers) == 1
+        (forward,) = origin.pending[hedged].waiting.values()
+        assert forward.slot == (3, 0)
+        assert forward.timer is not None
+        assert forward.hedge_timer is not None
+        assert transport.pending_timers == 3
+
+        sent = []
+        original_send = transport.send
+
+        def spy(sender, receiver, message):
+            sent.append((sender, message))
+            original_send(sender, receiver, message)
+
+        transport.send = spy
+        before = {
+            qid: (record.timeouts, record.hedges, record.deferrals)
+            for qid, record in metrics.records.items()
+        }
+        origin.restart()
+        assert transport.pending_timers == 0
+        transport.advance(100.0)
+        assert sent == []
+        assert completed == []
+        assert origin.pending == {}
+        assert {
+            qid: (record.timeouts, record.hedges, record.deferrals)
+            for qid, record in metrics.records.items()
+        } == before
+
+
+class TestLeakSweep:
+    def test_sweep_reports_a_parked_branch(self):
+        """The chaos I2 sweep names a leaked query and its parked branch.
+
+        Node 0's only slot inhabitant for the query, node 2, is dead and
+        has no alternate, so after its failure timer the branch parks on
+        a deferral timer and the query stays pending.
+        """
+        coords = [(0, 0), (7, 7), (0, 7)]
+        schema, transport, metrics, nodes = build_overlay(
+            coords,
+            config=NodeConfig(query_timeout=10.0, defer_broken_links=2.0),
+        )
+        transport.disconnect(2)
+        qid = nodes[0].issue_query(
+            Query.where(schema, d0=(None, 3), d1=(7, None))
+        )
+        transport.run()
+        transport.advance(10.5)
+        assert len(nodes[0].pending[qid].defer_timers) == 1
+        hosts = [SimpleNamespace(node=node) for node in nodes]
+        assert _sweep_nodes(hosts) == [
+            "1 nodes with non-empty pending tables",
+            "1 parked branches",
+        ]

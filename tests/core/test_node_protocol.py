@@ -208,7 +208,7 @@ class TestDuplicates:
             index_ranges=query.index_ranges(),
             sigma=None,
             level=3,
-            dimensions=frozenset({0, 1}),
+            dimensions=0b11,
         )
         nodes[1].receive_query(message)
         nodes[1].receive_query(message)  # duplicate

@@ -2,8 +2,7 @@
 
 Before this fix ``_seen`` grew one entry per distinct query forever: a
 long-running node on a busy deployment leaked memory linearly in query
-volume. It is now an LRU with a hard ``seen_history`` size bound and an
-optional ``seen_ttl`` age bound.
+volume. It is now an LRU with a hard ``seen_history`` size bound.
 """
 
 from repro.core.attributes import AttributeSchema, numeric
@@ -39,7 +38,7 @@ def query_message(schema, query_id):
         index_ranges=query.index_ranges(),
         sigma=None,
         level=3,
-        dimensions=frozenset({0, 1}),
+        dimensions=0b11,
     )
 
 
@@ -96,39 +95,7 @@ class TestSizeBound:
 
 
 class TestTtlBound:
-    def test_entries_expire_after_ttl(self):
-        config = NodeConfig(query_timeout=5.0, seen_ttl=100.0)
-        schema, transport, metrics, node = build_node(config)
-        node.receive_query(query_message(schema, (1, 0)))
-        transport.run()
-        transport.advance(200.0)
-        # Pruning is lazy: it happens when the next query is remembered.
-        node.receive_query(query_message(schema, (2, 0)))
-        transport.run()
-        assert (1, 0) not in node._seen
-        assert (2, 0) in node._seen
-
-    def test_fresh_entries_survive_ttl_pruning(self):
-        config = NodeConfig(query_timeout=5.0, seen_ttl=100.0)
-        schema, transport, metrics, node = build_node(config)
-        node.receive_query(query_message(schema, (1, 0)))
-        transport.run()
-        transport.advance(50.0)
-        node.receive_query(query_message(schema, (2, 0)))
-        transport.run()
-        assert (1, 0) in node._seen
-
-    def test_ttl_entries_carry_their_last_seen_time(self):
-        config = NodeConfig(query_timeout=5.0, seen_ttl=100.0)
-        schema, transport, metrics, node = build_node(config)
-        transport.advance(7.0)
-        node.receive_query(query_message(schema, (1, 0)))
-        transport.run()
-        transport.advance(30.0)
-        node.receive_query(query_message(schema, (1, 0)))  # refresh
-        node.receive_query(query_message(schema, (2, 0)))
-        transport.run()
-        assert list(node._seen.items()) == [((1, 0), 37.0), ((2, 0), 37.0)]
+    """There is no age bound: only the size bound evicts an id."""
 
     def test_no_ttl_stores_no_timestamps(self):
         config = NodeConfig(query_timeout=5.0, seen_history=2)

@@ -62,9 +62,9 @@ class TestMetricsCollector:
     def test_event_accumulation(self):
         collector = MetricsCollector()
         qid = (0, 0)
-        collector.query_forwarded(0, 1, qid, 1, 0, ())
+        collector.query_forwarded(0, 1, qid, 1, 0, 0)
         collector.query_received(1, qid, True)
-        collector.query_forwarded(1, 2, qid, 1, 0, ())
+        collector.query_forwarded(1, 2, qid, 1, 0, 0)
         collector.query_received(2, qid, False)
         collector.reply_sent(2, 1, qid)
         collector.reply_sent(1, 0, qid)
@@ -80,8 +80,8 @@ class TestMetricsCollector:
     def test_load_counts_dispatched_messages(self):
         collector = MetricsCollector()
         qid = (0, 0)
-        collector.query_forwarded(0, 1, qid, 1, 0, ())
-        collector.query_forwarded(0, 2, qid, 1, 0, ())
+        collector.query_forwarded(0, 1, qid, 1, 0, 0)
+        collector.query_forwarded(0, 2, qid, 1, 0, 0)
         collector.reply_sent(1, 0, qid)
         assert collector.load[0] == 2
         assert collector.load[1] == 1
@@ -115,7 +115,7 @@ class TestMetricsCollector:
 
     def test_resets(self):
         collector = MetricsCollector()
-        collector.query_forwarded(0, 1, (0, 0), 1, 0, ())
+        collector.query_forwarded(0, 1, (0, 0), 1, 0, 0)
         collector.reset_load()
         assert collector.load == {}
         assert (0, 0) in collector.records
@@ -124,14 +124,14 @@ class TestMetricsCollector:
 
     def test_consume_opened_returns_single_new_record(self):
         collector = MetricsCollector()
-        collector.query_forwarded(0, 1, (0, 0), 1, 0, ())
+        collector.query_forwarded(0, 1, (0, 0), 1, 0, 0)
         record = collector.consume_opened()
         assert record is not None and record.query_id == (0, 0)
         # Consumed: a second call has nothing new to report.
         assert collector.consume_opened() is None
         # Two records opened since the last consume: ambiguous -> None.
-        collector.query_forwarded(0, 1, (0, 1), 1, 0, ())
-        collector.query_forwarded(0, 2, (0, 2), 1, 0, ())
+        collector.query_forwarded(0, 1, (0, 1), 1, 0, 0)
+        collector.query_forwarded(0, 2, (0, 2), 1, 0, 0)
         assert collector.consume_opened() is None
 
     def test_reset_between_open_and_consume_drops_stale_record(self):
@@ -139,11 +139,11 @@ class TestMetricsCollector:
         # otherwise consume_opened() hands back a record that is no
         # longer in ``records``.
         collector = MetricsCollector()
-        collector.query_forwarded(0, 1, (0, 0), 1, 0, ())
+        collector.query_forwarded(0, 1, (0, 0), 1, 0, 0)
         collector.reset()
         assert collector.consume_opened() is None
         # The next opened record after the reset is reported normally.
-        collector.query_forwarded(0, 1, (0, 7), 1, 0, ())
+        collector.query_forwarded(0, 1, (0, 7), 1, 0, 0)
         record = collector.consume_opened()
         assert record is not None and record.query_id == (0, 7)
 

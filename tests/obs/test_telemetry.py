@@ -17,10 +17,10 @@ class TestTelemetryCollector:
     def test_forwards_count_per_level(self):
         registry = MetricsRegistry()
         collector = MetricsCollector(registry)
-        collector.query_forwarded(17, 5, QID, 3, 0, (1, 2))
-        collector.query_forwarded(5, 9, QID, 3, 1, (2,))
-        collector.query_forwarded(9, 2, QID, 1, 0, ())
-        collector.query_forwarded(2, 4, QID, -1, None, ())
+        collector.query_forwarded(17, 5, QID, 3, 0, 0b110)
+        collector.query_forwarded(5, 9, QID, 3, 1, 0b100)
+        collector.query_forwarded(9, 2, QID, 1, 0, 0)
+        collector.query_forwarded(2, 4, QID, -1, None, 0)
         counters = registry.snapshot()["counters"]
         assert counters["query.forwarded{level=L3}"] == 2
         assert counters["query.forwarded{level=L1}"] == 1

@@ -10,11 +10,11 @@ QID = (17, 0)
 def record_simple_run(tracer):
     """A 4-node dissemination: 17 -> 421 -> {98, 7}; 98 matches."""
     tracer.query_received(17, QID, False)
-    tracer.query_forwarded(17, 421, QID, 3, 0, (1, 2))
+    tracer.query_forwarded(17, 421, QID, 3, 0, 0b110)
     tracer.query_received(421, QID, False)
-    tracer.query_forwarded(421, 98, QID, 2, 1, (2,))
+    tracer.query_forwarded(421, 98, QID, 2, 1, 0b100)
     tracer.query_received(98, QID, True)
-    tracer.query_forwarded(421, 7, QID, -1, None, ())
+    tracer.query_forwarded(421, 7, QID, -1, None, 0)
     tracer.query_received(7, QID, True)
     tracer.reply_sent(98, 421, QID)
     tracer.reply_sent(7, 421, QID)
@@ -40,7 +40,7 @@ class TestTraceRecorder:
         tracer = TraceRecorder(clock=lambda: now["t"])
         tracer.query_received(17, QID, False)
         now["t"] = 2.5
-        tracer.query_forwarded(17, 421, QID, 3, 0, (1, 2))
+        tracer.query_forwarded(17, 421, QID, 3, 0, 0b110)
         times = [event.time for event in tracer.last_trace().events]
         assert times == [0.0, 2.5]
 
@@ -48,7 +48,7 @@ class TestTraceRecorder:
         tracer = TraceRecorder()
         tracer.query_received(17, QID, False)  # no clock yet -> 0.0
         tracer.bind_clock(lambda: 9.0)
-        tracer.query_forwarded(17, 421, QID, 3, 0, (1, 2))
+        tracer.query_forwarded(17, 421, QID, 3, 0, 0b110)
         times = [event.time for event in tracer.last_trace().events]
         assert times == [0.0, 9.0]
 
@@ -82,9 +82,9 @@ class TestHopTree:
         tracer = TraceRecorder()
         qid = (0, 0)
         tracer.query_received(0, qid, False)
-        tracer.query_forwarded(0, 1, qid, 1, 0, ())
+        tracer.query_forwarded(0, 1, qid, 1, 0, 0)
         tracer.query_received(1, qid, True)
-        tracer.query_forwarded(1, 0, qid, 1, 0, ())  # back to the origin
+        tracer.query_forwarded(1, 0, qid, 1, 0, 0)  # back to the origin
         root = tracer.last_trace().hop_tree()
         revisit = root.children[0].children[0]
         assert revisit.address == 0 and revisit.revisit
@@ -103,7 +103,7 @@ class TestHopTree:
         tracer = TraceRecorder()
         qid = (0, 0)
         tracer.query_received(0, qid, False)
-        tracer.query_forwarded(0, 1, qid, 1, 0, ())  # reception lost
+        tracer.query_forwarded(0, 1, qid, 1, 0, 0)  # reception lost
         text = render_hop_tree(tracer.last_trace())
         assert "`-- 1 [l1 d0 dims={}] ?" in text
 
@@ -126,7 +126,7 @@ class TestRender:
         qid = (0, 0)
         tracer.query_received(0, qid, False)
         for peer in range(1, 30):
-            tracer.query_forwarded(0, peer, qid, 1, 0, ())
+            tracer.query_forwarded(0, peer, qid, 1, 0, 0)
             tracer.query_received(peer, qid, True)
         text = render_hop_tree(tracer.last_trace(), max_lines=10)
         assert "(truncated)" in text
@@ -158,7 +158,7 @@ def record_many_runs(tracer, count):
     for origin in range(count):
         qid = (origin, 0)
         tracer.query_received(origin, qid, False)
-        tracer.query_forwarded(origin, origin + 10_000, qid, 1, 0, ())
+        tracer.query_forwarded(origin, origin + 10_000, qid, 1, 0, 0)
         tracer.query_received(origin + 10_000, qid, True)
         tracer.reply_sent(origin + 10_000, origin, qid)
         tracer.query_completed(origin, qid, [origin + 10_000], 1.0)

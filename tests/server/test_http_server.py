@@ -15,6 +15,7 @@ from repro.core.attributes import AttributeSchema, numeric
 from repro.obs.registry import MetricsRegistry
 from repro.runtime.aio import AioOverlay
 from repro.server import (
+    MAX_BODY,
     HttpError,
     HttpServer,
     OverlayQueryService,
@@ -157,6 +158,48 @@ class TestRoutes:
         status, calls = asyncio.run(scenario())
         assert status == 400
         assert calls == 0
+
+    def test_framing_errors_are_answered_with_their_status(self):
+        requests = [
+            b"POST /query HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+            % (MAX_BODY + 1),
+            b"GET /healthz\r\n\r\n",
+            b"POST /query HTTP/1.1\r\nContent-Length: abc\r\n\r\n{}",
+            b"POST /query HTTP/1.1\r\nContent-Length: -1\r\n\r\n{}",
+        ]
+
+        async def scenario():
+            escaped = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: escaped.append(context)
+            )
+            service = _GatedService()
+            server = await _start(service)
+            try:
+                lines = []
+                for raw in requests:
+                    reader, writer = await asyncio.open_connection(
+                        "127.0.0.1", server.port
+                    )
+                    writer.write(raw)
+                    await writer.drain()
+                    lines.append(await reader.readline())
+                    writer.close()
+                    await writer.wait_closed()
+                snapshot = server.registry.snapshot()
+                return lines, escaped, service.calls, snapshot
+            finally:
+                await server.close()
+
+        lines, escaped, calls, snapshot = asyncio.run(scenario())
+        assert [line.split()[1] for line in lines] == [
+            b"413", b"400", b"400", b"400",
+        ]
+        assert escaped == []
+        assert calls == 0
+        counters = snapshot["counters"]
+        assert counters["http.responses{status=413}"] == 1
+        assert counters["http.responses{status=400}"] == 3
 
 
 class TestBackpressure:

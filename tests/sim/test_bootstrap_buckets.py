@@ -18,12 +18,13 @@ from hypothesis import strategies as st
 
 from repro.core.attributes import AttributeSchema, numeric
 from repro.core.cells import neighboring_region
+from repro.core.routing import ALTERNATES_PER_SLOT
 from repro.core.store import BootstrapPlan, DescriptorStore
 from repro.sim.deployment import bootstrap_tables
 from repro.util.rng import derive_rng
 from repro.workloads.distributions import uniform_sampler
 
-ALTERNATES = 3
+ALTERNATES = ALTERNATES_PER_SLOT
 
 
 class RecordingTable:
@@ -81,9 +82,7 @@ def test_seed_slots_buckets_are_disjoint_and_exclude_owner_cell(
     descriptors = list(store.descriptors())
 
     tables = {descriptor.address: RecordingTable() for descriptor in descriptors}
-    bootstrap_tables(
-        descriptors, seed, tables.get, schema, alternates_per_slot=ALTERNATES
-    )
+    bootstrap_tables(descriptors, seed, tables.get, schema)
     plan = BootstrapPlan(store, 1 + ALTERNATES)
     for row, owner in enumerate(descriptors):
         assert_preconditions(owner, tables[owner.address])

@@ -117,7 +117,7 @@ def test_bootstrap_failure_stops_forked_workers(monkeypatch):
 
     from repro.sim.shard import ShardWorker
 
-    def exploding_build(self, alternates_per_slot=3):
+    def exploding_build(self):
         raise RuntimeError("injected build failure")
 
     monkeypatch.setattr(ShardWorker, "build", exploding_build)
