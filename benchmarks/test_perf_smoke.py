@@ -278,11 +278,12 @@ def test_codec_decodes_records_in_one_call(benchmark, monkeypatch):
 def test_memory_footprint_per_node(benchmark):
     """Compact-state gate: tracemalloc-attributed bytes per node.
 
-    The whole per-node cost of a converged deployment — descriptor, host,
-    node, routing table, links — measured with tracemalloc so the number
-    is stable across machines (unlike RSS). Observed ~7.7 KB/node after
-    the slots/interning work; reverting NodeDescriptor/RoutingTable to
-    dict-backed instances costs 1.5-2 KB/node and trips this ceiling.
+    The whole per-node cost of a converged ``sim.Deployment`` — its
+    columnar store, descriptor, host, node, routing table, links —
+    measured with tracemalloc so the number is stable across machines
+    (unlike RSS). Observed ~7.7 KB/node after the slots/interning work;
+    reverting NodeDescriptor/RoutingTable to dict-backed instances costs
+    1.5-2 KB/node and trips this ceiling.
     """
     from repro.util.memory import traced_allocation
 
@@ -306,8 +307,8 @@ def test_columnar_memory_footprint_per_node(benchmark):
     With process-mode workers the hosts live in forked children; what the
     master holds is the columnar population (four numpy columns), the
     shared bootstrap plan, and the shard proxies. tracemalloc-attributed
-    bytes per node gate the columnar path an order of magnitude below the
-    object-path ceiling above — falling back to per-node descriptor
+    bytes per node gate the master an order of magnitude below the
+    whole-``sim.Deployment`` ceiling above — falling back to per-node descriptor
     objects (or pickling them to the workers) trips this immediately.
     """
     from repro.experiments.scale import build_sharded_deployment

@@ -12,12 +12,12 @@ that gives distributed range-query structures their sub-linear lookups.
 
 Both sim engines answer ground truth from
 :class:`repro.core.store.ColumnarCellIndex`, the array form of this
-index (:func:`repro.core.store.ground_truth_index`), and nothing else.
-``CellIndex`` stays as
+index, and every engine derives its bootstrap buckets from
+:class:`repro.core.store.BootstrapPlan`. ``CellIndex`` stays only as
 
-* the oracle the columnar index is property-tested against;
-* the columnar index's churn overlay, small by construction;
-* the C0 grouping of :func:`repro.sim.deployment.bootstrap_tables`.
+* the oracle the columnar index and the plan are property-tested
+  against;
+* the columnar index's churn overlay, small by construction.
 """
 
 from __future__ import annotations

@@ -16,19 +16,21 @@ column                shape / dtype              contents
 ====================  =========================  ==========================
 
 The store is populated by one **vectorized sampler pass**
-(:meth:`DescriptorStore.sample`): a single batched draw from the same
-seeded stream the scalar populate loop consumes, bit-identical draw for
-draw (:func:`repro.util.rng.batched_random`), followed by batch
-value->cell mapping (:func:`repro.core.vector.coordinates_matrix`) and
-cell-key packing (:func:`repro.core.vector.pack_cell_codes`). A sampler
-without the batch hook is drawn by the scalar loop on the same stream
-and stored via :meth:`DescriptorStore.from_descriptors`.
+(:meth:`DescriptorStore.sample`): a single batched draw from the
+deployment's seeded population stream, bit-identical draw for draw to
+``count`` scalar ``sampler(rng)`` calls
+(:func:`repro.util.rng.batched_random`), followed by batch value->cell
+mapping (:func:`repro.core.vector.coordinates_matrix`) and cell-key
+packing (:func:`repro.core.vector.pack_cell_codes`). A sampler without
+the batch hook is drawn by that scalar loop on the same stream and
+stored via :meth:`DescriptorStore.from_descriptors`.
 
 ``NodeDescriptor`` objects are materialized **lazily as flyweights**
 (:meth:`DescriptorStore.descriptor`) only where the object API is
-genuinely needed — routing-table install, wire codec, gossip payloads —
-and cached per row, so a descriptor referenced from sixty routing tables
-still exists once. Everything else reads the arrays directly:
+genuinely needed — hosts, routing-table install, wire codec, gossip
+payloads — and cached per row, so a descriptor referenced from sixty
+routing tables still exists once. Everything else reads the arrays
+directly:
 
 * :class:`CellGrouping` — the sorted-array twin of the ``CellIndex``
   bucket structure: one stable argsort of ``cell_codes`` yields per-cell
@@ -36,23 +38,25 @@ still exists once. Everything else reads the arrays directly:
   ``CellIndex.add`` calls in address order would order them (first-seen
   by lowest member address).
 * :class:`ColumnarCellIndex` — the ground-truth index of both sim
-  engines (:func:`ground_truth_index`): a frozen columnar base plus a
-  removed-row mask and an object ``CellIndex`` overlay for add/remove
-  churn, folded back into a fresh base once the overlay outgrows a fixed
-  fraction of it. ``matching`` is array operations only: box cells,
-  member rows, value mask, then one descriptor lookup per result row.
+  engines: a frozen columnar base plus a removed-row mask and an object
+  ``CellIndex`` overlay for add/remove churn, folded back into a fresh
+  base once the overlay outgrows a fixed fraction of it. ``matching`` is
+  array operations only: box cells, member rows, value mask, then one
+  descriptor lookup per result row.
 * :class:`BootstrapPlan` — the per-cell zero/slot buckets of the
   converged bootstrap, derived once from the grouping; buckets are row
   arrays wrapped in :class:`_RowBucket` lazy sequences so
   ``RoutingTable.seed_zero``/``seed_slots`` run unchanged and only the
-  descriptors actually drawn are materialized. A sharded deployment
-  builds the plan once in the master and forked workers inherit the
-  arrays copy-on-write.
+  descriptors actually drawn are materialized. It is the one slot-bucket
+  derivation: :func:`seed_tables` seeds every table of ``sim.Deployment``
+  and of the asyncio runtime from it, and a sharded deployment builds it
+  once in the master so forked workers inherit the arrays copy-on-write.
 
 Every schema packs its C0 keys into int64 (:class:`AttributeSchema`
 refuses any geometry that does not), so nothing here has a fallback: the
-store is the sharded engine's only population and ``ColumnarCellIndex``
-the only ground-truth index of both sim engines. The object
+store is the population of every sim engine (``sim.Deployment`` keeps it
+as its ground-truth index's base, the sharded master as its own) and
+``ColumnarCellIndex`` the only ground-truth index of both. The object
 ``CellIndex`` is its test oracle and its churn overlay.
 """
 
@@ -60,7 +64,16 @@ from __future__ import annotations
 
 import random
 from operator import attrgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -70,22 +83,15 @@ from repro.core.cells import Coordinates
 from repro.core.descriptors import Address, NodeDescriptor
 from repro.core.index import CellIndex
 from repro.core.query import Query
+from repro.core.routing import PICKS_CAP, RoutingTable
 from repro.util.intervals import Interval
+from repro.util.rng import derive_rng
 
 #: A lookup folds the churn overlay into a fresh columnar base once the
 #: overlay holds more than this fraction of the base's rows. A fold costs
 #: O(N) and comes at most once per ``_FOLD_FRACTION * N`` mutations, so
 #: churn stays amortised O(1) per mutation.
 _FOLD_FRACTION = 0.25
-
-
-def ground_truth_index(
-    schema: AttributeSchema, descriptors: Iterable[NodeDescriptor] = ()
-) -> "ColumnarCellIndex":
-    """The ground-truth index of both sim engines, holding *descriptors*."""
-    return ColumnarCellIndex(
-        DescriptorStore.from_descriptors(schema, descriptors)
-    )
 
 
 class DescriptorStore:
@@ -203,14 +209,25 @@ class DescriptorStore:
     def concat(
         cls, first: "DescriptorStore", second: "DescriptorStore"
     ) -> "DescriptorStore":
-        """Append *second*'s rows after *first*'s (repeated populate)."""
-        return cls(
+        """Append *second*'s rows after *first*'s (repeated populate).
+
+        Both flyweight caches carry over, so every row still reads back
+        as the descriptor object it did before.
+        """
+        store = cls(
             first.schema,
             np.concatenate((first.addresses, second.addresses)),
             np.concatenate((first.values, second.values)),
             np.concatenate((first.coords, second.coords)),
             np.concatenate((first.cell_codes, second.cell_codes)),
         )
+        offset = len(first)
+        store._materialized = dict(first._materialized)
+        store._materialized.update(
+            (row + offset, descriptor)
+            for row, descriptor in second._materialized.items()
+        )
+        return store
 
     # -- row access ----------------------------------------------------------
 
@@ -244,8 +261,8 @@ class DescriptorStore:
     def descriptor(self, row: int) -> NodeDescriptor:
         """The (cached) ``NodeDescriptor`` view of *row*.
 
-        Identical to what the object populate loop would have built:
-        same address, same value tuple, same interned coordinate tuple.
+        Identical to what ``NodeDescriptor.build`` makes of the row's
+        values: same address, same value tuple, same interned coordinates.
         """
         cached = self._materialized.get(row)
         if cached is None:
@@ -461,11 +478,13 @@ class BootstrapPlan:
     The converged bootstrap needs, per occupied C0 cell, the cell's own
     member list (the zero links) and the ``(level, dim, bucket, picks)``
     slot buckets of its non-empty neighboring cells. Both are pure
-    functions of the population, so a sharded build derives them **once**
-    from the columnar grouping — packed per-slot codes over cells, same
-    identity as ``_slot_buckets_by_cell`` — instead of per worker.
-    Buckets hold row arrays (shared across the cells linking to them) and
-    materialize descriptors lazily via :class:`_RowBucket`.
+    functions of the population, so every build derives them **once**
+    from the columnar grouping — packed per-slot codes over cells, one
+    vectorized pass per slot — and a sharded build does so in the master
+    instead of per worker. The scalar ``bucket_key``/``flipped_key``
+    derivation over a ``CellIndex`` is the test oracle. Buckets hold row
+    arrays (shared across the cells linking to them) and materialize
+    descriptors lazily via :class:`_RowBucket`.
     """
 
     __slots__ = (
@@ -500,7 +519,7 @@ class BootstrapPlan:
         # Everything below is one vectorized pass per (level, dim): the
         # sibling-group buckets come out as contiguous slices of one
         # per-pair row permutation (stable sorts keep members in
-        # ascending cell then address order — the object path's extend()
+        # ascending cell then address order — the scalar oracle's extend()
         # sequence), and the per-cell entry rows are assembled with a
         # single lexsort instead of 15 * cells Python-level appends.
         self._buckets: List[_RowBucket] = []
@@ -695,6 +714,49 @@ class BootstrapPlan:
         routing.seed_slots(self._cell_slot_buckets(cell), rng)
 
 
+def bootstrap_rng(
+    seed: int, address: Address, stream: str = "bootstrap"
+) -> random.Random:
+    """The per-node bootstrap draw stream for *address*.
+
+    Each node's slot draws come from its own derived stream instead of
+    one shared sequential stream. The streams are pure functions of
+    ``(seed, stream, address)``, so any worker holding any subset of the
+    population seeds bit-identical tables for the nodes it owns — no
+    replaying (and no draw-consuming) of other nodes' randomness, which
+    is what makes a sharded worker's bootstrap O(owned) instead of O(N).
+    """
+    return derive_rng(seed, f"{stream}:{address}")
+
+
+def seed_tables(
+    store: DescriptorStore,
+    table_for: Callable[[Address], RoutingTable],
+    seed: int,
+    stream: str = "bootstrap",
+) -> None:
+    """Seed the converged table of every node in *store* from one plan.
+
+    For every non-empty neighboring cell ``N(l,k)`` a node draws a
+    *random* inhabitant as its selected neighbor, plus alternates, and it
+    links to every member of its C0 cell. The paper credits this
+    independent selection with spreading links evenly across a cell's
+    inhabitants. *store* is the whole overlay population (the buckets
+    every table samples from span all of it) and *table_for* resolves a
+    stored address to the routing table to seed. Each node draws from
+    its own :func:`bootstrap_rng` stream, so the tables are bit-identical
+    to the ones a sharded worker seeds from the same plan.
+    """
+    plan = BootstrapPlan(store, PICKS_CAP)
+    # Every row is seeded, so every bucket and per-cell slot list gets
+    # touched: warming them in bulk is cheaper than one at a time.
+    plan.materialize()
+    for row, address in enumerate(store.addresses.tolist()):
+        plan.seed_row(
+            row, table_for(address), bootstrap_rng(seed, address, stream)
+        )
+
+
 class ColumnarCellIndex:
     """Ground-truth index over a store, with churn handled as an overlay.
 
@@ -730,7 +792,7 @@ class ColumnarCellIndex:
     @property
     def occupied_cells(self) -> int:
         """Number of C0 cells currently holding at least one descriptor."""
-        return self._folded().cell_count
+        return self.store().grouping().cell_count
 
     # -- mutation ------------------------------------------------------------
 
@@ -752,6 +814,20 @@ class ColumnarCellIndex:
             found = True
         return found
 
+    def extend(self, rows: DescriptorStore) -> None:
+        """Append freshly sampled *rows* to the base (no fold, no overlay).
+
+        Their addresses must be new to the index and above every address
+        already in the base, which keeps the base in address order.
+        """
+        if len(self._store):
+            self._store = DescriptorStore.concat(self._store, rows)
+        else:
+            self._store = rows
+        self._removed = np.concatenate(
+            (self._removed, np.zeros(len(rows), dtype=bool))
+        )
+
     def _fold(self) -> None:
         """Rebuild the base from every live descriptor; empty the overlay."""
         live = np.nonzero(~self._removed)[0].tolist()
@@ -762,11 +838,11 @@ class ColumnarCellIndex:
         self._removed_count = 0
         self._overlay = CellIndex(self.schema)
 
-    def _folded(self) -> CellGrouping:
-        """The grouping of a base holding exactly the live descriptors."""
+    def store(self) -> DescriptorStore:
+        """The base, folded first so it holds exactly the live descriptors."""
         if self._removed_count or len(self._overlay):
             self._fold()
-        return self._store.grouping()
+        return self._store
 
     # -- lookup --------------------------------------------------------------
 
@@ -782,7 +858,7 @@ class ColumnarCellIndex:
 
     def members(self, coordinates: Coordinates) -> Tuple[NodeDescriptor, ...]:
         """All descriptors in the C0 cell identified by *coordinates*."""
-        grouping = self._folded()
+        grouping = self.store().grouping()
         cell = grouping.code_to_cell.get(
             vector.pack_cell_code(coordinates, self.schema.max_level)
         )
@@ -794,7 +870,7 @@ class ColumnarCellIndex:
 
     def cells(self) -> Iterator[Tuple[Coordinates, List[NodeDescriptor]]]:
         """Iterate ``(cell coordinates, member descriptors)`` pairs."""
-        grouping = self._folded()
+        grouping = self.store().grouping()
         intern = self.schema.intern_coordinates
         descriptors_at = self._store.descriptors_at
         for cell, coordinates in enumerate(grouping.cell_coords.tolist()):

@@ -47,11 +47,13 @@ from repro.core.health import HealthMonitor
 from repro.core.node import NodeConfig, ResourceNode
 from repro.core.observer import ProtocolObserver
 from repro.core.query import Query
+from repro.core.store import DescriptorStore, seed_tables
 from repro.core.transport import TimerHandle, Transport
 from repro.faults.model import FaultSchedule
 from repro.gossip.maintenance import GossipConfig, TwoLayerMaintenance
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
 from repro.runtime.reliable import ChannelMetrics, ReliableChannel, ReliableConfig
+from repro.util.errors import HostDownError
 from repro.util.rng import derive_rng
 
 #: A UDP endpoint: ``(ip, port)``.
@@ -384,7 +386,9 @@ class AioHost:
         self.maintenance.start()
 
     def issue_query(self, query: Query, sigma=None, on_complete=None):
-        """Originate a query on this host (event-loop thread only)."""
+        """Originate a query here (event-loop thread); refused if closed."""
+        if self.closed:
+            raise HostDownError(f"origin {self.address} is down")
         return self.node.issue_query(query, sigma=sigma, on_complete=on_complete)
 
     def crash(self) -> None:
@@ -509,10 +513,14 @@ class AioOverlay:
 
     def bootstrap(self) -> None:
         """Install converged routing tables (no gossip warm-up needed)."""
-        from repro.sim.deployment import bootstrap_links
-
-        bootstrap_links(
-            list(self.hosts.values()), self.seed, stream="runtime-bootstrap"
+        seed_tables(
+            DescriptorStore.from_descriptors(
+                self.schema,
+                [host.node.descriptor for host in self.hosts.values()],
+            ),
+            lambda address: self.hosts[address].node.routing,
+            self.seed,
+            stream="runtime-bootstrap",
         )
 
     def start_gossip(self, seeds_per_node: int = 5) -> None:

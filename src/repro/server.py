@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.query import Query
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, HostDownError
 from repro.obs.export import prometheus_text
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
 from repro.runtime.aio import AioOverlay
@@ -151,9 +151,12 @@ class OverlayQueryService:
             if not isinstance(origin, int) or origin not in self.overlay.hosts:
                 raise HttpError(400, f"unknown origin {origin!r}")
         started = time.perf_counter()
-        found = await self.overlay.execute_query(
-            query, sigma=sigma, origin=origin
-        )
+        try:
+            found = await self.overlay.execute_query(
+                query, sigma=sigma, origin=origin
+            )
+        except HostDownError as exc:
+            raise HttpError(400, str(exc)) from exc
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         return {
             "count": len(found),

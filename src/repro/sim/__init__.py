@@ -1,7 +1,7 @@
 """Discrete-event simulation substrate (the PeerSim equivalent)."""
 
 from repro.sim.churn import ContinuousChurn, MassiveFailure, RepeatedFailure
-from repro.sim.deployment import Deployment, ValueSampler, bootstrap_links
+from repro.sim.deployment import Deployment, ValueSampler
 from repro.sim.engine import Event, Simulator
 from repro.sim.host import SimHost
 from repro.sim.latency import (
@@ -18,7 +18,6 @@ __all__ = [
     "RepeatedFailure",
     "Deployment",
     "ValueSampler",
-    "bootstrap_links",
     "Event",
     "Simulator",
     "SimHost",

@@ -1,31 +1,29 @@
 """Deployment: build, bootstrap and drive a simulated overlay.
 
 This is the workhorse behind every experiment. It assembles the simulator,
-network and hosts; populates the attribute space from a sampler; wires
-routing tables either *exactly* (:func:`bootstrap_links`, the converged
-state the gossip stack reaches after warm-up — the paper likewise lets the
+network and hosts; populates the attribute space from a sampler in one
+:meth:`~repro.core.store.DescriptorStore.sample` pass (the stream and
+store the sharded engine uses), whose flyweight descriptors the hosts wrap
+and whose rows are the ground-truth index's base; wires routing tables
+either *exactly* (:meth:`Deployment.bootstrap` seeds the converged state
+the gossip stack reaches after warm-up from one
+:class:`~repro.core.store.BootstrapPlan` — the paper likewise lets the
 overlay converge before measuring) or through the real gossip protocols;
-and provides synchronous query execution plus membership operations used by
-the churn scenarios.
+and provides synchronous query execution plus membership operations used
+by the churn scenarios.
 """
 
 from __future__ import annotations
 
 import random
-from collections import defaultdict
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.core.attributes import AttributeSchema, AttributeValue
 from repro.core.descriptors import Address, NodeDescriptor
-from repro.core.index import CellIndex
 from repro.core.node import NodeConfig
-from repro.core.routing import PICKS_CAP, RoutingTable
-from repro.core import vector
-from repro.core.store import ground_truth_index
 from repro.core.observer import ProtocolObserver
 from repro.core.query import Query
+from repro.core.store import ColumnarCellIndex, DescriptorStore, seed_tables
 from repro.gossip.maintenance import GossipConfig
 from repro.obs.registry import MetricsRegistry
 from repro.sim.engine import Simulator
@@ -37,151 +35,6 @@ from repro.util.rng import derive_rng
 
 #: A sampler draws one node's raw attribute values.
 ValueSampler = Callable[[random.Random], Mapping[str, AttributeValue]]
-
-
-def _slot_buckets_by_cell(
-    index: CellIndex,
-    schema: AttributeSchema,
-    picks_cap: int,
-) -> Dict[Tuple[int, ...], List]:
-    """Per occupied C0 cell, the ``(level, dim, bucket, picks)`` list.
-
-    A node Y lies in N(l,k)(X) iff Y's bucket key under (l,k) equals X's
-    key with the dimension-k component flipped in its lowest bit (same
-    C_l prefix, same halves below k, sibling half at k, free below). All
-    members of a C0 cell share every bucket key, so keys are derived once
-    per occupied cell, not once per node, as one packed-code vector per
-    slot (:func:`repro.core.vector.pack_codes`). The scalar
-    ``bucket_key``/``flipped_key`` derivation is the test oracle.
-
-    :class:`repro.core.store.BootstrapPlan` derives the same buckets from
-    a columnar store, but ``sim.Deployment`` keeps this in-process
-    derivation on purpose. Measured on a 2-vCPU host at N=40,000, routing
-    it through the plan cost 0.21-0.24 s to build the plan plus 0.20 s
-    of ``materialize()``; over 7 interleaved ``scale_single`` pairs
-    (``python3 -m bench``, seed 2009, 20 s) it was worse in all 7 on both
-    ``build_s`` (3.83-4.20 s vs 3.39-3.81 s) and ``capped_ms_p50`` (by
-    2-9 %).
-    """
-    max_level = schema.max_level
-    cell_items = list(index.cells())
-    coords_matrix = np.array(
-        [cell for cell, _ in cell_items], dtype=np.int64
-    ).reshape(-1, schema.dimensions)
-    slot_buckets_of: Dict[Tuple[int, ...], List] = {
-        cell: [] for cell, _ in cell_items
-    }
-    for level in range(1, max_level + 1):
-        for dim in range(schema.dimensions):
-            codes = vector.pack_codes(
-                coords_matrix, level, dim, max_level
-            ).tolist()
-            flipped = vector.pack_codes(
-                coords_matrix, level, dim, max_level, flip=True
-            ).tolist()
-            by_code: Dict[int, List[NodeDescriptor]] = {}
-            for code, (_cell, members) in zip(codes, cell_items):
-                existing = by_code.get(code)
-                if existing is None:
-                    by_code[code] = list(members)
-                else:
-                    existing.extend(members)
-            for code, (cell, _members) in zip(flipped, cell_items):
-                bucket = by_code.get(code)
-                if bucket:
-                    slot_buckets_of[cell].append(
-                        (level, dim, bucket, min(len(bucket), picks_cap))
-                    )
-    return slot_buckets_of
-
-
-def bootstrap_rng(seed: int, address: Address, stream: str = "bootstrap") -> random.Random:
-    """The per-node bootstrap draw stream for *address*.
-
-    Each node's slot draws come from its own derived stream instead of
-    one shared sequential stream. The streams are pure functions of
-    ``(seed, stream, address)``, so any worker holding any subset of the
-    population seeds bit-identical tables for the nodes it owns — no
-    replaying (and no draw-consuming) of other nodes' randomness, which
-    is what makes a sharded worker's bootstrap O(owned) instead of O(N).
-    """
-    return derive_rng(seed, f"{stream}:{address}")
-
-
-def bootstrap_tables(
-    descriptors: Sequence[NodeDescriptor],
-    seed: int,
-    table_for: Callable[[Address], Optional[RoutingTable]],
-    schema: AttributeSchema,
-    stream: str = "bootstrap",
-) -> None:
-    """Seed converged routing tables for a (possibly partial) population.
-
-    *descriptors* is the **whole** overlay population in a deterministic
-    order (the buckets every table samples from span all of it);
-    *table_for* resolves an address to the routing table to seed, or
-    None for nodes this caller does not own (a caller seeding only part
-    of the population). Draws come from per-node streams
-    (:func:`bootstrap_rng`), so unowned nodes cost nothing.
-    """
-    if not descriptors:
-        return
-    max_level = schema.max_level
-    dimensions = schema.dimensions
-
-    # The CellIndex provides the C0 grouping: all nodes sharing a
-    # coordinate vector land in the same cell bucket.
-    index = CellIndex(schema)
-    by_cell: Dict[Tuple[int, ...], List[NodeDescriptor]] = defaultdict(list)
-    for descriptor in descriptors:
-        index.add(descriptor)
-        by_cell[descriptor.coordinates].append(descriptor)
-
-    slot_buckets_of = _slot_buckets_by_cell(index, schema, PICKS_CAP)
-    for coordinates, cell_descriptors in by_cell.items():
-        # Nodes in the same C0 cell see the same slot buckets; resolve
-        # them once per cell. Each node still draws its *own* random
-        # sample per slot — the independent selection the paper credits
-        # for spreading links evenly across cell inhabitants.
-        zero_members = index.members(coordinates)
-        slot_buckets = slot_buckets_of[coordinates]
-        for descriptor in cell_descriptors:
-            routing = table_for(descriptor.address)
-            if routing is None:
-                continue
-            routing.seed_zero(zero_members)  # skips the self-descriptor
-            routing.seed_slots(
-                slot_buckets, bootstrap_rng(seed, descriptor.address, stream)
-            )
-
-
-def bootstrap_links(
-    hosts: Sequence[SimHost],
-    seed: int,
-    stream: str = "bootstrap",
-) -> None:
-    """Install the converged routing tables directly (no gossip warm-up).
-
-    For every node and every neighboring cell ``N(l,k)`` this picks a
-    *random* inhabitant as the selected neighbor — mirroring the randomness
-    of the gossip selection that the paper credits for load balance
-    ("each node selects its neighbors independently ... evenly distributes
-    the links across all nodes of a given cell") — plus a few alternates,
-    and links every node to all members of its C0 cell. Draws come from
-    per-node streams derived from ``(seed, stream, address)``.
-    """
-    if not hosts:
-        return
-    # Any object exposing ``.node`` (SimHost, RuntimeHost) can be linked.
-    schema = hosts[0].node.schema
-    tables = {host.node.descriptor.address: host.node.routing for host in hosts}
-    bootstrap_tables(
-        [host.node.descriptor for host in hosts],
-        seed,
-        tables.get,
-        schema,
-        stream=stream,
-    )
 
 
 class Deployment:
@@ -214,9 +67,12 @@ class Deployment:
         self.registry = registry
         self.hosts: Dict[Address, SimHost] = {}
         #: Live descriptors bucketed by C0 cell — the ground-truth index.
-        #: Maintained incrementally across joins, crashes and attribute
-        #: updates, so ``matching_descriptors`` never scans the population.
-        self.index = ground_truth_index(schema)
+        #: ``populate`` extends its columnar base; joins, crashes and
+        #: attribute updates go through its churn overlay, so
+        #: ``matching_descriptors`` never scans the population.
+        self.index = ColumnarCellIndex(
+            DescriptorStore.from_descriptors(schema, ())
+        )
         self._alive: Dict[Address, SimHost] = {}
         self._alive_descriptors: Optional[List[NodeDescriptor]] = None
         self._next_address = 0
@@ -229,9 +85,16 @@ class Deployment:
         self, values: Mapping[str, AttributeValue]
     ) -> SimHost:
         """Create one host with the given raw attribute values."""
-        address = self._next_address
+        descriptor = NodeDescriptor.build(
+            self._next_address, self.schema, values
+        )
         self._next_address += 1
-        descriptor = NodeDescriptor.build(address, self.schema, values)
+        self.index.add(descriptor)
+        return self._attach(descriptor)
+
+    def _attach(self, descriptor: NodeDescriptor) -> SimHost:
+        """Create the host around *descriptor* (already in the index)."""
+        address = descriptor.address
         host = SimHost(
             descriptor,
             self.schema,
@@ -248,7 +111,6 @@ class Deployment:
         host.watch(self._host_changed)
         self.hosts[address] = host
         self._alive[address] = host
-        self.index.add(descriptor)
         self._alive_descriptors = None
         return host
 
@@ -268,19 +130,39 @@ class Deployment:
     def populate(self, sampler: ValueSampler, count: int) -> List[SimHost]:
         """Create *count* hosts with values drawn from *sampler*.
 
-        The sampler stream persists across calls, so successive batches
-        draw fresh values.
+        One :meth:`~repro.core.store.DescriptorStore.sample` pass: its rows
+        extend the ground-truth index's base and its flyweight descriptors
+        become the hosts'. The sampler stream persists across calls, so
+        successive batches draw fresh values.
         """
         with paused_gc():
+            rows = DescriptorStore.sample(
+                self.schema,
+                sampler,
+                self._population_rng,
+                count,
+                base_address=self._next_address,
+            )
+            self._next_address += count
+            rows.materialize_all()
+            self.index.extend(rows)
             return [
-                self.add_host(sampler(self._population_rng))
-                for _ in range(count)
+                self._attach(descriptor) for descriptor in rows.descriptors()
             ]
 
     def bootstrap(self) -> None:
-        """Install converged routing tables for all current hosts."""
+        """Install converged routing tables for every live host.
+
+        The plan is derived from the ground-truth index's store, which
+        holds exactly the live population: a host that is down at this
+        point is neither seeded nor linked from any other table.
+        """
         with paused_gc():
-            bootstrap_links(list(self.hosts.values()), self.seed)
+            seed_tables(
+                self.index.store(),
+                lambda address: self.hosts[address].node.routing,
+                self.seed,
+            )
 
     def start_gossip(self, seeds_per_node: int = 5) -> None:
         """Seed every host with random contacts and start maintenance."""
@@ -366,8 +248,7 @@ class Deployment:
 
         Served from the cell index: only the cells overlapping the query's
         routing region are examined, so the cost scales with the query's
-        selectivity rather than the population size. The first call folds
-        the descriptors ``populate`` added into the columnar base.
+        selectivity rather than the population size.
         """
         return self.index.matching(query)
 

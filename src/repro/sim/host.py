@@ -15,6 +15,7 @@ from repro.gossip.maintenance import GossipConfig, TwoLayerMaintenance
 from repro.obs.registry import MetricsRegistry
 from repro.sim.latency import nominal_rtt
 from repro.sim.network import SimNetwork, SimTransport
+from repro.util.errors import HostDownError
 
 
 class SimHost:
@@ -191,5 +192,7 @@ class SimHost:
         sigma: Optional[int] = None,
         on_complete: Optional[CompletionCallback] = None,
     ):
-        """Originate a query at this host."""
+        """Originate a query at this host; refused while it is down."""
+        if not self.alive:
+            raise HostDownError(f"origin {self.address} is down")
         return self.node.issue_query(query, sigma=sigma, on_complete=on_complete)

@@ -26,7 +26,7 @@ discrete-event simulation:
   single-process deployment, vectorized when the sampler has a batch
   hook), and every node's bootstrap draws come from its own
   ``derive_rng(seed, f"bootstrap:{address}")`` stream
-  (:func:`~repro.sim.deployment.bootstrap_rng`), so a worker seeds
+  (:func:`~repro.core.store.bootstrap_rng`), so a worker seeds
   tables for exactly the nodes it owns — O(N/S) startup, nothing
   replayed. At the bridge, collected messages are sorted by ``(arrival,
   source shard, send order)`` before injection, so delivery order never
@@ -63,12 +63,17 @@ from repro.core.node import NodeConfig
 from repro.core.observer import FanoutObserver
 from repro.core.query import Query
 from repro.core.routing import PICKS_CAP
-from repro.core.store import BootstrapPlan, ColumnarCellIndex, DescriptorStore
+from repro.core.store import (
+    BootstrapPlan,
+    ColumnarCellIndex,
+    DescriptorStore,
+    bootstrap_rng,
+)
 from repro.metrics.collectors import MetricsCollector, QueryRecord
 from repro.obs.events import TraceEvent, event_from_dict
 from repro.obs.registry import MetricsRegistry, merge_snapshots
 from repro.obs.tracer import TraceRecorder
-from repro.sim.deployment import ValueSampler, bootstrap_rng
+from repro.sim.deployment import ValueSampler
 from repro.sim.engine import Simulator
 from repro.sim.host import SimHost
 from repro.sim.latency import LatencyModel, minimum_latency
@@ -511,9 +516,12 @@ class ShardedDeployment:
         self._rng = derive_rng(seed, "deployment")
         self._population_rng = derive_rng(seed, "population")
         self._next_address = 0
-        self._store = DescriptorStore.from_descriptors(schema, ())
+        #: The ground-truth index. Nothing churns it, so its base is the
+        #: columnar population every worker builds from.
+        self.index = ColumnarCellIndex(
+            DescriptorStore.from_descriptors(schema, ())
+        )
         self._plan: Optional[BootstrapPlan] = None
-        self._index: Optional[ColumnarCellIndex] = None
         #: Per-shard build stats dicts, filled by :meth:`bootstrap`.
         self.build_stats: List[Dict[str, Any]] = []
         self._workers: List[Any] = []
@@ -524,19 +532,12 @@ class ShardedDeployment:
     @property
     def descriptors(self) -> List[NodeDescriptor]:
         """The population as descriptor objects (materialized on demand)."""
-        return list(self._store.descriptors())
-
-    @property
-    def index(self) -> ColumnarCellIndex:
-        """The ground-truth cell index over the store, built on first use."""
-        if self._index is None:
-            self._index = ColumnarCellIndex(self._store)
-        return self._index
+        return list(self.index.store().descriptors())
 
     @property
     def population(self) -> int:
         """Number of sampled nodes."""
-        return len(self._store)
+        return len(self.index)
 
     # -- construction --------------------------------------------------------
 
@@ -544,23 +545,19 @@ class ShardedDeployment:
         """Sample the population — the same stream as ``Deployment``.
 
         One :meth:`~repro.core.store.DescriptorStore.sample` pass into
-        the columnar store: vectorized and bit-identical to the scalar
-        loop when the sampler has a batch hook, that scalar loop when it
-        has none.
+        the ground-truth index's columnar base: vectorized and
+        bit-identical to the scalar loop when the sampler has a batch
+        hook, that scalar loop when it has none.
         """
-        self._index = None
         with paused_gc():
-            chunk = DescriptorStore.sample(
-                self.schema,
-                sampler,
-                self._population_rng,
-                count,
-                base_address=self._next_address,
-            )
-            self._store = (
-                DescriptorStore.concat(self._store, chunk)
-                if len(self._store)
-                else chunk
+            self.index.extend(
+                DescriptorStore.sample(
+                    self.schema,
+                    sampler,
+                    self._population_rng,
+                    count,
+                    base_address=self._next_address,
+                )
             )
             self._next_address += count
 
@@ -576,6 +573,7 @@ class ShardedDeployment:
         """
         if self._workers:
             raise RuntimeError("already bootstrapped")
+        store = self.index.store()
 
         def make_factory(shard_id: int) -> Callable[[], ShardWorker]:
             def factory() -> ShardWorker:
@@ -584,7 +582,7 @@ class ShardedDeployment:
                     self.num_shards,
                     self.schema,
                     self.seed,
-                    self._store,
+                    store,
                     self._plan,
                     latency=self._latency,
                     loss_rate=self._loss_rate,
@@ -597,7 +595,7 @@ class ShardedDeployment:
             return factory
 
         try:
-            self._plan = BootstrapPlan(self._store, PICKS_CAP)
+            self._plan = BootstrapPlan(store, PICKS_CAP)
             if self.mode == "process":
                 # Warm the plan once, master side: the forked children
                 # inherit the materialized caches through copy-on-write
@@ -706,7 +704,7 @@ class ShardedDeployment:
             # Same single draw as Deployment's rng.choice(alive) — choice
             # over a sequence is one _randbelow(len) — without
             # materializing the population as objects.
-            origin = self._store.address_at(
+            origin = self.index.store().address_at(
                 self._rng.choice(range(population))
             )
         shard = origin % self.num_shards

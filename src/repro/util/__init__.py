@@ -1,6 +1,11 @@
 """Shared utilities: interval math, seeded RNG helpers, errors."""
 
-from repro.util.errors import ConfigurationError, ProtocolError, ReproError
+from repro.util.errors import (
+    ConfigurationError,
+    HostDownError,
+    ProtocolError,
+    ReproError,
+)
 from repro.util.intervals import (
     clamp,
     intersect,
@@ -12,6 +17,7 @@ from repro.util.rng import derive_rng, spawn_seeds
 
 __all__ = [
     "ConfigurationError",
+    "HostDownError",
     "ProtocolError",
     "ReproError",
     "clamp",

@@ -21,3 +21,11 @@ class ProtocolError(ReproError):
     Raised, for example, when a node receives a reply for a query it never
     forwarded, which indicates a bug rather than a recoverable condition.
     """
+
+
+class HostDownError(ReproError):
+    """A crashed or closed host was asked to originate a query.
+
+    A dead host sends nothing, so a query issued there could only come
+    back empty, which would read the same as "no match".
+    """

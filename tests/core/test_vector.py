@@ -23,6 +23,9 @@ from repro.core.cells import (
     iter_slots,
     neighboring_region,
 )
+from repro.core.index import CellIndex
+from repro.core.routing import PICKS_CAP
+from repro.core.store import bootstrap_rng
 
 # Geometry strategy: dimensions x max_level kept small enough for the
 # exhaustive checks but covering the non-trivial range.
@@ -149,7 +152,11 @@ def test_coordinates_are_interned(seed, count):
 
 
 def scalar_slot_buckets_by_cell(index, schema, picks_cap):
-    """``_slot_buckets_by_cell`` from the scalar tuple keys of ``cells``."""
+    """Per occupied C0 cell, the ``(level, dim, bucket, picks)`` list.
+
+    Derived from the scalar tuple keys of a ``CellIndex``'s ``cells``: the
+    oracle for :class:`repro.core.store.BootstrapPlan`'s packed codes.
+    """
     cell_items = list(index.cells())
     buckets = defaultdict(list)
     for coordinates, members in cell_items:
@@ -167,35 +174,52 @@ def scalar_slot_buckets_by_cell(index, schema, picks_cap):
     return slot_buckets_of
 
 
-def test_bootstrap_vector_path_matches_scalar(monkeypatch):
-    """End-to-end bit-identity: packed-code and tuple-key buckets agree."""
+def scalar_seed(deployment):
+    """Seed every host's table from the scalar oracle's buckets."""
+    schema = deployment.schema
+    index = CellIndex(schema)
+    for host in deployment.hosts.values():
+        index.add(host.descriptor)
+    slot_buckets_of = scalar_slot_buckets_by_cell(index, schema, PICKS_CAP)
+    for host in deployment.hosts.values():
+        coordinates = host.descriptor.coordinates
+        host.node.routing.seed_zero(index.members(coordinates))
+        host.node.routing.seed_slots(
+            slot_buckets_of[coordinates],
+            bootstrap_rng(deployment.seed, host.address),
+        )
+
+
+def routing_tables(deployment):
+    """Every host's links and alternates, by address."""
+    return {
+        address: (
+            sorted(
+                (str(host.node.routing._locate(a)), a)
+                for a in host.node.routing.addresses()
+            ),
+            [
+                (slot, [d.address for d in alternates])
+                for slot, alternates in sorted(
+                    host.node.routing._alternates.items()
+                )
+            ],
+        )
+        for address, host in deployment.hosts.items()
+    }
+
+
+def test_bootstrap_vector_path_matches_scalar():
+    """End-to-end bit-identity: plan-seeded and tuple-key tables agree."""
     from repro.experiments.config import PAPER_PEERSIM
     from repro.experiments.harness import build_deployment
-    from repro.sim import deployment as deployment_module
+    from repro.sim.deployment import Deployment
+    from repro.workloads.distributions import uniform_sampler
 
-    def tables(scalar):
-        with monkeypatch.context() as patch:
-            if scalar:
-                patch.setattr(
-                    deployment_module,
-                    "_slot_buckets_by_cell",
-                    scalar_slot_buckets_by_cell,
-                )
-            deployment, _metrics = build_deployment(PAPER_PEERSIM.scaled(400))
-            return {
-                address: (
-                    sorted(
-                        (str(host.node.routing._locate(a)), a)
-                        for a in host.node.routing.addresses()
-                    ),
-                    [
-                        (slot, [d.address for d in alternates])
-                        for slot, alternates in sorted(
-                            host.node.routing._alternates.items()
-                        )
-                    ],
-                )
-                for address, host in deployment.hosts.items()
-            }
-
-    assert tables(scalar=False) == tables(scalar=True)
+    config = PAPER_PEERSIM.scaled(400)
+    planned, _metrics = build_deployment(config)
+    schema = config.schema()
+    oracle = Deployment(schema, seed=config.seed)
+    oracle.populate(uniform_sampler(schema), config.network_size)
+    scalar_seed(oracle)
+    assert routing_tables(planned) == routing_tables(oracle)

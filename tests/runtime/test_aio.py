@@ -16,6 +16,7 @@ from repro.gossip.maintenance import GossipConfig
 from repro.gossip.messages import CyclonRequest
 from repro.obs.registry import MetricsRegistry
 from repro.runtime.aio import AioOverlay
+from repro.util.errors import HostDownError
 from repro.workloads.distributions import uniform_sampler
 
 
@@ -83,6 +84,26 @@ class TestRuntimeParity:
 
 
 class TestAioOverlay:
+    def test_crashed_origin_refuses_the_query(self, schema):
+        """A crashed host raises instead of timing out into ``[]``."""
+
+        async def scenario():
+            async with AioOverlay(
+                schema, seed=7, registry=MetricsRegistry()
+            ) as overlay:
+                await overlay.populate(uniform_sampler(schema), 16)
+                overlay.bootstrap()
+                overlay.hosts[5].crash()
+                sent = overlay.metrics.datagrams_sent.value
+                with pytest.raises(HostDownError, match="origin 5 is down"):
+                    await overlay.execute_query(
+                        Query.where(schema), origin=5, timeout=2.0
+                    )
+                return sent, overlay.metrics.datagrams_sent.value
+
+        sent_before, sent_after = asyncio.run(scenario())
+        assert sent_after == sent_before
+
     def test_query_over_real_udp_sockets(self, schema):
         async def scenario():
             registry = MetricsRegistry()

@@ -134,6 +134,33 @@ class TestRoutes:
         assert missing[0] == 404
         assert bad[0] == 400
 
+    def test_crashed_origin_is_400(self, schema):
+        """A down origin gets a typed 400, not a timeout or an empty 200."""
+
+        async def scenario():
+            registry = MetricsRegistry()
+            async with AioOverlay(schema, seed=21) as overlay:
+                await overlay.populate(uniform_sampler(schema), 16)
+                overlay.bootstrap()
+                overlay.hosts[5].crash()
+                server = await serve_overlay(
+                    overlay, ServeConfig(port=0, request_timeout=2.0),
+                    registry,
+                )
+                try:
+                    response = await http_request(
+                        "127.0.0.1", server.port, "POST", "/query",
+                        {"constraints": {}, "origin": 5},
+                    )
+                finally:
+                    await server.close()
+            return response, registry.snapshot()["counters"]
+
+        (status, body), counters = asyncio.run(scenario())
+        assert status == 400
+        assert body == {"error": "origin 5 is down"}
+        assert counters["http.responses{status=400}"] == 1
+
     def test_malformed_json_is_400(self, schema):
         async def scenario():
             service = _GatedService()

@@ -4,11 +4,11 @@
 classification, no self check, no already-known check — because the
 buckets it receives are, by the cell geometry, pairwise disjoint, free
 of the owner and free of its C0 cell-mates, and each lies inside its own
-slot's neighboring cell. This test holds both bucket derivations to
-those preconditions over random geometries and populations: the
-in-process one of ``sim.Deployment`` (``_slot_buckets_by_cell``, via
-``bootstrap_tables``) and the columnar ``BootstrapPlan`` of the sharded
-engine. It records exactly what each hands to the table.
+slot's neighboring cell. This test holds the one bucket derivation,
+:class:`~repro.core.store.BootstrapPlan`, to those preconditions over
+random geometries and populations, and to the scalar tuple-key oracle
+(``scalar_slot_buckets_by_cell``): same zero members, same buckets, same
+order. It records exactly what the plan hands to the table.
 """
 
 import random
@@ -18,11 +18,12 @@ from hypothesis import strategies as st
 
 from repro.core.attributes import AttributeSchema, numeric
 from repro.core.cells import neighboring_region
+from repro.core.index import CellIndex
 from repro.core.routing import ALTERNATES_PER_SLOT
 from repro.core.store import BootstrapPlan, DescriptorStore
-from repro.sim.deployment import bootstrap_tables
 from repro.util.rng import derive_rng
 from repro.workloads.distributions import uniform_sampler
+from tests.core.test_vector import scalar_slot_buckets_by_cell
 
 ALTERNATES = ALTERNATES_PER_SLOT
 
@@ -61,6 +62,13 @@ def assert_preconditions(owner, table):
         assert all(region.contains(d.coordinates) for d in bucket)
 
 
+def by_address(slot_buckets):
+    return [
+        (level, dim, [d.address for d in bucket], picks)
+        for level, dim, bucket, picks in slot_buckets
+    ]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     dimensions=st.integers(1, 4),
@@ -80,20 +88,19 @@ def test_seed_slots_buckets_are_disjoint_and_exclude_owner_cell(
         population,
     )
     descriptors = list(store.descriptors())
+    index = CellIndex(schema)
+    for descriptor in descriptors:
+        index.add(descriptor)
+    oracle = scalar_slot_buckets_by_cell(index, schema, 1 + ALTERNATES)
 
-    tables = {descriptor.address: RecordingTable() for descriptor in descriptors}
-    bootstrap_tables(descriptors, seed, tables.get, schema)
     plan = BootstrapPlan(store, 1 + ALTERNATES)
     for row, owner in enumerate(descriptors):
-        assert_preconditions(owner, tables[owner.address])
         planned = RecordingTable()
         plan.seed_row(row, planned, random.Random(seed))
         assert_preconditions(owner, planned)
-        # Both derivations hand over the same buckets in the same order.
-        assert [
-            (level, dim, [d.address for d in bucket], picks)
-            for level, dim, bucket, picks in planned.slots
-        ] == [
-            (level, dim, [d.address for d in bucket], picks)
-            for level, dim, bucket, picks in tables[owner.address].slots
-        ]
+        # The plan hands over the oracle's cell-mates and buckets, in the
+        # oracle's order.
+        assert planned.zero == list(index.members(owner.coordinates))
+        assert by_address(planned.slots) == by_address(
+            oracle[owner.coordinates]
+        )

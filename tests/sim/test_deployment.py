@@ -8,6 +8,7 @@ from repro.core.query import Query
 from repro.metrics.collectors import MetricsCollector
 from repro.sim.deployment import Deployment
 from repro.sim.shard import ShardedDeployment
+from repro.util.errors import HostDownError
 from repro.util.rng import derive_rng
 from repro.workloads.distributions import normal_sampler, uniform_sampler
 from repro.workloads.queries import aligned_selectivity_query, random_box_query
@@ -84,6 +85,36 @@ class TestMembership:
         victims = deployment.kill_fraction(0.3)
         assert len(victims) == 30
         assert len(deployment.alive_hosts()) == 70
+
+    def test_crashed_origin_refuses_the_query(self, schema):
+        """A dead origin raises instead of returning a silent ``[]``."""
+        deployment, metrics = build(schema, 200)
+        deployment.kill(5)
+        sent = deployment.network.messages_sent
+        with pytest.raises(HostDownError, match="origin 5 is down"):
+            deployment.execute_query(Query.where(schema), origin=5)
+        assert deployment.network.messages_sent == sent
+        assert not any(qid[0] == 5 for qid in metrics.records)
+        deployment.restart(5)
+        assert deployment.execute_query(Query.where(schema), origin=5)
+
+    def test_hosts_dead_at_bootstrap_are_neither_seeded_nor_linked(
+        self, schema
+    ):
+        """The plan covers the index's live population, nothing else."""
+        deployment = Deployment(schema, seed=5)
+        deployment.populate(uniform_sampler(schema), 120)
+        dead = {3, 40, 77}
+        for address in dead:
+            deployment.kill(address)
+        deployment.bootstrap()
+        for address, host in deployment.hosts.items():
+            routing = host.node.routing
+            if address in dead:
+                assert routing.link_count() == 0
+            else:
+                assert routing.link_count() > 0
+                assert dead.isdisjoint(routing.addresses())
 
     def test_execute_query_needs_live_hosts(self, schema):
         deployment, _ = build(schema, 10)
@@ -188,6 +219,21 @@ class TestGroundTruth:
                     host.update_attributes(sampler(rng))
             deployment.join(sampler(rng))
             self.assert_ground_truth(deployment, rng)
+
+    def test_repeated_populate_extends_the_base(self, schema):
+        """Batches around a join share one base, holding the hosts' objects."""
+        deployment = Deployment(schema, seed=5)
+        sampler = uniform_sampler(schema)
+        deployment.populate(sampler, 60)
+        deployment.add_host(sampler(derive_rng(5, "joiner")))
+        deployment.populate(sampler, 40)
+        assert sorted(deployment.hosts) == list(range(101))
+        assert len(deployment.index) == 101
+        for address, host in deployment.hosts.items():
+            assert deployment.index.get(address) is host.descriptor
+        self.assert_ground_truth(deployment, derive_rng(5, "probe"))
+        deployment.bootstrap()
+        self.assert_ground_truth(deployment, derive_rng(5, "probe"))
 
     @pytest.mark.parametrize(
         "make_sampler", [uniform_sampler, normal_sampler],

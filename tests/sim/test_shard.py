@@ -88,6 +88,37 @@ def test_sharded_process_mode_is_bit_identical(
     assert run_engine(num_shards, mode="process") == single_process_fingerprint
 
 
+def routing_snapshot(hosts):
+    """Per address: primary link and alternates per slot, zero links."""
+    snapshot = {}
+    for address, host in hosts.items():
+        routing = host.node.routing
+        snapshot[address] = (
+            sorted(
+                (slot, routing.neighbor(*slot).address)
+                for slot in routing.filled_slots()
+            ),
+            sorted(
+                (slot, [d.address for d in alternates])
+                for slot, alternates in routing._alternates.items()
+            ),
+            [d.address for d in routing.zero_neighbors()],
+        )
+    return snapshot
+
+
+@pytest.mark.parametrize("num_shards", [1, 2])
+def test_bootstrap_tables_match_the_single_process_engine(num_shards):
+    """Every engine seeds the same converged tables from one plan."""
+    config = PAPER_PEERSIM.scaled(1_000)
+    single, _ = build_deployment(config)
+    sharded, _ = build_sharded_deployment(config, num_shards=num_shards)
+    hosts = {}
+    for worker in sharded._workers:
+        hosts.update(worker.hosts)
+    assert routing_snapshot(hosts) == routing_snapshot(single.hosts)
+
+
 def test_sharded_runs_are_repeatable():
     assert run_engine(3) == run_engine(3)
 
