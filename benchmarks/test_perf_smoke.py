@@ -302,40 +302,44 @@ def test_memory_footprint_per_node(benchmark):
 
 
 def test_columnar_memory_footprint_per_node(benchmark):
-    """Columnar-state gate: the sharded master stays under 2 KB/node.
+    """Columnar-state gate: population + bootstrap plan under 2 KB/node.
 
-    With process-mode workers the hosts live in forked children; what the
-    master holds is the columnar population (four numpy columns), the
-    shared bootstrap plan, and the shard proxies. tracemalloc-attributed
-    bytes per node gate the master an order of magnitude below the
-    whole-``sim.Deployment`` ceiling above — falling back to per-node descriptor
-    objects (or pickling them to the workers) trips this immediately.
+    What every engine builds before any host exists: the columnar
+    population (four numpy columns, sampled by
+    ``ShardedDeployment.populate``) and the shared bootstrap plan derived
+    from it. tracemalloc-attributed bytes per node gate that state an
+    order of magnitude below the whole-``sim.Deployment`` ceiling above —
+    falling back to per-node descriptor objects trips this immediately.
     """
-    from repro.experiments.scale import build_sharded_deployment
+    from repro.core.routing import PICKS_CAP
+    from repro.core.store import BootstrapPlan
+    from repro.sim.shard import ShardedDeployment
     from repro.util.memory import traced_allocation
+    from repro.workloads.distributions import uniform_sampler
 
+    config = PAPER_PEERSIM.scaled(SMOKE_N)
+    schema = config.schema()
     holder: list = []
 
     def build_traced():
         with traced_allocation(holder):
-            return build_sharded_deployment(
-                PAPER_PEERSIM.scaled(SMOKE_N), num_shards=2, mode="process"
-            )
+            deployment = ShardedDeployment(schema, seed=config.seed)
+            deployment.populate(uniform_sampler(schema), SMOKE_N)
+            plan = BootstrapPlan(deployment.index.store(), PICKS_CAP)
+            return deployment, plan
 
-    deployment, _ = run_once(benchmark, build_traced)
-    try:
-        bytes_per_node = holder[0] / SMOKE_N
-        assert bytes_per_node < 2_048, (
-            f"columnar footprint regressed: {bytes_per_node:.0f} bytes/node"
-        )
-    finally:
-        deployment.close()
+    deployment, _plan = run_once(benchmark, build_traced)
+    assert deployment.population == SMOKE_N
+    bytes_per_node = holder[0] / SMOKE_N
+    assert bytes_per_node < 2_048, (
+        f"columnar footprint regressed: {bytes_per_node:.0f} bytes/node"
+    )
 
 
 def test_sharded_startup_work_is_partitioned(benchmark):
     """Sublinear-startup gate, counter-based (immune to machine noise).
 
-    Each process-mode worker must bootstrap only the nodes it owns:
+    Each shard worker must bootstrap only the nodes it owns:
     ``visited_nodes`` counts the nodes whose bootstrap draws the worker
     consumed. A regression to replaying the full population per worker
     (the pre-columnar behavior) makes every worker visit all N nodes and
@@ -347,19 +351,16 @@ def test_sharded_startup_work_is_partitioned(benchmark):
     deployment, _ = run_once(
         benchmark,
         lambda: build_sharded_deployment(
-            PAPER_PEERSIM.scaled(SMOKE_N), num_shards=num_shards, mode="process"
+            PAPER_PEERSIM.scaled(SMOKE_N), num_shards=num_shards
         ),
     )
-    try:
-        stats = deployment.build_stats
-        assert len(stats) == num_shards
-        assert sum(entry["visited_nodes"] for entry in stats) == SMOKE_N
-        for entry in stats:
-            assert entry["visited_nodes"] == entry["hosts"]
-            assert entry["visited_nodes"] < SMOKE_N  # strictly sublinear
-            assert entry["visited_nodes"] <= SMOKE_N // num_shards + 1
-    finally:
-        deployment.close()
+    stats = deployment.build_stats
+    assert len(stats) == num_shards
+    assert sum(entry["visited_nodes"] for entry in stats) == SMOKE_N
+    for entry in stats:
+        assert entry["visited_nodes"] == entry["hosts"]
+        assert entry["visited_nodes"] < SMOKE_N  # strictly sublinear
+        assert entry["visited_nodes"] <= SMOKE_N // num_shards + 1
 
 
 def test_telemetry_overhead_is_bounded(benchmark):

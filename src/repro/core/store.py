@@ -50,7 +50,7 @@ directly:
   descriptors actually drawn are materialized. It is the one slot-bucket
   derivation: :func:`seed_tables` seeds every table of ``sim.Deployment``
   and of the asyncio runtime from it, and a sharded deployment builds it
-  once in the master so forked workers inherit the arrays copy-on-write.
+  once and shares it with every shard worker.
 
 Every schema packs its C0 keys into int64 (:class:`AttributeSchema`
 refuses any geometry that does not), so nothing here has a fallback: the
@@ -295,7 +295,7 @@ class DescriptorStore:
 
         One ``tolist`` per column instead of one per row — ~3x cheaper
         than looping :meth:`descriptor` when the whole population is
-        needed anyway (the pre-fork plan warm-up).
+        needed anyway (:meth:`BootstrapPlan.materialize`).
         """
         materialized = self._materialized
         if len(materialized) == len(self.addresses):
@@ -311,10 +311,6 @@ class DescriptorStore:
                     values=tuple(values[row]),
                     coordinates=intern(tuple(coords[row])),
                 )
-
-    def trim_materialized(self) -> None:
-        """Drop the flyweight cache (rebuilt lazily on next access)."""
-        self._materialized.clear()
 
     @property
     def materialized_count(self) -> int:
@@ -664,11 +660,9 @@ class BootstrapPlan:
     def materialize(self) -> None:
         """Warm every lazy cache: flyweights, buckets, per-cell slots.
 
-        Called master-side right before forking process workers: the
-        children then inherit the fully materialized plan through
-        copy-on-write pages instead of each re-deriving it — the warm-up
-        runs once instead of once per shard. :meth:`trim` is the
-        inverse, releasing the master's copy after the builds finish.
+        Worth it when every row is about to be seeded
+        (:func:`seed_tables`): the bulk passes below are cheaper than
+        filling the caches one touched bucket at a time.
         """
         store = self._store
         store.materialize_all()
@@ -688,20 +682,6 @@ class BootstrapPlan:
                 bucket._descriptors = flyweights[bucket._rows].tolist()
         for cell in range(self._grouping.cell_count):
             self._cell_slot_buckets(cell)
-
-    def trim(self) -> None:
-        """Release every cache :meth:`materialize` warmed.
-
-        Only the master calls this (after its forked workers have built);
-        the children keep their inherited copies. Everything trimmed here
-        is rebuilt lazily if touched again.
-        """
-        self._slot_cache.clear()
-        for bucket in self._zero:
-            bucket._descriptors = None
-        for bucket in self._buckets:
-            bucket._descriptors = None
-        self._store.trim_materialized()
 
     def seed_row(self, row: int, routing, rng: random.Random) -> None:
         """Install row *row*'s converged table into *routing* using *rng*.

@@ -38,11 +38,12 @@ def build_sharded_deployment(
     sampled per-shard tracer whose events merge through
     ``deployment.trace_events()``.
 
-    Construction is failure-safe: if populate or bootstrap raises, the
-    deployment is closed (stopping any process-mode workers already
-    forked) before the error propagates. The populate and bootstrap
-    phases report to the active :mod:`repro.obs.profile` profiler.
+    Every shard runs in-process; *mode* accepts only ``"inline"``. The
+    populate and bootstrap phases report to the active
+    :mod:`repro.obs.profile` profiler.
     """
+    if mode != "inline":
+        raise ValueError(f"unknown shard mode {mode!r}")
     schema = config.schema()
     latency, loss = latency_for_testbed(config.testbed)
     deployment = ShardedDeployment(
@@ -52,19 +53,14 @@ def build_sharded_deployment(
         latency=latency,
         loss_rate=loss,
         node_config=config.node_config(),
-        mode=mode,
         telemetry=telemetry,
         trace_sample_rate=trace_sample_rate,
         trace_seed=trace_seed,
     )
-    try:
-        with profile.phase("populate", deployment.simulator):
-            deployment.populate(
-                sampler or uniform_sampler(schema), config.network_size
-            )
-        with profile.phase("bootstrap", deployment.simulator):
-            deployment.bootstrap()
-    except BaseException:
-        deployment.close()
-        raise
+    with profile.phase("populate", deployment.simulator):
+        deployment.populate(
+            sampler or uniform_sampler(schema), config.network_size
+        )
+    with profile.phase("bootstrap", deployment.simulator):
+        deployment.bootstrap()
     return deployment, deployment.metrics

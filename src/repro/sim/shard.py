@@ -35,16 +35,11 @@ discrete-event simulation:
   sharded run yields **bit-identical** per-query
   delivery/overhead/duplicate metrics to the single-process engine —
   verified by ``tests/sim/test_shard.py`` and the CI determinism gate.
-* **Workers.** The default ``mode="inline"`` runs every shard in-process
-  (deterministic partitioning plus per-shard memory/event accounting —
-  the right default on small machines). ``mode="process"`` forks one OS
-  process per shard, bridged over pipes, extending the fork-pool plumbing
-  of :mod:`repro.experiments.parallel` into the simulator itself. The
-  columnar store and the shared :class:`~repro.core.store.BootstrapPlan`
-  are built once in the master *before* forking, so workers inherit the
-  arrays copy-on-write instead of receiving descriptor lists over the
-  pipe, and process-mode builds run concurrently (requests are pipelined
-  to all workers before the first reply is awaited).
+* **Workers.** Every shard runs in-process, driven by direct method
+  calls: the partition gives per-shard event, traffic and memory
+  accounting and exercises the barrier protocol, not parallelism. All
+  workers share the master's columnar store and one
+  :class:`~repro.core.store.BootstrapPlan`.
 
 Scope: the sharded engine drives the *converged* overlay (direct
 bootstrap, no gossip maintenance, no churn) — the configuration behind
@@ -53,9 +48,8 @@ the paper-scale benchmarks. Gossip/churn stay on the single-process path.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.attributes import AttributeSchema
 from repro.core.descriptors import Address, NodeDescriptor
@@ -70,7 +64,7 @@ from repro.core.store import (
     bootstrap_rng,
 )
 from repro.metrics.collectors import MetricsCollector, QueryRecord
-from repro.obs.events import TraceEvent, event_from_dict
+from repro.obs.events import TraceEvent
 from repro.obs.registry import MetricsRegistry, merge_snapshots
 from repro.obs.tracer import TraceRecorder
 from repro.sim.deployment import ValueSampler
@@ -165,17 +159,13 @@ class ShardWorker:
             if self.tracer is not None
             else self.metrics
         )
-        # The shared columnar population and bootstrap plan
-        # (fork-inherited copy-on-write in process mode).
         self._store = store
         self._bootstrap_plan = bootstrap_plan
-        self._build_stats: Dict[str, Any] = {}
         self.hosts: Dict[Address, SimHost] = {}
         self._outbox: List[Crossing] = []
         self.network.remote_route = self._collect
         #: Completion notices: query_id -> (duration, result descriptors).
         self._completions: Dict[Any, Tuple[float, List[NodeDescriptor]]] = {}
-        self._issue_times: Dict[Any, float] = {}
 
     def _collect(
         self, sender: Address, receiver: Address, message: Any, arrival: float
@@ -202,15 +192,12 @@ class ShardWorker:
         """Create this shard's hosts and seed their converged tables.
 
         Per-shard cost is O(owned): the population and every bucket come
-        from the shared columnar store and bootstrap plan (in process
-        mode the plan arrives pre-materialized from the master's fork, so
-        ``materialized_descriptors`` reports the whole inherited
-        population), and per-node bootstrap streams make the tables
-        bit-identical to a single-process bootstrap. Returns the build
-        stats dict (also kept for :meth:`build_stats`): ``visited_nodes``
-        counts the nodes whose bootstrap draws this worker consumed —
-        equal to ``hosts``, the partition-not-replay invariant the
-        perf-smoke gate asserts.
+        from the shared columnar store and bootstrap plan, and per-node
+        bootstrap streams make the tables bit-identical to a
+        single-process bootstrap. Returns the build stats dict:
+        ``visited_nodes`` counts the nodes whose bootstrap draws this
+        worker consumed — equal to ``hosts``, the partition-not-replay
+        invariant the perf-smoke gate asserts.
         """
         started = time.perf_counter()
         store = self._store
@@ -227,7 +214,7 @@ class ShardWorker:
                     self.hosts[address].node.routing,
                     bootstrap_rng(self.seed, address),
                 )
-        self._build_stats = {
+        return {
             "shard_id": self.shard_id,
             "hosts": len(self.hosts),
             "visited_nodes": len(self.hosts),
@@ -235,11 +222,6 @@ class ShardWorker:
             "build_seconds": round(time.perf_counter() - started, 3),
             "rss_bytes": current_rss_bytes(),
         }
-        return self._build_stats
-
-    def build_stats(self) -> Dict[str, Any]:
-        """The stats dict of the last :meth:`build` (pipe-safe)."""
-        return self._build_stats
 
     # -- synchronization -----------------------------------------------------
 
@@ -276,20 +258,17 @@ class ShardWorker:
 
     def issue(self, origin: Address, query: Query, sigma: Optional[int]) -> Any:
         """Issue *query* at local host *origin*; returns the query id."""
-        host = self.hosts[origin]
         issued_at = self.simulator.now
-        holder: Dict[str, Any] = {}
 
         def on_complete(query_id, matching) -> None:
-            holder["id"] = query_id
             self._completions[query_id] = (
                 self.simulator.now - issued_at,
                 list(matching),
             )
 
-        query_id = host.issue_query(query, sigma=sigma, on_complete=on_complete)
-        self._issue_times[query_id] = issued_at
-        return query_id
+        return self.hosts[origin].issue_query(
+            query, sigma=sigma, on_complete=on_complete
+        )
 
     def poll_completion(
         self, query_id: Any
@@ -314,120 +293,16 @@ class ShardWorker:
     # -- telemetry -----------------------------------------------------------
 
     def telemetry_snapshot(self) -> Dict[str, Any]:
-        """This shard's registry snapshot (plain dicts — pipe-safe)."""
+        """This shard's registry snapshot."""
         if self.registry is None:
             return {"counters": {}, "gauges": {}, "histograms": {}}
         return self.registry.snapshot()
 
-    def trace_events(self) -> List[Dict[str, Any]]:
-        """This shard's sampled trace events as JSON-style dicts.
-
-        Dicts, not :class:`~repro.obs.events.TraceEvent` instances, so
-        the forked-process proxy ships them over the pipe unchanged.
-        """
+    def trace_events(self) -> List[TraceEvent]:
+        """This shard's sampled trace events, grouped by query."""
         if self.tracer is None:
             return []
-        return [event.to_dict() for event in self.tracer.iter_events()]
-
-
-def _worker_main(conn, factory: Callable[[], ShardWorker]) -> None:
-    """Child-process loop: proxy method calls arriving over *conn*."""
-    worker = factory()
-    while True:
-        method, args = conn.recv()
-        if method == "stop":
-            conn.send(("ok", None))
-            break
-        try:
-            conn.send(("ok", getattr(worker, method)(*args)))
-        except Exception as error:  # surface the traceback to the parent
-            conn.send(("error", repr(error)))
-
-
-class _ProcessProxy:
-    """Drives a :class:`ShardWorker` living in a forked child process.
-
-    Exposes the same methods as the inline worker; each call is one
-    request/response round trip over a pipe. Fork start method: the
-    factory closure (schema, descriptors, config) is inherited, not
-    pickled — the same plumbing as :mod:`repro.experiments.parallel`.
-    """
-
-    def __init__(self, factory: Callable[[], ShardWorker]) -> None:
-        context = multiprocessing.get_context("fork")
-        self._conn, child_conn = context.Pipe()
-        self._process = context.Process(
-            target=_worker_main, args=(child_conn, factory), daemon=True
-        )
-        self._process.start()
-        child_conn.close()
-
-    def _send(self, method: str, *args: Any) -> None:
-        self._conn.send((method, args))
-
-    def _receive(self, method: str) -> Any:
-        status, value = self._conn.recv()
-        if status != "ok":
-            raise RuntimeError(f"shard worker failed in {method}: {value}")
-        return value
-
-    def _call(self, method: str, *args: Any) -> Any:
-        self._send(method, *args)
-        return self._receive(method)
-
-    def build(self):
-        return self._call("build")
-
-    def start_build(self) -> None:
-        """Dispatch build without waiting — workers build concurrently."""
-        self._send("build")
-
-    def finish_build(self):
-        """Collect the result of a :meth:`start_build` dispatch."""
-        return self._receive("build")
-
-    def build_stats(self):
-        return self._call("build_stats")
-
-    def next_event_time(self):
-        return self._call("next_event_time")
-
-    def run_window(self, end):
-        return self._call("run_window", end)
-
-    def drain_outbox(self):
-        return self._call("drain_outbox")
-
-    def inject_crossings(self, injections):
-        return self._call("inject_crossings", injections)
-
-    def issue(self, origin, query, sigma):
-        return self._call("issue", origin, query, sigma)
-
-    def poll_completion(self, query_id):
-        return self._call("poll_completion", query_id)
-
-    def query_record(self, query_id):
-        return self._call("query_record", query_id)
-
-    def counters(self):
-        return self._call("counters")
-
-    def telemetry_snapshot(self):
-        return self._call("telemetry_snapshot")
-
-    def trace_events(self):
-        return self._call("trace_events")
-
-    def stop(self) -> None:
-        if self._process.is_alive():
-            try:
-                self._conn.send(("stop", ()))
-                self._conn.recv()
-            except (BrokenPipeError, EOFError):
-                pass
-        self._process.join(timeout=5)
-        self._conn.close()
+        return list(self.tracer.iter_events())
 
 
 class _ShardClock:
@@ -485,19 +360,15 @@ class ShardedDeployment:
         latency: Optional[LatencyModel] = None,
         loss_rate: float = 0.0,
         node_config: Optional[NodeConfig] = None,
-        mode: str = "inline",
         telemetry: bool = False,
         trace_sample_rate: Optional[float] = None,
         trace_seed: int = 0,
     ) -> None:
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-        if mode not in ("inline", "process"):
-            raise ValueError(f"unknown shard mode {mode!r}")
         self.schema = schema
         self.seed = seed
         self.num_shards = num_shards
-        self.mode = mode
         self.node_config = node_config or NodeConfig()
         self.telemetry = telemetry
         self.trace_sample_rate = trace_sample_rate
@@ -521,11 +392,9 @@ class ShardedDeployment:
         self.index = ColumnarCellIndex(
             DescriptorStore.from_descriptors(schema, ())
         )
-        self._plan: Optional[BootstrapPlan] = None
         #: Per-shard build stats dicts, filled by :meth:`bootstrap`.
         self.build_stats: List[Dict[str, Any]] = []
-        self._workers: List[Any] = []
-        self._counters_cache: Optional[List[Dict[str, int]]] = None
+        self._workers: List[ShardWorker] = []
 
     # -- population views ----------------------------------------------------
 
@@ -547,8 +416,11 @@ class ShardedDeployment:
         One :meth:`~repro.core.store.DescriptorStore.sample` pass into
         the ground-truth index's columnar base: vectorized and
         bit-identical to the scalar loop when the sampler has a batch
-        hook, that scalar loop when it has none.
+        hook, that scalar loop when it has none. Refused once the workers
+        are built: they hold the population they were built from.
         """
+        if self._workers:
+            raise RuntimeError("already bootstrapped")
         with paused_gc():
             self.index.extend(
                 DescriptorStore.sample(
@@ -562,81 +434,33 @@ class ShardedDeployment:
             self._next_address += count
 
     def bootstrap(self) -> None:
-        """Spin up the shard workers and seed their converged tables.
+        """Build the shard workers and seed their converged tables.
 
-        The shared bootstrap plan is derived once here (master side,
-        before any fork) and handed to every worker; each worker then
-        only does O(owned) work. Process-mode builds are pipelined so
-        the workers run concurrently. On any failure the already-started
-        workers are stopped before the error propagates — no leaked
-        children.
+        The shared bootstrap plan is derived once here and handed to
+        every worker; each worker then only does O(owned) work.
         """
         if self._workers:
             raise RuntimeError("already bootstrapped")
         store = self.index.store()
-
-        def make_factory(shard_id: int) -> Callable[[], ShardWorker]:
-            def factory() -> ShardWorker:
-                return ShardWorker(
-                    shard_id,
-                    self.num_shards,
-                    self.schema,
-                    self.seed,
-                    store,
-                    self._plan,
-                    latency=self._latency,
-                    loss_rate=self._loss_rate,
-                    node_config=self.node_config,
-                    telemetry=self.telemetry,
-                    trace_sample_rate=self.trace_sample_rate,
-                    trace_seed=self.trace_seed,
-                )
-
-            return factory
-
-        try:
-            self._plan = BootstrapPlan(store, PICKS_CAP)
-            if self.mode == "process":
-                # Warm the plan once, master side: the forked children
-                # inherit the materialized caches through copy-on-write
-                # instead of each rebuilding them.
-                self._plan.materialize()
-            for shard_id in range(self.num_shards):
-                factory = make_factory(shard_id)
-                if self.mode == "process":
-                    worker: Any = _ProcessProxy(factory)
-                else:
-                    worker = factory()
-                self._workers.append(worker)
-            if self.mode == "process":
-                for worker in self._workers:
-                    worker.start_build()
-                self.build_stats = [
-                    worker.finish_build() for worker in self._workers
-                ]
-                # The children own their copies now; release the
-                # master's so its retained footprint stays columnar.
-                self._plan.trim()
-            else:
-                self.build_stats = [
-                    worker.build() for worker in self._workers
-                ]
-        except BaseException:
-            self.close()
-            raise
-
-    def close(self) -> None:
-        """Stop process-mode workers (no-op for inline workers)."""
-        for worker in self._workers:
-            stop = getattr(worker, "stop", None)
-            if stop is not None:
-                stop()
-
-    def __enter__(self) -> "ShardedDeployment":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
+        plan = BootstrapPlan(store, PICKS_CAP)
+        self._workers = [
+            ShardWorker(
+                shard_id,
+                self.num_shards,
+                self.schema,
+                self.seed,
+                store,
+                plan,
+                latency=self._latency,
+                loss_rate=self._loss_rate,
+                node_config=self.node_config,
+                telemetry=self.telemetry,
+                trace_sample_rate=self.trace_sample_rate,
+                trace_seed=self.trace_seed,
+            )
+            for shard_id in range(self.num_shards)
+        ]
+        self.build_stats = [worker.build() for worker in self._workers]
 
     # -- measurement surface -------------------------------------------------
 
@@ -645,12 +469,8 @@ class ShardedDeployment:
         return self.index.matching(query)
 
     def shard_counters(self) -> List[Dict[str, int]]:
-        """Per-shard traffic/engine counters (cached per query)."""
-        if self._counters_cache is None:
-            self._counters_cache = [
-                worker.counters() for worker in self._workers
-            ]
-        return self._counters_cache
+        """Per-shard traffic/engine counters."""
+        return [worker.counters() for worker in self._workers]
 
     def telemetry_snapshot(self) -> Dict[str, Any]:
         """The merged registry snapshot across every shard.
@@ -675,9 +495,7 @@ class ShardedDeployment:
         to rebuild per-query hop trees.
         """
         events = [
-            event_from_dict(payload)
-            for worker in self._workers
-            for payload in worker.trace_events()
+            event for worker in self._workers for event in worker.trace_events()
         ]
         events.sort(key=lambda event: event.time)
         return events
@@ -710,7 +528,6 @@ class ShardedDeployment:
         shard = origin % self.num_shards
         worker = self._workers[shard]
         query_id = worker.issue(origin, query, sigma)
-        self._counters_cache = None
 
         completion: Optional[Tuple[float, List[NodeDescriptor]]] = None
         deadline: Optional[float] = None

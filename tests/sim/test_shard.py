@@ -3,11 +3,14 @@
 The contract from docs/PERFORMANCE.md: on a deterministic testbed
 (``peersim`` — constant latency, zero loss, no faults), a sharded run
 must produce **bit-identical** per-query metrics to the single-process
-engine, for any shard count and for both worker modes. These tests
-enforce that contract end to end through the measurement harness, so
-they cover origin selection, bootstrap rng parity, the cross-shard
-barrier ordering and completion timing all at once.
+engine, for any shard count. These tests enforce that contract end to
+end through the measurement harness, so they cover origin selection,
+bootstrap rng parity, the cross-shard barrier ordering and completion
+timing all at once.
 """
+
+import gc
+import weakref
 
 import pytest
 
@@ -17,6 +20,7 @@ from repro.experiments.scale import build_sharded_deployment
 from repro.obs.telemetry import Telemetry
 from repro.sim.shard import ShardedDeployment, merge_query_records
 from repro.metrics.collectors import QueryRecord
+from repro.workloads.distributions import uniform_sampler
 from repro.workloads.queries import aligned_selectivity_query
 
 NETWORK_SIZE = 600
@@ -40,29 +44,24 @@ def outcome_fingerprint(outcomes):
     ]
 
 
-def run_engine(num_shards, mode="inline"):
+def run_engine(num_shards):
     config = PAPER_PEERSIM.scaled(NETWORK_SIZE)
     schema = config.schema()
     if num_shards == 0:
         deployment, metrics = build_deployment(config)
     else:
         deployment, metrics = build_sharded_deployment(
-            config, num_shards=num_shards, mode=mode
+            config, num_shards=num_shards
         )
-    try:
-        outcomes = measure_queries(
-            deployment,
-            metrics,
-            lambda rng: aligned_selectivity_query(schema, config.selectivity, rng),
-            count=QUERIES,
-            sigma=config.sigma,
-            seed=config.seed,
-        )
-        return outcome_fingerprint(outcomes)
-    finally:
-        closer = getattr(deployment, "close", None)
-        if closer is not None:
-            closer()
+    outcomes = measure_queries(
+        deployment,
+        metrics,
+        lambda rng: aligned_selectivity_query(schema, config.selectivity, rng),
+        count=QUERIES,
+        sigma=config.sigma,
+        seed=config.seed,
+    )
+    return outcome_fingerprint(outcomes)
 
 
 @pytest.fixture(scope="module")
@@ -79,13 +78,6 @@ def test_sharded_inline_is_bit_identical(
     num_shards, single_process_fingerprint
 ):
     assert run_engine(num_shards) == single_process_fingerprint
-
-
-@pytest.mark.parametrize("num_shards", [1, 2, 3])
-def test_sharded_process_mode_is_bit_identical(
-    num_shards, single_process_fingerprint
-):
-    assert run_engine(num_shards, mode="process") == single_process_fingerprint
 
 
 def routing_snapshot(hosts):
@@ -141,24 +133,39 @@ def test_shards_partition_the_population():
     assert all(entry["visited_nodes"] == entry["hosts"] for entry in stats)
 
 
-def test_bootstrap_failure_stops_forked_workers(monkeypatch):
-    """Regression: a failed build must not leak process-mode workers."""
-    import multiprocessing
-    import time
+def test_populate_after_bootstrap_is_refused():
+    """Regression: the workers hold the population they were built from.
 
-    from repro.sim.shard import ShardWorker
+    Growing the master's population afterwards would let origin selection
+    and ground truth reach hosts that no worker holds.
+    """
+    config = PAPER_PEERSIM.scaled(200)
+    deployment, _ = build_sharded_deployment(config, num_shards=2)
+    with pytest.raises(RuntimeError, match="already bootstrapped"):
+        deployment.populate(uniform_sampler(config.schema()), 200)
+    assert deployment.population == 200
+    assert sum(entry["hosts"] for entry in deployment.shard_counters()) == 200
 
-    def exploding_build(self):
-        raise RuntimeError("injected build failure")
 
-    monkeypatch.setattr(ShardWorker, "build", exploding_build)
-    config = PAPER_PEERSIM.scaled(60)
-    with pytest.raises(RuntimeError, match="injected build failure"):
-        build_sharded_deployment(config, num_shards=2, mode="process")
-    deadline = time.monotonic() + 10.0
-    while multiprocessing.active_children() and time.monotonic() < deadline:
-        time.sleep(0.05)
-    assert not multiprocessing.active_children()
+def test_released_deployment_is_collected():
+    """Regression: dropping the last reference frees the deployment.
+
+    Replays a release path that looks up an optional ``close`` hook,
+    calls it, drops the deployment and collects in the same frame. A
+    bound ``close`` still alive in that frame would pin the whole
+    deployment (it sits in a reference cycle with its clock) through the
+    collection.
+    """
+    deployment, _ = build_sharded_deployment(
+        PAPER_PEERSIM.scaled(200), num_shards=2
+    )
+    released = weakref.ref(deployment)
+    closer = getattr(deployment, "close", None)
+    if closer is not None:
+        closer()
+    deployment = None
+    gc.collect()
+    assert released() is None
 
 
 def test_cross_shard_traffic_is_accounted():
@@ -222,7 +229,7 @@ def trace_fingerprint(events):
     return sorted(normalized)
 
 
-def run_telemetry_engine(num_shards, mode="inline"):
+def run_telemetry_engine(num_shards):
     """Run the workload with telemetry + sampled tracing enabled.
 
     Returns ``(metrics_snapshot, trace_fingerprint)`` — the merged
@@ -243,27 +250,21 @@ def run_telemetry_engine(num_shards, mode="inline"):
         deployment, metrics = build_sharded_deployment(
             config,
             num_shards=num_shards,
-            mode=mode,
             telemetry=True,
             trace_sample_rate=TRACE_RATE,
             trace_seed=TRACE_SEED,
         )
         snapshot = deployment.telemetry_snapshot
         events = deployment.trace_events
-    try:
-        measure_queries(
-            deployment,
-            metrics,
-            lambda rng: aligned_selectivity_query(schema, config.selectivity, rng),
-            count=QUERIES,
-            sigma=config.sigma,
-            seed=config.seed,
-        )
-        return snapshot(), trace_fingerprint(events())
-    finally:
-        closer = getattr(deployment, "close", None)
-        if closer is not None:
-            closer()
+    measure_queries(
+        deployment,
+        metrics,
+        lambda rng: aligned_selectivity_query(schema, config.selectivity, rng),
+        count=QUERIES,
+        sigma=config.sigma,
+        seed=config.seed,
+    )
+    return snapshot(), trace_fingerprint(events())
 
 
 @pytest.fixture(scope="module")
@@ -278,16 +279,6 @@ def test_sharded_telemetry_merges_bit_identically(
     """Acceptance gate: merged shard snapshots == single-process snapshot,
     exactly — counters, summed gauges, and histogram totals included."""
     snapshot, trace = run_telemetry_engine(num_shards)
-    baseline_snapshot, baseline_trace = single_process_telemetry
-    assert snapshot == baseline_snapshot
-    assert trace == baseline_trace
-
-
-def test_sharded_telemetry_process_mode_is_bit_identical(
-    single_process_telemetry,
-):
-    """Snapshots and trace events survive the forked-worker pipe."""
-    snapshot, trace = run_telemetry_engine(2, mode="process")
     baseline_snapshot, baseline_trace = single_process_telemetry
     assert snapshot == baseline_snapshot
     assert trace == baseline_trace
@@ -310,4 +301,6 @@ def test_sharded_deployment_validates_inputs():
     with pytest.raises(ValueError):
         ShardedDeployment(schema, num_shards=0)
     with pytest.raises(ValueError):
-        ShardedDeployment(schema, mode="threads")
+        build_sharded_deployment(
+            PAPER_PEERSIM.scaled(10), num_shards=2, mode="process"
+        )
