@@ -275,6 +275,48 @@ def test_codec_decodes_records_in_one_call(benchmark, monkeypatch):
     )
 
 
+#: ``slot_of`` calls in the gossip gate below, as counted on the
+#: per-dimension implementation the key arithmetic replaced: classifying
+#: by key must change how a slot is found, never how often.
+GOSSIP_SLOT_OF_CALLS = 1_415_801
+
+
+def test_gossip_classifies_without_dimension_loops(benchmark, monkeypatch):
+    """Gossip classifies descriptors by key arithmetic alone.
+
+    Host-independent counter gate: on a 1,000-node overlay after a 50 s
+    gossip warm-up, 10 gossip cycles call ``slot_of`` exactly
+    ``GOSSIP_SLOT_OF_CALLS`` times and never call the scalar interleave
+    ``cells.cell_code``. Every descriptor's key comes from the schema's
+    intern table, computed once per distinct cell, so a key recomputed
+    per descriptor or per classification trips this at once.
+    """
+    import sys
+
+    from repro.core import cells
+
+    cfg = PAPER_PEERSIM.scaled(1_000)
+    deployment, _ = build_deployment(cfg, gossip=True, warmup=50.0)
+
+    calls = {"cell_code": 0, "slot_of": 0}
+    for name in calls:
+        original = getattr(cells, name)
+
+        def counting(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module_name, module in list(sys.modules.items()):
+            if (
+                module_name.startswith("repro.")
+                and getattr(module, name, None) is original
+            ):
+                monkeypatch.setattr(module, name, counting)
+
+    run_once(benchmark, deployment.run, 10 * cfg.gossip_period)
+    assert calls == {"cell_code": 0, "slot_of": GOSSIP_SLOT_OF_CALLS}
+
+
 def test_memory_footprint_per_node(benchmark):
     """Compact-state gate: tracemalloc-attributed bytes per node.
 

@@ -15,7 +15,7 @@ from repro.core.attributes import (
 from repro.core.cells import (
     Region,
     ZERO_SLOT,
-    cell_id,
+    cell_code,
     cell_interval,
     cell_region,
     iter_slots,
@@ -43,7 +43,7 @@ __all__ = [
     "numeric",
     "Region",
     "ZERO_SLOT",
-    "cell_id",
+    "cell_code",
     "cell_interval",
     "cell_region",
     "iter_slots",

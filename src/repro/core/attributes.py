@@ -28,6 +28,7 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.core.cells import cell_code
 from repro.core.vector import packable
 from repro.util.errors import ConfigurationError
 
@@ -148,12 +149,13 @@ class AttributeSchema:
     boundaries: Optional[List[List[float]]] = None
     _index_by_name: Dict[str, int] = field(init=False, repr=False, compare=False)
     #: Canonical copies of coordinate tuples handed out by
-    #: :meth:`coordinates`. Every node in the same C0 cell shares one
-    #: tuple object instead of owning a private copy, which at scale saves
-    #: ~100 bytes per node (the cache can never exceed the number of
-    #: *distinct* occupied cells, and each entry is the canonical tuple
-    #: that would exist anyway).
-    _intern: Dict[Tuple[int, ...], Tuple[int, ...]] = field(
+    #: :meth:`intern_cell`, each beside its C0 key
+    #: (:func:`repro.core.cells.cell_code`). Every node in the same C0
+    #: cell shares one tuple object instead of owning a private copy, which
+    #: at scale saves ~100 bytes per node, and the key is computed once
+    #: per distinct cell (the cache can never exceed the number of
+    #: *distinct* occupied cells).
+    _intern: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], int]] = field(
         init=False, repr=False, compare=False
     )
 
@@ -300,19 +302,50 @@ class AttributeSchema:
         The returned tuple is interned: all callers mapping into the same
         C0 cell receive the same tuple object (see ``_intern``).
         """
+        return self.cell_of(numeric_values)[0]
+
+    def cell_of(
+        self, numeric_values: Sequence[float]
+    ) -> Tuple[Tuple[int, ...], int]:
+        """:meth:`coordinates` of a value vector, with the cell's C0 key."""
         if len(numeric_values) != self.dimensions:
             raise ConfigurationError(
                 f"expected {self.dimensions} values, got {len(numeric_values)}"
             )
-        coords = tuple(
-            self.cell_index(dim, value)
-            for dim, value in enumerate(numeric_values)
+        return self.intern_cell(
+            tuple(
+                self.cell_index(dim, value)
+                for dim, value in enumerate(numeric_values)
+            )
         )
-        return self._intern.setdefault(coords, coords)
 
-    def intern_coordinates(self, coords: Tuple[int, ...]) -> Tuple[int, ...]:
-        """Return the canonical shared tuple equal to *coords*."""
-        return self._intern.setdefault(coords, coords)
+    def intern_cell(
+        self, coords: Tuple[int, ...], code: Optional[int] = None
+    ) -> Tuple[Tuple[int, ...], int]:
+        """The canonical shared tuple equal to *coords*, and its C0 key.
+
+        A caller that already holds the key (the columnar store's
+        ``cell_codes``) passes it as *code*, vouching for the tuple.
+        Otherwise the key is computed on the first sight of the cell,
+        after a check that raises ``ValueError`` for a tuple off the
+        schema's grid (wrong length, or an index outside
+        ``[0, 2**max_level)``): it names no cell, and its key would alias
+        one that does.
+        """
+        entry = self._intern.get(coords)
+        if entry is None:
+            if code is None:
+                if (
+                    len(coords) != self.dimensions
+                    or min(coords) < 0
+                    or max(coords) >= self.cells_per_dimension
+                ):
+                    raise ValueError(
+                        f"coordinates {coords} lie off the cell grid"
+                    )
+                code = cell_code(coords, self.max_level)
+            entry = self._intern[coords] = (coords, code)
+        return entry
 
     def index_range(
         self,

@@ -19,10 +19,19 @@ space into *cells*. With nesting depth ``L = max(l)``:
   - dimension ``k``: the bit is X's bit flipped,
   - dimensions ``j > k``: the bit is free.
 
-Every region is therefore a product of per-dimension closed integer
-intervals, which makes membership and query-overlap tests trivial — and
-lets :func:`overlapping_dimensions` answer "which ``N(l, k)`` overlap Q"
-for all k at once from per-dimension bitmasks, without building a region.
+Each C0 cell has one integer key, :func:`cell_code`, that stores exactly
+this split order: the coordinate bits interleaved level by level, the
+coarsest level first and dimension 0 first within a level. Every split
+is then one key bit, so the protocol's cell relations are arithmetic on
+keys: :func:`slot_of` is an XOR and a ``bit_length``, and the
+``(l, k)`` block a cell belongs to is a right shift (:func:`bucket_code`),
+whose lowest bit flipped names the block of ``N(l, k)``.
+
+Every region is a product of per-dimension closed integer intervals
+(:class:`Region`). The regions are the geometric oracle the key
+arithmetic is tested against, and :func:`overlapping_dimensions` answers
+"which ``N(l, k)`` overlap Q" for all k at once from per-dimension
+bitmasks, without building one.
 
 The key structural fact (verified by property tests) is that for any node X::
 
@@ -94,11 +103,6 @@ def cell_region(coordinates: Coordinates, level: int) -> Region:
     return Region(
         tuple(cell_interval(index, level) for index in coordinates)
     )
-
-
-def cell_id(coordinates: Coordinates, level: int) -> Tuple[int, ...]:
-    """A hashable identifier of the level-*level* cell containing X."""
-    return tuple(index >> level for index in coordinates)
 
 
 def neighboring_region(
@@ -174,66 +178,47 @@ def overlapping_dimensions(
     return flip & prefix & suffix
 
 
-def slot_of(
-    own: Coordinates, other: Coordinates, max_level: int
-) -> Slot:
-    """Classify *other* relative to *own*.
+def cell_code(coordinates: Coordinates, max_level: int) -> int:
+    """The C0 key of the cell at *coordinates*: its bits level-interleaved.
 
-    Returns ``ZERO_SLOT`` when both nodes share the same lowest-level cell,
+    The coarsest level's d bits come first and the finest level's last;
+    within a level, dimension 0 is the most significant bit. This is the
+    order in which Section 4.1 splits the space, so every cell relation
+    below is a shift or an XOR of two keys. It spends ``d * max_level``
+    bits, which the schema keeps within an int64.
+    """
+    code = 0
+    for bit in range(max_level - 1, -1, -1):
+        for index in coordinates:
+            code = (code << 1) | ((index >> bit) & 1)
+    return code
+
+
+def slot_of(own: int, other: int, dimensions: int) -> Slot:
+    """Classify the cell keyed *other* relative to the cell keyed *own*.
+
+    Returns ``ZERO_SLOT`` when both keys name the same lowest-level cell,
     otherwise the unique ``(level, dim)`` pair such that *other* lies in
-    ``N(level, dim)(own)``. Because the neighboring cells plus ``C_0``
-    partition the space, exactly one answer exists.
+    ``N(level, dim)(own)``: the highest differing key bit is the first
+    split that separates the two cells. Because the neighboring cells
+    plus ``C_0`` partition the space, exactly one answer exists.
     """
-    level = 0
-    for own_index, other_index in zip(own, other):
-        differing = own_index ^ other_index
-        if differing:
-            level = max(level, differing.bit_length())
-    if level == 0:
+    differing = own ^ other
+    if not differing:
         return ZERO_SLOT
-    half_shift = level - 1
-    for dim, (own_index, other_index) in enumerate(zip(own, other)):
-        if (own_index >> half_shift) != (other_index >> half_shift):
-            return (level, dim)
-    raise AssertionError("unreachable: level > 0 implies a differing half")
+    position = differing.bit_length() - 1
+    return (position // dimensions + 1, dimensions - 1 - position % dimensions)
 
 
-def bucket_key(
-    coordinates: Coordinates, level: int, dim: int
-) -> Tuple:
-    """A hashable key grouping cells by their ``(level, dim)`` membership.
+def bucket_code(code, level: int, dim: int, dimensions: int):
+    """The key of the ``(level, dim)`` block holding the cell keyed *code*.
 
-    Two lowest-level cells share a key iff they belong to the same
-    candidate region for slot ``(level, dim)``: same ``C_level`` prefix,
-    same halves at dimensions below *dim*, same half at *dim*, free below.
-    A node Y lies in ``N(level, dim)(X)`` iff Y's bucket key equals X's
-    :func:`flipped_key` for the same slot — the identity behind both the
-    bulk bootstrap and the convergence telemetry's ground truth.
+    Cells share a block iff they share ``C_level``, the halves at
+    dimensions below *dim* and the half at *dim*: the key prefix down to
+    that split. A cell Y lies in ``N(level, dim)(X)`` iff
+    ``bucket_code(Y) == bucket_code(X) ^ 1``. *code* may be an int64 array.
     """
-    half = level - 1
-    parts = tuple(
-        index >> half if j <= dim else index >> level
-        for j, index in enumerate(coordinates)
-    )
-    return (level, dim, parts)
-
-
-def flipped_key(
-    coordinates: Coordinates, level: int, dim: int
-) -> Tuple:
-    """X's :func:`bucket_key` with the dimension-*dim* half flipped.
-
-    This is the key of the neighboring cell ``N(level, dim)(X)``: the
-    bucket that holds exactly the nodes X may link to in that slot.
-    """
-    half = level - 1
-    parts = tuple(
-        (index >> half) ^ 1
-        if j == dim
-        else (index >> half if j < dim else index >> level)
-        for j, index in enumerate(coordinates)
-    )
-    return (level, dim, parts)
+    return code >> ((level - 1) * dimensions + dimensions - 1 - dim)
 
 
 def iter_slots(dimensions: int, max_level: int) -> Iterator[Tuple[int, int]]:

@@ -31,7 +31,8 @@ descriptor record (address, value count, values, coordinate count,
 coordinates) is one ``pack`` / one ``unpack_from``, and so are the fixed
 head and tail sections of each message. The record layout for the
 schema's arity is compiled once per :class:`Codec`; a record whose count
-bytes say otherwise builds its layout on the spot.
+bytes say otherwise builds its layout on the spot, and decoding rejects
+it once read.
 
 The codec is schema-bound: attribute *values* travel as raw doubles and
 cell coordinates as integers, while the :class:`~repro.core.attributes.
@@ -39,7 +40,11 @@ AttributeSchema` itself is deployment configuration agreed out-of-band
 (every node of one overlay is built from the same schema, exactly as the
 paper's deployment assumes a common attribute space). Decoded coordinate
 tuples are interned through the schema so a decoded descriptor shares
-the canonical tuple with every local descriptor in the same cell.
+the canonical tuple and C0 key with every local descriptor in the same
+cell. A descriptor record must carry the schema's arity and coordinates
+on its grid, ``[0, 2**max_level)`` per dimension; anything else raises
+:class:`CodecError`, checked only when a tuple is new to the intern
+table. Encoding carries any record that fits the wire widths.
 """
 
 from __future__ import annotations
@@ -397,12 +402,18 @@ class Codec:
                 f"ends before its count bytes"
             ) from None
         fields = reader.unpack(self._record_for(value_count, coordinate_count))
+        if not value_count == coordinate_count == self._arity:
+            raise CodecError(
+                f"descriptor record with {value_count} values and "
+                f"{coordinate_count} coordinates off the schema's "
+                f"{self._arity} dimensions"
+            )
         split = 2 + value_count
-        return NodeDescriptor(
-            address=fields[0],
-            values=fields[2:split],
-            coordinates=self.schema.intern_coordinates(fields[split + 1:]),
-        )
+        try:
+            cell = self.schema.intern_cell(fields[split + 1:])
+        except ValueError as error:
+            raise CodecError(str(error)) from None
+        return NodeDescriptor(fields[0], fields[2:split], *cell)
 
     def _encode_constraint(self, writer: _Writer, constraint: Constraint) -> None:
         if isinstance(constraint, CategoricalSet):

@@ -35,6 +35,10 @@ class NodeDescriptor:
     address: Address
     values: Tuple[float, ...]
     coordinates: Tuple[int, ...]
+    #: The C0 key of ``coordinates`` (:func:`repro.core.cells.cell_code`),
+    #: taken from the schema's intern table: every cell relation the
+    #: routing layers need is arithmetic on two of these.
+    code: int
 
     @classmethod
     def build(
@@ -44,12 +48,7 @@ class NodeDescriptor:
         values: Mapping[str, AttributeValue],
     ) -> "NodeDescriptor":
         """Create a descriptor from raw attribute values using *schema*."""
-        numeric = schema.encode_values(values)
-        return cls(
-            address=address,
-            values=numeric,
-            coordinates=schema.coordinates(numeric),
-        )
+        return cls.from_numeric(address, schema, schema.encode_values(values))
 
     @classmethod
     def from_numeric(
@@ -59,11 +58,8 @@ class NodeDescriptor:
         numeric_values: Tuple[float, ...],
     ) -> "NodeDescriptor":
         """Create a descriptor from an already-encoded value vector."""
-        return cls(
-            address=address,
-            values=tuple(numeric_values),
-            coordinates=schema.coordinates(numeric_values),
-        )
+        coordinates, code = schema.cell_of(numeric_values)
+        return cls(address, tuple(numeric_values), coordinates, code)
 
     def decoded(self, schema: AttributeSchema) -> Mapping[str, AttributeValue]:
         """Return the raw ``{name: value}`` view of this descriptor."""

@@ -86,7 +86,7 @@ class RoutingTable:
 
     def classify(self, descriptor: NodeDescriptor) -> Slot:
         """Which slot (``ZERO_SLOT`` or ``(level, dim)``) *descriptor* fills."""
-        return slot_of(self.owner.coordinates, descriptor.coordinates, self.max_level)
+        return slot_of(self.owner.code, descriptor.code, self.dimensions)
 
     # -- mutation ---------------------------------------------------------------
 

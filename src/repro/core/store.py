@@ -12,7 +12,7 @@ column                shape / dtype              contents
 ``addresses``         ``(n,)    int64``          node addresses (ascending)
 ``values``            ``(n, d)  float64``        encoded attribute values
 ``coords``            ``(n, d)  int64``          per-dimension cell indices
-``cell_codes``        ``(n,)    int64``          packed C0 cell keys
+``cell_codes``        ``(n,)    int64``          C0 cell keys
 ====================  =========================  ==========================
 
 The store is populated by one **vectorized sampler pass**
@@ -20,8 +20,10 @@ The store is populated by one **vectorized sampler pass**
 deployment's seeded population stream, bit-identical draw for draw to
 ``count`` scalar ``sampler(rng)`` calls
 (:func:`repro.util.rng.batched_random`), followed by batch value->cell
-mapping (:func:`repro.core.vector.coordinates_matrix`) and cell-key
-packing (:func:`repro.core.vector.pack_cell_codes`). A sampler without
+mapping (:func:`repro.core.vector.coordinates_matrix`) and C0 keys
+(:func:`repro.core.vector.cell_codes`: the level-interleaved key of
+:func:`repro.core.cells.cell_code`, so every slot bucket is a right
+shift of a cell's key). A sampler without
 the batch hook is drawn by that scalar loop on the same stream and
 stored via :meth:`DescriptorStore.from_descriptors`.
 
@@ -79,7 +81,7 @@ import numpy as np
 
 from repro.core import vector
 from repro.core.attributes import AttributeSchema
-from repro.core.cells import Coordinates
+from repro.core.cells import Coordinates, bucket_code, cell_code
 from repro.core.descriptors import Address, NodeDescriptor
 from repro.core.index import CellIndex
 from repro.core.query import Query
@@ -169,7 +171,7 @@ class DescriptorStore:
             )
         values = np.ascontiguousarray(batch(rng, count), dtype=np.float64)
         coords = vector.coordinates_matrix(schema, values)
-        cell_codes = vector.pack_cell_codes(coords, schema.max_level)
+        cell_codes = vector.cell_codes(coords, schema.max_level)
         addresses = np.arange(
             base_address, base_address + count, dtype=np.int64
         )
@@ -200,7 +202,7 @@ class DescriptorStore:
             addresses,
             values,
             coords,
-            vector.pack_cell_codes(coords, schema.max_level),
+            vector.cell_codes(coords, schema.max_level),
         )
         store._materialized = dict(enumerate(ordered))
         return store
@@ -262,15 +264,17 @@ class DescriptorStore:
         """The (cached) ``NodeDescriptor`` view of *row*.
 
         Identical to what ``NodeDescriptor.build`` makes of the row's
-        values: same address, same value tuple, same interned coordinates.
+        values: same address, same value tuple, same interned coordinates
+        and key.
         """
         cached = self._materialized.get(row)
         if cached is None:
             cached = NodeDescriptor(
-                address=int(self.addresses[row]),
-                values=tuple(self.values[row].tolist()),
-                coordinates=self.schema.intern_coordinates(
-                    tuple(self.coords[row].tolist())
+                int(self.addresses[row]),
+                tuple(self.values[row].tolist()),
+                *self.schema.intern_cell(
+                    tuple(self.coords[row].tolist()),
+                    int(self.cell_codes[row]),
                 ),
             )
             self._materialized[row] = cached
@@ -300,16 +304,17 @@ class DescriptorStore:
         materialized = self._materialized
         if len(materialized) == len(self.addresses):
             return
-        intern = self.schema.intern_coordinates
+        intern = self.schema.intern_cell
         addresses = self.addresses.tolist()
         values = self.values.tolist()
         coords = self.coords.tolist()
+        codes = self.cell_codes.tolist()
         for row, address in enumerate(addresses):
             if row not in materialized:
                 materialized[row] = NodeDescriptor(
-                    address=address,
-                    values=tuple(values[row]),
-                    coordinates=intern(tuple(coords[row])),
+                    address,
+                    tuple(values[row]),
+                    *intern(tuple(coords[row]), codes[row]),
                 )
 
     @property
@@ -329,7 +334,7 @@ class DescriptorStore:
 class CellGrouping:
     """Sorted-array C0 buckets over a store: the vectorized bulk load.
 
-    One stable argsort of the packed cell keys replaces n incremental
+    One stable argsort of the C0 cell keys replaces n incremental
     ``CellIndex.add`` calls. Cells are then re-ranked by their first
     member row, so cell iteration order is exactly the insertion order an
     incremental index fed in address order would produce, and members
@@ -399,7 +404,7 @@ class CellGrouping:
     ) -> "np.ndarray":
         """Rows of every cell inside the box *ranges*, ascending.
 
-        The smaller side is enumerated: the box's packed cell keys are
+        The smaller side is enumerated: the box's cell keys are
         binary-searched among the occupied ones, or every occupied cell is
         tested against the box. The hit cells' ``order`` spans are then
         gathered in one ``repeat`` + ``arange`` and sorted.
@@ -475,12 +480,12 @@ class BootstrapPlan:
     member list (the zero links) and the ``(level, dim, bucket, picks)``
     slot buckets of its non-empty neighboring cells. Both are pure
     functions of the population, so every build derives them **once**
-    from the columnar grouping — packed per-slot codes over cells, one
-    vectorized pass per slot — and a sharded build does so in the master
-    instead of per worker. The scalar ``bucket_key``/``flipped_key``
-    derivation over a ``CellIndex`` is the test oracle. Buckets hold row
-    arrays (shared across the cells linking to them) and materialize
-    descriptors lazily via :class:`_RowBucket`.
+    from the columnar grouping — per slot, one right shift of the cells'
+    keys (:func:`repro.core.cells.bucket_code`) and one vectorized pass —
+    and a sharded build does so in the master instead of per worker. The
+    ``Region`` geometry over a ``CellIndex`` is the test oracle. Buckets
+    hold row arrays (shared across the cells linking to them) and
+    materialize descriptors lazily via :class:`_RowBucket`.
     """
 
     __slots__ = (
@@ -539,12 +544,10 @@ class BootstrapPlan:
             for dim in range(dimensions):
                 if not cell_count:
                     continue
-                codes = vector.pack_codes(
-                    grouping.cell_coords, level, dim, max_level
+                codes = bucket_code(
+                    grouping.cell_codes, level, dim, dimensions
                 )
-                flipped = vector.pack_codes(
-                    grouping.cell_coords, level, dim, max_level, flip=True
-                )
+                flipped = codes ^ 1
                 sort_idx = np.argsort(codes, kind="stable")
                 sorted_codes = codes[sort_idx]
                 # A cell has a slot entry iff some cell carries its
@@ -840,7 +843,7 @@ class ColumnarCellIndex:
         """All descriptors in the C0 cell identified by *coordinates*."""
         grouping = self.store().grouping()
         cell = grouping.code_to_cell.get(
-            vector.pack_cell_code(coordinates, self.schema.max_level)
+            cell_code(coordinates, self.schema.max_level)
         )
         if cell is None:
             return ()
@@ -851,10 +854,10 @@ class ColumnarCellIndex:
     def cells(self) -> Iterator[Tuple[Coordinates, List[NodeDescriptor]]]:
         """Iterate ``(cell coordinates, member descriptors)`` pairs."""
         grouping = self.store().grouping()
-        intern = self.schema.intern_coordinates
+        intern = self.schema.intern_cell
         descriptors_at = self._store.descriptors_at
         for cell, coordinates in enumerate(grouping.cell_coords.tolist()):
-            yield intern(tuple(coordinates)), descriptors_at(
+            yield intern(tuple(coordinates))[0], descriptors_at(
                 grouping.members(cell).tolist()
             )
 

@@ -11,18 +11,17 @@ node or per cell, one column per dimension):
 * :func:`coordinates_matrix` — batch value→cell-index mapping
   (``np.searchsorted(side="right")`` is exactly ``bisect.bisect_right``);
 * :func:`contains_mask` — batch region membership;
-* :func:`pack_codes` — per-slot bucket/flipped keys packed into int64
-  scalars, the identity behind the vectorized bootstrap bucket assignment;
-* :func:`pack_cell_codes` / :func:`pack_cell_code` — full-coordinate C0
-  cell keys packed into int64, the sort/group key of the columnar store
-  (:mod:`repro.core.store`);
-* :func:`box_cell_codes` — the packed keys of every cell in a query box,
-  the enumeration side of the columnar ground-truth lookup;
+* :func:`cell_codes` — the level-interleaved C0 key
+  (:func:`repro.core.cells.cell_code`) of every row, the sort/group key
+  of the columnar store (:mod:`repro.core.store`); a slot's bucket keys
+  are right shifts of it (:func:`repro.core.cells.bucket_code`);
+* :func:`box_cell_codes` — the keys of every cell in a query box, the
+  enumeration side of the columnar ground-truth lookup;
 * :func:`matches_mask` — batch :meth:`repro.core.query.Query.matches`
   over a value matrix (the columnar ground-truth filter).
 
-Every packed key spends ``max_level`` bits per dimension, so it fits one
-int64 only when :func:`packable` holds; :class:`AttributeSchema` refuses
+Every key spends ``max_level`` bits per dimension, so it fits one int64
+only when :func:`packable` holds; :class:`AttributeSchema` refuses
 any other geometry, which is why no function here checks it again. Every
 function is kept bit-identical to the scalar algebra by the property
 tests in ``tests/core/test_vector.py`` (randomized depths, dimensions and
@@ -31,6 +30,7 @@ populations, including the N(l,k) partition invariant).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -85,80 +85,54 @@ def contains_mask(
 
 
 def packable(dimensions: int, max_level: int) -> bool:
-    """True when packed cell keys fit one int64 (``d * L <= 62``)."""
+    """True when C0 cell keys fit one int64 (``d * L <= 62``)."""
     return dimensions * max_level <= 62
 
 
-def pack_codes(
-    coords: "np.ndarray",
-    level: int,
-    dim: int,
-    max_level: int,
-    flip: bool = False,
-) -> "np.ndarray":
-    """Per-row bucket keys for slot ``(level, dim)``, packed into int64.
+@lru_cache(maxsize=16)
+def _spread_table(dimensions: int, max_level: int) -> "np.ndarray":
+    """Every cell index with its bit ``b`` moved to bit ``b * dimensions``.
 
-    Two rows receive equal codes iff their scalar
-    :func:`repro.core.cells.bucket_key` tuples are equal for the same
-    slot (codes from different slots are never compared, so the
-    ``(level, dim)`` prefix of the scalar key is omitted). With
-    ``flip=True`` this is :func:`repro.core.cells.flipped_key` instead —
-    the code of the bucket a node *links to*, rather than the bucket it
-    *belongs to*. Each per-dimension part occupies ``max_level`` bits,
-    which is injective because every part is a right-shift of an index
-    below ``2**max_level``.
+    Entry ``i`` shifted left by ``dimensions - 1 - dim`` is dimension
+    *dim*'s share of :func:`repro.core.cells.cell_code` for index ``i``.
+    ``2**max_level`` entries, no more than one of the schema's boundary
+    vectors; read-only, because every caller shares it.
     """
-    half = level - 1
+    indices = np.arange(1 << max_level, dtype=np.int64)
+    spread = np.zeros(len(indices), dtype=np.int64)
+    for bit in range(max_level):
+        spread |= ((indices >> bit) & 1) << (bit * dimensions)
+    spread.flags.writeable = False
+    return spread
+
+
+def cell_codes(coords: "np.ndarray", max_level: int) -> "np.ndarray":
+    """Per-row C0 keys: :func:`repro.core.cells.cell_code` of every row."""
+    dimensions = coords.shape[1]
+    spread = _spread_table(dimensions, max_level)
     codes = np.zeros(len(coords), dtype=np.int64)
-    for j in range(coords.shape[1]):
-        if j < dim:
-            part = coords[:, j] >> half
-        elif j == dim:
-            part = coords[:, j] >> half
-            if flip:
-                part = part ^ 1
-        else:
-            part = coords[:, j] >> level
-        codes = (codes << max_level) | part
+    for dim in range(dimensions):
+        codes |= spread[coords[:, dim]] << (dimensions - 1 - dim)
     return codes
-
-
-def pack_cell_codes(coords: "np.ndarray", max_level: int) -> "np.ndarray":
-    """Per-row C0 cell keys: the full coordinate vector packed into int64.
-
-    Two rows receive equal codes iff their coordinate tuples are equal —
-    the packed form of the :class:`~repro.core.index.CellIndex` cell id,
-    usable as a sort/group key. Each dimension occupies ``max_level``
-    bits (injective because every cell index lies below
-    ``2**max_level``). Scalar twin: :func:`pack_cell_code`.
-    """
-    codes = np.zeros(len(coords), dtype=np.int64)
-    for dim in range(coords.shape[1]):
-        codes = (codes << max_level) | coords[:, dim]
-    return codes
-
-
-def pack_cell_code(coordinates: Sequence[int], max_level: int) -> int:
-    """Scalar :func:`pack_cell_codes`: one coordinate tuple to its int key."""
-    code = 0
-    for part in coordinates:
-        code = (code << max_level) | int(part)
-    return code
 
 
 def box_cell_codes(
     ranges: Sequence[Interval], max_level: int
 ) -> "np.ndarray":
-    """Packed C0 keys of every cell in the box *ranges*, ascending.
+    """The C0 keys of every cell in the box *ranges*, ascending.
 
-    Equals :func:`pack_cell_code` over ``itertools.product`` of the
-    inclusive per-dimension ranges, built as one outer sum per dimension.
-    Packing is lexicographic, so product order is ascending key order.
+    Equals :func:`repro.core.cells.cell_code` over ``itertools.product``
+    of the inclusive per-dimension ranges: each dimension's slice of the
+    bit-spread table, combined as one outer OR per dimension. Sorted,
+    because ``np.searchsorted`` runs faster on ascending needles.
     """
+    dimensions = len(ranges)
+    spread = _spread_table(dimensions, max_level)
     codes = np.zeros(1, dtype=np.int64)
-    for low, high in ranges:
-        part = np.arange(low, high + 1, dtype=np.int64)
-        codes = ((codes << max_level)[:, None] | part).ravel()
+    for dim, (low, high) in enumerate(ranges):
+        part = spread[low : high + 1] << (dimensions - 1 - dim)
+        codes = (codes[:, None] | part).ravel()
+    codes.sort()
     return codes
 
 

@@ -249,9 +249,7 @@ class VicinityProtocol:
         self, peer: NodeDescriptor, candidate: NodeDescriptor
     ) -> int:
         """Rank key: which slot *candidate* fills at *peer* (lower = rarer)."""
-        slot = slot_of(
-            peer.coordinates, candidate.coordinates, self.routing.max_level
-        )
+        slot = slot_of(peer.code, candidate.code, self.routing.dimensions)
         if slot == ZERO_SLOT:
             return 0  # a C0 mate: the hardest link to find at random
         return slot[0]  # finer levels (small l) before coarse ones

@@ -24,14 +24,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
 
-from repro.core.cells import bucket_key, flipped_key
+from repro.core.cells import bucket_code, iter_slots
 from repro.core.descriptors import Address
 
 if TYPE_CHECKING:
     from repro.obs.registry import MetricsRegistry
     from repro.sim.deployment import Deployment
-
-Coordinates = Tuple[int, ...]
 
 
 class ConvergenceProbe:
@@ -95,25 +93,24 @@ class ConvergenceProbe:
 
     def _satisfiable_map(
         self, max_level: int, dimensions: int
-    ) -> Dict[Coordinates, FrozenSet[Tuple[int, int]]]:
-        """Ground truth: per occupied C0 cell, the slots with inhabitants."""
-        occupied_cells = [
-            coordinates for coordinates, _ in self.deployment.index.cells()
+    ) -> Dict[int, FrozenSet[Tuple[int, int]]]:
+        """Ground truth: per occupied C0 cell key, its inhabited slots."""
+        codes = [
+            members[0].code for _, members in self.deployment.index.cells()
         ]
-        occupied_keys = {
-            bucket_key(coordinates, level, dim)
-            for coordinates in occupied_cells
-            for level in range(1, max_level + 1)
-            for dim in range(dimensions)
+        slots = list(iter_slots(dimensions, max_level))
+        occupied = {
+            (slot, bucket_code(code, *slot, dimensions))
+            for code in codes
+            for slot in slots
         }
         return {
-            coordinates: frozenset(
-                (level, dim)
-                for level in range(1, max_level + 1)
-                for dim in range(dimensions)
-                if flipped_key(coordinates, level, dim) in occupied_keys
+            code: frozenset(
+                slot
+                for slot in slots
+                if (slot, bucket_code(code, *slot, dimensions) ^ 1) in occupied
             )
-            for coordinates in occupied_cells
+            for code in codes
         }
 
     def sample(self) -> Dict[str, float]:
@@ -138,7 +135,7 @@ class ConvergenceProbe:
             filled_total += len(filled)
             slots_total += routing.total_slots()
             satisfiable = satisfiable_by_cell.get(
-                host.descriptor.coordinates, frozenset()
+                host.descriptor.code, frozenset()
             )
             satisfied += len(filled & satisfiable)
             satisfiable_total += len(satisfiable)

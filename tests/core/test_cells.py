@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from repro.core.cells import (
     ZERO_SLOT,
-    cell_id,
+    bucket_code,
+    cell_code,
     cell_interval,
     cell_region,
     iter_slots,
@@ -42,11 +43,6 @@ class TestCellRegion:
         coords = (3, 6)
         for level in range(4):
             assert cell_region(coords, level).contains(coords)
-
-    def test_cell_id_prefixes(self):
-        assert cell_id((5, 2), 0) == (5, 2)
-        assert cell_id((5, 2), 1) == (2, 1)
-        assert cell_id((5, 2), 3) == (0, 0)
 
     def test_num_cells(self):
         assert num_cells(2, 3) == 64
@@ -101,58 +97,120 @@ class TestNeighboringRegion:
         assert all(count == 1 for count in counts.values()), counts
 
 
-coordinate_vectors = st.integers(min_value=1, max_value=3).flatmap(
-    lambda d: st.tuples(
-        st.lists(st.integers(0, 7), min_size=d, max_size=d),
-        st.lists(st.integers(0, 7), min_size=d, max_size=d),
+@st.composite
+def cell_pairs(draw):
+    """Two cells of one geometry: d <= 8, max(l) <= 7 (so d * max(l) <= 62).
+
+    The second cell is the first with its coordinate bits below a random
+    level redrawn, so the pair's slot is as often a fine one as a coarse
+    one (two independent cells almost always split at the top level).
+    """
+    dimensions = draw(st.integers(1, 8))
+    max_level = draw(st.integers(1, 7))
+    top = (1 << max_level) - 1
+    own = tuple(draw(st.integers(0, top)) for _ in range(dimensions))
+    low_bits = (1 << draw(st.integers(0, max_level))) - 1
+    other = tuple(
+        index ^ (draw(st.integers(0, top)) & low_bits) for index in own
     )
-)
+    return own, other, max_level
+
+
+def slot(own, other, max_level=3):
+    """:func:`slot_of` of two coordinate tuples, through their keys."""
+    return slot_of(
+        cell_code(own, max_level), cell_code(other, max_level), len(own)
+    )
+
+
+class TestCellCode:
+    def test_interleaves_coarsest_level_first(self):
+        # 5 = 0b101 and 2 = 0b010: the level-3 bits (1, 0) come first,
+        # then the level-2 bits (0, 1), then the level-1 bits (1, 0).
+        assert cell_code((5, 2), 3) == 0b10_01_10
+        assert cell_code((0, 0, 0), 3) == 0
+        assert cell_code((127,) * 8, 7) == (1 << 56) - 1
+
+    def test_every_cell_has_its_own_key(self):
+        keys = {
+            cell_code(point, 2)
+            for point in itertools.product(range(4), range(4), range(4))
+        }
+        assert keys == set(range(64))
 
 
 class TestSlotOf:
     def test_same_cell_is_zero_slot(self):
-        assert slot_of((3, 5), (3, 5), 3) == ZERO_SLOT
+        assert slot((3, 5), (3, 5)) == ZERO_SLOT
 
     def test_adjacent_cells(self):
-        assert slot_of((0, 0), (1, 0), 3) == (1, 0)
-        assert slot_of((0, 0), (0, 1), 3) == (1, 1)
-        assert slot_of((0, 0), (7, 7), 3) == (3, 0)
-        assert slot_of((0, 0), (0, 7), 3) == (3, 1)
+        assert slot((0, 0), (1, 0)) == (1, 0)
+        assert slot((0, 0), (0, 1)) == (1, 1)
+        assert slot((0, 0), (7, 7)) == (3, 0)
+        assert slot((0, 0), (0, 7)) == (3, 1)
 
     def test_dimension_order_tie_break(self):
         # Differs in the top bit of both dimensions: dimension 0 wins
         # (the space is split along dimension 0 first).
-        assert slot_of((0, 0), (4, 4), 3) == (3, 0)
+        assert slot((0, 0), (4, 4)) == (3, 0)
 
-    @given(coordinate_vectors)
-    @settings(max_examples=300)
+    @given(cell_pairs())
+    @settings(max_examples=500, deadline=None)
     def test_slot_matches_region_membership(self, pair):
         """slot_of(X, Y) returns exactly the (l, k) whose region holds Y."""
-        own, other = tuple(pair[0]), tuple(pair[1])
-        slot = slot_of(own, other, 3)
+        own, other, max_level = pair
+        found = slot(own, other, max_level)
         containing = [
             (level, dim)
-            for level, dim in iter_slots(len(own), 3)
+            for level, dim in iter_slots(len(own), max_level)
             if neighboring_region(own, level, dim).contains(other)
         ]
-        if slot == ZERO_SLOT:
-            assert own == other or containing == []
+        if found == ZERO_SLOT:
+            assert own == other and containing == []
             assert cell_region(own, 0).contains(other)
         else:
-            assert containing == [slot]
+            assert containing == [found]
 
-    @given(coordinate_vectors)
-    @settings(max_examples=300)
+    @given(cell_pairs())
+    @settings(max_examples=300, deadline=None)
     def test_partition_property(self, pair):
         """Every point lies in exactly one slot region (or C0)."""
-        own, other = tuple(pair[0]), tuple(pair[1])
+        own, other, max_level = pair
         membership = sum(
             1
-            for level, dim in iter_slots(len(own), 3)
+            for level, dim in iter_slots(len(own), max_level)
             if neighboring_region(own, level, dim).contains(other)
         )
         in_zero = cell_region(own, 0).contains(other)
         assert membership + (1 if in_zero else 0) == 1
+
+
+class TestBucketCode:
+    @given(cell_pairs())
+    @settings(max_examples=500, deadline=None)
+    def test_flipped_bucket_is_the_neighboring_cell(self, pair):
+        """Y in N(l, k)(X) iff bucket_code(Y) == bucket_code(X) ^ 1."""
+        own, other, max_level = pair
+        dimensions = len(own)
+        own_code = cell_code(own, max_level)
+        other_code = cell_code(other, max_level)
+        for level, dim in iter_slots(dimensions, max_level):
+            linked = bucket_code(other_code, level, dim, dimensions) == (
+                bucket_code(own_code, level, dim, dimensions) ^ 1
+            )
+            assert linked == neighboring_region(own, level, dim).contains(
+                other
+            )
+
+    def test_paper_geometry_d2(self):
+        """Figure 1(b)'s cells, as key prefixes: Y in N(l, k)(X)."""
+        own = cell_code((0, 0), 3)
+        for other, level, dim in (
+            ((4, 0), 3, 0), ((0, 4), 3, 1), ((1, 0), 1, 0), ((0, 1), 1, 1)
+        ):
+            assert bucket_code(cell_code(other, 3), level, dim, 2) == (
+                bucket_code(own, level, dim, 2) ^ 1
+            )
 
 
 class TestRegionOverlap:

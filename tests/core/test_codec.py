@@ -60,15 +60,21 @@ def descriptors(draw):
             for hi in (100.0, 8192.0, 2.0)
         )
         return NodeDescriptor.from_numeric(draw(addresses), SCHEMA, values)
-    # Direct construction: coordinates need not be schema-derived; the
-    # codec must still carry them bit-for-bit.
+    # Direct construction: values and cell need not agree, but the cell
+    # must lie on the schema's grid for the codec to carry it.
+    top = SCHEMA.cells_per_dimension - 1
     return NodeDescriptor(
-        address=draw(addresses),
-        values=tuple(draw(st.lists(finite, min_size=0, max_size=6))),
-        coordinates=tuple(
-            draw(st.lists(st.integers(0, 2**20), min_size=0, max_size=6))
+        draw(addresses),
+        tuple(draw(finite) for _ in range(SCHEMA.dimensions)),
+        *SCHEMA.intern_cell(
+            tuple(draw(st.integers(0, top)) for _ in range(SCHEMA.dimensions))
         ),
     )
+
+
+def off_grid(address, values, coordinates):
+    """A descriptor naming no cell of SCHEMA: it encodes, but never decodes."""
+    return NodeDescriptor(address, values, coordinates, code=0)
 
 
 @st.composite
@@ -286,9 +292,17 @@ SCHEMA_DESCRIPTORS = tuple(
 )
 
 OFF_ARITY_DESCRIPTORS = (
-    NodeDescriptor(address=21, values=(), coordinates=()),
-    NodeDescriptor(address=22, values=(1.5, 2.5, 3.5, 4.5, 5.5), coordinates=(1,)),
-    NodeDescriptor(address=23, values=(0.25,), coordinates=(7, 8, 9, 10)),
+    off_grid(21, (), ()),
+    off_grid(22, (1.5, 2.5, 3.5, 4.5, 5.5), (1,)),
+    off_grid(23, (0.25,), (7, 8, 9, 10)),
+    off_grid(24, (0.5, 0.5), (1, 2, 3)),
+    off_grid(25, (0.5, 0.5, 0.5), (1, 2)),
+)
+
+#: Grid corners: the first and last cell of every dimension.
+CORNER_DESCRIPTORS = (
+    NodeDescriptor(31, (-1.0, -1.0, -1.0), *SCHEMA.intern_cell((0, 0, 0))),
+    NodeDescriptor(32, (1e9, 1e9, 1e9), *SCHEMA.intern_cell((7, 7, 7))),
 )
 
 RICH_QUERY = QueryMessage(
@@ -319,10 +333,14 @@ FIXED_MESSAGES = {
     "gossip-entries": VicinityReply(
         entries=(
             ViewEntry(descriptor=SCHEMA_DESCRIPTORS[0], age=4),
-            ViewEntry(descriptor=OFF_ARITY_DESCRIPTORS[2], age=0),
+            ViewEntry(descriptor=CORNER_DESCRIPTORS[0], age=0),
+            ViewEntry(descriptor=CORNER_DESCRIPTORS[1], age=2**31),
         )
     ),
 }
+
+#: Fixed frames the encoder emits but the decoder must refuse.
+REJECTED_FRAMES = {"reply-off-arity"}
 
 
 class TestRoundTrips:
@@ -368,15 +386,23 @@ class TestRoundTrips:
         reply = ReplyMessage(query_id=(7, 0), sender=7, matching=(descriptor,))
         _, got = roundtrip(7, reply)
         assert got.matching[0].coordinates is descriptor.coordinates
+        assert got.matching[0].code == descriptor.code
 
     def test_float_fidelity_is_bit_exact(self):
-        tricky = (0.1 + 0.2, math.nextafter(1.0, 2.0), 1e-300, -0.0)
-        descriptor = NodeDescriptor(address=1, values=tricky, coordinates=(0,))
-        _, got = roundtrip(1, ReplyMessage((1, 0), 1, (descriptor,)))
-        assert all(
-            struct.pack(">d", a) == struct.pack(">d", b)
-            for a, b in zip(tricky, got.matching[0].values)
+        tricky = (
+            (0.1 + 0.2, math.nextafter(1.0, 2.0), 1e-300),
+            (-0.0, 5e-324, -math.inf),
         )
+        matching = tuple(
+            NodeDescriptor(1, values, *SCHEMA.intern_cell((0, 0, 0)))
+            for values in tricky
+        )
+        _, got = roundtrip(1, ReplyMessage((1, 0), 1, matching))
+        for values, descriptor in zip(tricky, got.matching):
+            assert all(
+                struct.pack(">d", a) == struct.pack(">d", b)
+                for a, b in zip(values, descriptor.values)
+            )
 
 
 gossip_messages = st.builds(
@@ -418,7 +444,11 @@ class TestByteIdentity:
         message = FIXED_MESSAGES[name]
         frame = CODEC.encode(9, message)
         assert frame == reference_encode(9, message)
-        assert CODEC.decode(frame) == (9, message)
+        if name in REJECTED_FRAMES:
+            with pytest.raises(CodecError, match="dimensions"):
+                CODEC.decode(frame)
+        else:
+            assert CODEC.decode(frame) == (9, message)
 
 
 class TestRejection:
@@ -535,6 +565,26 @@ class TestFailClosed:
         with pytest.raises(CodecError, match="truncated"):
             CODEC.decode(reply_frame(record))
 
+    @pytest.mark.parametrize("descriptor", OFF_ARITY_DESCRIPTORS)
+    def test_off_arity_record_is_rejected(self, descriptor):
+        with pytest.raises(CodecError, match="dimensions"):
+            CODEC.decode(reply_frame(_reference_descriptor(descriptor)))
+
+    @pytest.mark.parametrize(
+        "coordinates",
+        [(8, 0, 0), (0, -1, 0), (0, 0, 2**31 - 1), (1000, -5, 9)],
+    )
+    def test_off_grid_coordinates_are_rejected_and_never_interned(
+        self, coordinates
+    ):
+        descriptor = off_grid(7, (1.0, 2.0, 0.0), coordinates)
+        record = _reference_descriptor(descriptor)
+        interned = len(SCHEMA._intern)
+        for _ in range(3):
+            with pytest.raises(CodecError, match="grid"):
+                CODEC.decode(reply_frame(record))
+        assert len(SCHEMA._intern) == interned
+
     def test_descriptor_count_beyond_the_frame_is_rejected(self):
         record = _reference_descriptor(SCHEMA_DESCRIPTORS[0])
         with pytest.raises(CodecError, match="truncated"):
@@ -543,16 +593,12 @@ class TestFailClosed:
     @pytest.mark.parametrize(
         "descriptor",
         [
-            NodeDescriptor(address=1, values=(1.0,), coordinates=(2**31,)),
-            NodeDescriptor(address=1, values=(1.0,), coordinates=(-(2**31) - 1,)),
-            NodeDescriptor(address=2**63, values=(), coordinates=()),
-            NodeDescriptor(address=1, values=(0.5,) * 256, coordinates=()),
-            NodeDescriptor(address=1, values=(), coordinates=(0,) * 256),
-            NodeDescriptor(
-                address=-(2**63) - 1,
-                values=SCHEMA_DESCRIPTORS[0].values,
-                coordinates=SCHEMA_DESCRIPTORS[0].coordinates,
-            ),
+            off_grid(1, (1.0,), (2**31,)),
+            off_grid(1, (1.0,), (-(2**31) - 1,)),
+            off_grid(2**63, (), ()),
+            off_grid(1, (0.5,) * 256, ()),
+            off_grid(1, (), (0,) * 256),
+            dataclasses.replace(SCHEMA_DESCRIPTORS[0], address=-(2**63) - 1),
         ],
     )
     def test_descriptor_field_beyond_its_width_raises_codec_error(

@@ -5,6 +5,7 @@ against a :class:`RoutingTable` and checks, after every step, the
 structural invariants the protocol depends on:
 
 * the primary of slot (l, k) always lies inside region N(l, k)(owner),
+* every link is classified into the slot whose region holds it,
 * C0 entries always share the owner's coordinates,
 * no table ever contains the owner itself,
 * removal really removes every trace of an address,
@@ -21,21 +22,25 @@ from repro.core.descriptors import NodeDescriptor
 from repro.core.routing import RoutingTable
 
 SCHEMA = AttributeSchema.regular(
-    [numeric("x", 0, 8), numeric("y", 0, 8)], max_level=3
+    [numeric("x", 0, 16), numeric("y", 0, 16), numeric("z", 0, 16)],
+    max_level=4,
 )
 
 
-def descriptor(address, x, y):
-    return NodeDescriptor.build(address, SCHEMA, {"x": x, "y": y})
+def descriptor(address, coords):
+    x, y, z = (index + 0.5 for index in coords)
+    return NodeDescriptor.build(address, SCHEMA, {"x": x, "y": y, "z": z})
 
 
-coordinates = st.tuples(st.integers(0, 7), st.integers(0, 7))
+coordinates = st.tuples(
+    st.integers(0, 15), st.integers(0, 15), st.integers(0, 15)
+)
 
 
 class RoutingTableMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.owner = descriptor(0, 3.5, 5.5)
+        self.owner = descriptor(0, (3, 5, 12))
         self.table = RoutingTable(
             self.owner, SCHEMA.dimensions, SCHEMA.max_level,
             alternates_per_slot=2,
@@ -44,7 +49,7 @@ class RoutingTableMachine(RuleBasedStateMachine):
 
     @rule(address=st.integers(1, 40), coords=coordinates)
     def add(self, address, coords):
-        peer = descriptor(address, coords[0] + 0.5, coords[1] + 0.5)
+        peer = descriptor(address, coords)
         self.table.add(peer)
         self.alive[address] = peer
 
@@ -55,7 +60,7 @@ class RoutingTableMachine(RuleBasedStateMachine):
 
     @rule(coords=coordinates)
     def rebuild(self, coords):
-        self.owner = descriptor(0, coords[0] + 0.5, coords[1] + 0.5)
+        self.owner = descriptor(0, coords)
         self.table.rebuild(self.owner)
 
     @invariant()
@@ -67,6 +72,17 @@ class RoutingTableMachine(RuleBasedStateMachine):
                     self.table.owner.coordinates, level, dim
                 )
                 assert region.contains(primary.coordinates)
+
+    @invariant()
+    def links_are_classified_by_region(self):
+        owner = self.table.owner.coordinates
+        for peer in self.table.descriptors():
+            slot = self.table.classify(peer)
+            if slot == ZERO_SLOT:
+                assert peer.coordinates == owner
+            else:
+                region = neighboring_region(owner, *slot)
+                assert region.contains(peer.coordinates)
 
     @invariant()
     def zero_entries_share_owner_cell(self):

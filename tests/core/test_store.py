@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.core import store as store_module
 from repro.core import vector
 from repro.core.attributes import AttributeSchema, categorical, numeric
+from repro.core.cells import cell_code
 from repro.core.descriptors import NodeDescriptor
 from repro.core.index import CellIndex
 from repro.core.query import Query
@@ -78,12 +79,13 @@ def test_sampled_store_is_bit_identical_to_object_loop(
         assert materialized.coordinates == expected.coordinates
         # Interned against the same schema cache as the object path.
         assert materialized.coordinates is expected.coordinates
+        assert materialized.code == expected.code
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    dimensions=st.integers(1, 5),
-    max_level=st.integers(1, 4),
+    dimensions=st.integers(1, 8),
+    max_level=st.integers(1, 7),
     population=st.integers(1, 80),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -95,16 +97,10 @@ def test_packed_cell_keys_match_descriptor_cells(
     store = DescriptorStore.sample(
         schema, sampler, derive_rng(seed, "population"), population
     )
-
-    def pack(coordinates):
-        code = 0
-        for coordinate in coordinates:
-            code = (code << max_level) | coordinate
-        return code
-
     for row in range(len(store)):
         descriptor = store.descriptor(row)
-        assert int(store.cell_codes[row]) == pack(descriptor.coordinates)
+        code = cell_code(descriptor.coordinates, max_level)
+        assert int(store.cell_codes[row]) == descriptor.code == code
 
 
 def assert_same_index(columnar: ColumnarCellIndex, reference: CellIndex):

@@ -3,11 +3,13 @@
 Every vectorized function in :mod:`repro.core.vector` is checked against
 the scalar algebra of :mod:`repro.core.cells` on randomized geometries
 (depth, dimensions, populations), including the N(l,k) partition
-invariant that underpins exactly-once delivery. The scalar code lives on
-only as this oracle: the bootstrap's tuple-key bucket derivation, for
-one, exists nowhere but in this file.
+invariant that underpins exactly-once delivery. Cell keys and bucket
+keys are held to the :class:`~repro.core.cells.Region` geometry: the
+bootstrap's bucket derivation from regions exists nowhere but in this
+file.
 """
 
+import itertools
 import random
 from collections import defaultdict
 
@@ -18,8 +20,9 @@ from hypothesis import strategies as st
 from repro.core import vector
 from repro.core.attributes import AttributeSchema, numeric
 from repro.core.cells import (
-    bucket_key,
-    flipped_key,
+    bucket_code,
+    cell_code,
+    cell_interval,
     iter_slots,
     neighboring_region,
 )
@@ -30,6 +33,8 @@ from repro.core.store import bootstrap_rng
 # Geometry strategy: dimensions x max_level kept small enough for the
 # exhaustive checks but covering the non-trivial range.
 geometries = st.tuples(st.integers(1, 4), st.integers(1, 4))
+# Every geometry up to d = 8 and max(l) = 7 (d * max(l) <= 62 throughout).
+wide_geometries = st.tuples(st.integers(1, 8), st.integers(1, 7))
 
 
 def random_coords(rng, count, dimensions, max_level):
@@ -107,33 +112,50 @@ def test_partition_invariant_vectorized(geometry, seed):
 
 
 @settings(max_examples=50, deadline=None)
+@given(wide_geometries, st.integers(0, 2**32 - 1))
+def test_cell_codes_match_scalar(geometry, seed):
+    dimensions, max_level = geometry
+    coords = random_coords(random.Random(seed), 40, dimensions, max_level)
+    assert vector.cell_codes(coords, max_level).tolist() == [
+        cell_code(row, max_level) for row in coords.tolist()
+    ]
+
+
+@settings(max_examples=50, deadline=None)
 @given(geometries, st.integers(0, 2**32 - 1))
-def test_pack_codes_equal_iff_bucket_keys_equal(geometry, seed):
+def test_bucket_codes_match_region_membership(geometry, seed):
+    """Y in N(l,k)(X) iff Y's bucket code is X's with its last bit flipped."""
     dimensions, max_level = geometry
     rng = random.Random(seed)
-    coords = random_coords(rng, 40, dimensions, max_level)
+    coords = random_coords(rng, 30, dimensions, max_level)
     rows = [tuple(row) for row in coords.tolist()]
+    codes = vector.cell_codes(coords, max_level)
     for level, dim in iter_slots(dimensions, max_level):
-        codes = vector.pack_codes(coords, level, dim, max_level).tolist()
-        flips = vector.pack_codes(
-            coords, level, dim, max_level, flip=True
-        ).tolist()
-        scalar_codes = [bucket_key(row, level, dim) for row in rows]
-        scalar_flips = [flipped_key(row, level, dim) for row in rows]
-        for i in range(len(rows)):
-            for j in range(len(rows)):
-                assert (codes[i] == codes[j]) == (
-                    scalar_codes[i] == scalar_codes[j]
-                )
-                # The linking identity: Y in N(l,k)(X) iff Y's bucket key
-                # equals X's flipped key.
-                assert (codes[i] == flips[j]) == (
-                    scalar_codes[i] == scalar_flips[j]
-                )
-                member = neighboring_region(rows[j], level, dim).contains(
-                    rows[i]
-                )
-                assert (codes[i] == flips[j]) == member
+        buckets = bucket_code(codes, level, dim, dimensions).tolist()
+        for j, own in enumerate(rows):
+            region = neighboring_region(own, level, dim)
+            for i, other in enumerate(rows):
+                linked = buckets[i] == buckets[j] ^ 1
+                assert linked == region.contains(other)
+
+
+@settings(max_examples=50, deadline=None)
+@given(wide_geometries, st.integers(0, 2**32 - 1))
+def test_box_cell_codes_are_the_codes_of_the_box(geometry, seed):
+    dimensions, max_level = geometry
+    rng = random.Random(seed)
+    top = 1 << max_level
+    ranges = []
+    for _ in range(dimensions):
+        low = rng.randrange(top)
+        ranges.append((low, min(top - 1, low + rng.randrange(3))))
+    expected = sorted(
+        cell_code(point, max_level)
+        for point in itertools.product(
+            *(range(low, high + 1) for low, high in ranges)
+        )
+    )
+    assert vector.box_cell_codes(ranges, max_level).tolist() == expected
 
 
 @settings(max_examples=30, deadline=None)
@@ -148,26 +170,43 @@ def test_coordinates_are_interned(seed, count):
         coords = schema.coordinates([rng.uniform(0, 8), rng.uniform(0, 8)])
         # Interning: equal coordinates are the *same* tuple object.
         assert first_seen.setdefault(coords, coords) is coords
-        assert schema.intern_coordinates(tuple(list(coords))) is coords
+        canonical, code = schema.intern_cell(tuple(list(coords)))
+        assert canonical is coords
+        assert code == cell_code(coords, schema.max_level)
+
+
+def block(coordinates, level, dim):
+    """The region of the ``(level, dim)`` block holding a cell.
+
+    The cell's ``C_(level-1)`` interval at dimensions up to *dim*, its
+    ``C_level`` interval beyond: ``N(level, dim)(X)`` is exactly the
+    block of every cell it contains.
+    """
+    return tuple(
+        cell_interval(index, level - 1 if j <= dim else level)
+        for j, index in enumerate(coordinates)
+    )
 
 
 def scalar_slot_buckets_by_cell(index, schema, picks_cap):
     """Per occupied C0 cell, the ``(level, dim, bucket, picks)`` list.
 
-    Derived from the scalar tuple keys of a ``CellIndex``'s ``cells``: the
-    oracle for :class:`repro.core.store.BootstrapPlan`'s packed codes.
+    Derived from the region geometry of a ``CellIndex``'s ``cells``: the
+    oracle for :class:`repro.core.store.BootstrapPlan`'s bucket codes.
     """
     cell_items = list(index.cells())
     buckets = defaultdict(list)
     for coordinates, members in cell_items:
         for level, dim in iter_slots(schema.dimensions, schema.max_level):
-            buckets[bucket_key(coordinates, level, dim)].extend(members)
+            buckets[block(coordinates, level, dim)].extend(members)
     slot_buckets_of = {}
     for coordinates, _members in cell_items:
         slot_buckets = slot_buckets_of[coordinates] = []
         for level, dim in iter_slots(schema.dimensions, schema.max_level):
-            bucket = buckets.get(flipped_key(coordinates, level, dim))
+            region = neighboring_region(coordinates, level, dim)
+            bucket = buckets.get(region.intervals)
             if bucket:
+                assert all(region.contains(d.coordinates) for d in bucket)
                 slot_buckets.append(
                     (level, dim, bucket, min(len(bucket), picks_cap))
                 )
@@ -210,7 +249,7 @@ def routing_tables(deployment):
 
 
 def test_bootstrap_vector_path_matches_scalar():
-    """End-to-end bit-identity: plan-seeded and tuple-key tables agree."""
+    """End-to-end bit-identity: plan-seeded and region-seeded tables agree."""
     from repro.experiments.config import PAPER_PEERSIM
     from repro.experiments.harness import build_deployment
     from repro.sim.deployment import Deployment

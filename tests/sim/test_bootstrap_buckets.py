@@ -6,7 +6,7 @@ buckets it receives are, by the cell geometry, pairwise disjoint, free
 of the owner and free of its C0 cell-mates, and each lies inside its own
 slot's neighboring cell. This test holds the one bucket derivation,
 :class:`~repro.core.store.BootstrapPlan`, to those preconditions over
-random geometries and populations, and to the scalar tuple-key oracle
+random geometries and populations, and to the region-geometry oracle
 (``scalar_slot_buckets_by_cell``): same zero members, same buckets, same
 order. It records exactly what the plan hands to the table.
 """
