@@ -317,6 +317,58 @@ def test_gossip_classifies_without_dimension_loops(benchmark, monkeypatch):
     assert calls == {"cell_code": 0, "slot_of": GOSSIP_SLOT_OF_CALLS}
 
 
+def test_bootstrap_draws_in_bulk(benchmark, monkeypatch):
+    """The converged bootstrap draws every pick in one vectorized pass.
+
+    Host-independent counter gate at N=5,000: ``Deployment.bootstrap``
+    makes no ``random.Random.random`` or ``shuffle`` call (the picks come
+    from each node's Mersenne Twister words, drawn in bulk by
+    ``BootstrapPlan.draw``), exactly one ``RoutingTable.seed_slots``
+    call per node, and promotes no table to its dicts. A per-slot draw
+    loop, or a table filled entry by entry, trips this at once.
+    """
+    from repro.core.routing import RoutingTable
+    from repro.sim.deployment import Deployment
+    from repro.workloads.distributions import uniform_sampler
+
+    cfg = PAPER_PEERSIM.scaled(SMOKE_N)
+    schema = cfg.schema()
+    deployment = Deployment(
+        schema, seed=cfg.seed, node_config=cfg.node_config()
+    )
+    deployment.populate(uniform_sampler(schema), SMOKE_N)
+
+    calls = {"random": 0, "shuffle": 0, "promoted": 0}
+    seeded = []
+    for name in ("random", "shuffle"):
+        original = getattr(random.Random, name)
+
+        def counting(self, *args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(random.Random, name, counting)
+    seed_slots, promote = RoutingTable.seed_slots, RoutingTable._promote
+
+    def counting_seed_slots(self, links, row):
+        seeded.append(id(self))
+        seed_slots(self, links, row)
+
+    def counting_promote(self):
+        calls["promoted"] += self._links is not None
+        promote(self)
+
+    monkeypatch.setattr(RoutingTable, "seed_slots", counting_seed_slots)
+    monkeypatch.setattr(RoutingTable, "_promote", counting_promote)
+
+    run_once(benchmark, deployment.bootstrap)
+    assert calls == {"random": 0, "shuffle": 0, "promoted": 0}
+    assert len(seeded) == len(set(seeded)) == SMOKE_N
+    assert {
+        id(host.node.routing) for host in deployment.hosts.values()
+    } == set(seeded)
+
+
 def test_memory_footprint_per_node(benchmark):
     """Compact-state gate: tracemalloc-attributed bytes per node.
 

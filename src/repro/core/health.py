@@ -382,9 +382,7 @@ class HealthMonitor:
         state. Sorted by address for stable rendering.
         """
         rows = []
-        for address in sorted(
-            set(self._estimators) | set(self._breakers), key=str
-        ):
+        for address in sorted(set(self._estimators) | set(self._breakers)):
             estimator = self._estimators.get(address)
             rows.append(
                 {

@@ -9,15 +9,33 @@ Beyond the single selected neighbor per slot, the table retains a small set
 of *alternates* per slot (other known inhabitants of the same cell). These
 serve two purposes: fail-over when a forwarded query times out (Section 4.3,
 the timeout T(q)), and candidate material for the gossip selection function.
+
+A converged bootstrap does not fill the table's dicts. It attaches one
+row of the shared pick arrays :meth:`repro.core.store.BootstrapPlan.draw`
+makes for every node (:meth:`RoutingTable.seed_slots`); the forwarding
+reads answer from that row, and the first mutation promotes the table in
+place to the dicts the scalar seed would have filled. Most tables of a
+converged overlay are never mutated, so they never hold a dict entry.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.core.cells import Slot, ZERO_SLOT, iter_slots, slot_of
 from repro.core.descriptors import Address, NodeDescriptor
+
+if TYPE_CHECKING:
+    from repro.core.store import BootstrapLinks
 
 #: Fallback descriptors kept per neighboring-cell slot, beside its
 #: selected neighbor. Every engine seeds tables with this many.
@@ -52,6 +70,8 @@ class RoutingTable:
         "_alternates",
         "_zero",
         "_by_address",
+        "_links",
+        "_row",
     )
 
     def __init__(
@@ -81,6 +101,9 @@ class RoutingTable:
         # (a per-link ``(slot, descriptor)`` tuple costs ~56 bytes, and
         # with ~60+ links per node that tuple dominated table memory).
         self._by_address: Dict[Address, NodeDescriptor] = {}
+        # Bootstrap links read in place until a mutation (seed_slots).
+        self._links: Optional["BootstrapLinks"] = None
+        self._row = 0
 
     # -- classification --------------------------------------------------------
 
@@ -104,7 +127,9 @@ class RoutingTable:
         address = descriptor.address
         if address == self.owner.address:
             return False
+        self._promote()
         slot = self.classify(descriptor)
+        changed = False
         current = self._by_address.get(address)
         if current is not None:
             if self.classify(current) == slot:
@@ -129,14 +154,16 @@ class RoutingTable:
                 return True
             # A known address whose new attributes place it in a *different*
             # slot (the node's resources changed) must not linger in the old
-            # one — purge the stale copy before inserting.
+            # one — purge the stale copy before inserting. That already
+            # changed the table, whether or not the new copy fits.
             self.remove(address)
+            changed = True
         if slot == ZERO_SLOT:
             if (
                 self.zero_capacity is not None
                 and len(self._zero) >= self.zero_capacity
             ):
-                return False
+                return changed
             self._zero[address] = descriptor
             self._by_address[address] = descriptor
             return True
@@ -148,7 +175,7 @@ class RoutingTable:
         alternates = self._alternates.setdefault(slot, [])
         if len(alternates) >= self.alternates_per_slot:
             if self.alternates_per_slot <= 0:
-                return False
+                return changed
             # Deterministic LRU eviction: drop the least recently
             # refreshed alternate (list order = refresh order).
             evicted = alternates.pop(0)
@@ -158,14 +185,14 @@ class RoutingTable:
         return True
 
     def seed_zero(self, descriptors: Iterable[NodeDescriptor]) -> None:
-        """Bulk-install C0 members during bootstrap.
+        """Bulk-install C0 members (the scalar seed's zero step).
 
         The caller guarantees every descriptor shares the owner's
-        lowest-level cell (the bootstrap invariant, verified by the
-        deployment tests); that lets this path skip classification, which
-        dominates bootstrap cost at scale. Self and already-known
-        addresses are skipped; ``zero_capacity`` is respected.
+        lowest-level cell, which lets this path skip classification.
+        Self and already-known addresses are skipped; ``zero_capacity``
+        is respected.
         """
+        self._promote()
         zero = self._zero
         by_address = self._by_address
         owner_address = self.owner.address
@@ -179,89 +206,78 @@ class RoutingTable:
             zero[address] = descriptor
             by_address[address] = descriptor
 
-    def seed_slots(
-        self,
-        slot_buckets: Iterable[
-            Tuple[int, int, Sequence[NodeDescriptor], int]
-        ],
-        rng: "random.Random",
-    ) -> None:
-        """Sample and install neighbors for many slots in one call.
+    def seed_slots(self, links: "BootstrapLinks", row: int) -> None:
+        """Attach the converged bootstrap links of node *row* of *links*.
 
-        Each element of *slot_buckets* is ``(level, dim, bucket, picks)``:
-        *picks* members of *bucket* are drawn without replacement using
-        *rng*; the first draw becomes the slot's selected neighbor and
-        the rest are retained as alternates up to ``alternates_per_slot``
-        (callers cap ``picks`` at ``1 + alternates_per_slot``). Fusing
-        the sampling with the install avoids both ``random.sample``'s
-        per-call machinery and one Python frame per slot — together the
-        dominant cost of bootstrapping a 100,000-node overlay.
-
-        This is a *bootstrap-only* fast path with two hard preconditions,
-        both structural properties of the hypercube cell geometry:
-
-        - every bucket member lies in its slot's cell (so classification
-          is skipped), and
-        - the buckets are pairwise disjoint and contain neither the
-          owner nor any C0 member already installed by
-          :meth:`seed_zero` — each differs from the owner's cell
-          coordinates at its own (level, dim) bit, so no address can
-          arrive twice and the per-descriptor known/self guards the
-          general :meth:`add` path needs are dropped here. Both
-          bucket derivations are held to this by a property test over
-          random geometries and populations
-          (``tests/sim/test_bootstrap_buckets.py``).
-
-        Indices come from ``int(rng.random() * count)`` — one C-level
-        draw each — rather than ``_randbelow``'s Python retry loop. The
-        truncation bias is < count/2**53, irrelevant at any population
-        this simulator holds, and the bootstrap's determinism contract
-        is a *shared stream*, not a particular one: every engine seeds
-        through this method, so sharded and single-process runs stay
-        bit-identical to each other.
+        *links* is what :meth:`repro.core.store.BootstrapPlan.draw`
+        returns: every node's C0 cell-mates and slot picks as shared
+        arrays. The table keeps no dict of its own until something
+        changes it. :meth:`neighbor`, :meth:`alternative`,
+        :meth:`zero_neighbors` and the count and fill reads come straight
+        from the arrays (respecting ``alternates_per_slot`` and
+        ``zero_capacity``); every mutator, and the address-keyed reads,
+        first promote the table in place to the dicts the scalar seed
+        would have filled — the cell-mates in address order, then per
+        slot the selected neighbor and its alternates — item for item and
+        in the same insertion order. Whatever the table held before is
+        replaced.
         """
+        self._primary.clear()
+        self._alternates.clear()
+        self._zero.clear()
+        self._by_address.clear()
+        self._links = links
+        self._row = row
+
+    def _attached_zero(self) -> List[NodeDescriptor]:
+        """The attached C0 cell-mates (owner out, capped)."""
+        members = self._links.mates(self._row)
+        capacity = self.zero_capacity
+        return members if capacity is None else members[: max(capacity, 0)]
+
+    def _slot_picks(self) -> Iterator[Tuple[Slot, List[int]]]:
+        """Each attached slot's picks as the table keeps them, in order."""
+        links = self._links
+        keep = 1 + max(self.alternates_per_slot, 0)
+        for slot, picks in zip(
+            iter_slots(self.dimensions, self.max_level),
+            links.picks[self._row].tolist(),
+        ):
+            if picks[0] >= 0:
+                yield slot, [pick for pick in picks[:keep] if pick >= 0]
+
+    def _promote(self) -> None:
+        """Pour the attached links into the dicts; detach them."""
+        if self._links is None:
+            return
+        flyweights = self._links.flyweights
         by_address = self._by_address
-        primary = self._primary
-        alternates_map = self._alternates
-        cap = self.alternates_per_slot
-        random = rng.random
-        shuffle = rng.shuffle
-        for level, dim, bucket, picks in slot_buckets:
-            count = len(bucket)
-            if picks == 1:
-                descriptor = bucket[int(random() * count)]
-                primary[(level, dim)] = descriptor
-                by_address[descriptor.address] = descriptor
-                continue
-            if picks >= count:
-                chosen = list(bucket)
-                shuffle(chosen)
-            else:
-                indices: Dict[int, None] = {}
-                while len(indices) < picks:
-                    indices[int(random() * count)] = None
-                chosen = [bucket[i] for i in indices]
-            slot = (level, dim)
-            descriptor = chosen[0]
-            primary[slot] = descriptor
+        for descriptor in self._attached_zero():
+            self._zero[descriptor.address] = descriptor
             by_address[descriptor.address] = descriptor
-            rest = chosen[1 : 1 + cap]
-            if rest:
-                alternates_map[slot] = rest
-                for descriptor in rest:
-                    by_address[descriptor.address] = descriptor
+        for slot, picks in self._slot_picks():
+            chosen = [flyweights[pick] for pick in picks]
+            self._primary[slot] = chosen[0]
+            if len(chosen) > 1:
+                self._alternates[slot] = chosen[1:]
+            for descriptor in chosen:
+                by_address[descriptor.address] = descriptor
+        self._links = None
 
     def _locate(self, address: Address) -> Optional[Slot]:
         """The slot currently holding *address*, or None if unknown."""
+        self._promote()
         entry = self._by_address.get(address)
         return self.classify(entry) if entry is not None else None
 
     def get(self, address: Address) -> Optional[NodeDescriptor]:
         """The stored descriptor for *address*, or None if unknown."""
+        self._promote()
         return self._by_address.get(address)
 
     def remove(self, address: Address) -> None:
         """Drop every link to *address*, promoting an alternate if needed."""
+        self._promote()
         entry = self._by_address.pop(address, None)
         if entry is None:
             return
@@ -305,12 +321,32 @@ class RoutingTable:
 
     def neighbor(self, level: int, dim: int) -> Optional[NodeDescriptor]:
         """The selected neighbor ``n(level, dim)``, or None (empty cell)."""
-        return self._primary.get((level, dim))
+        links = self._links
+        if links is None:
+            return self._primary.get((level, dim))
+        pick = links.view[self._row, (level - 1) * self.dimensions + dim, 0]
+        return links.flyweights[pick] if pick >= 0 else None
 
     def alternative(
         self, level: int, dim: int, exclude: Set[Address]
     ) -> Optional[NodeDescriptor]:
         """Another known inhabitant of ``N(level, dim)`` not in *exclude*."""
+        links = self._links
+        if links is not None:
+            view, row = links.view, self._row
+            slot = (level - 1) * self.dimensions + dim
+            position, pick = 0, view[row, slot, 0]
+            while pick >= 0:
+                descriptor = links.flyweights[pick]
+                if descriptor.address not in exclude:
+                    return descriptor
+                position += 1
+                if position == links.width or (
+                    position > self.alternates_per_slot
+                ):
+                    return None
+                pick = view[row, slot, position]
+            return None
         primary = self._primary.get((level, dim))
         if primary is not None and primary.address not in exclude:
             return primary
@@ -321,10 +357,13 @@ class RoutingTable:
 
     def zero_neighbors(self) -> Iterator[NodeDescriptor]:
         """Iterate over the known members of the owner's C0 cell."""
+        if self._links is not None:
+            return iter(self._attached_zero())
         return iter(tuple(self._zero.values()))
 
     def descriptors(self) -> Iterator[NodeDescriptor]:
         """Iterate over every descriptor in the table (all link kinds)."""
+        self._promote()
         seen: Set[Address] = set()
         for descriptor in list(self._primary.values()):
             if descriptor.address not in seen:
@@ -342,6 +381,8 @@ class RoutingTable:
 
     def filled_slots(self) -> Set[Tuple[int, int]]:
         """The neighboring-cell slots that currently have a primary link."""
+        if self._links is not None:
+            return {slot for slot, _picks in self._slot_picks()}
         return set(self._primary)
 
     def total_slots(self) -> int:
@@ -356,16 +397,21 @@ class RoutingTable:
         links faster than they are repaired.
         """
         total = self.total_slots()
-        return len(self._primary) / total if total else 0.0
+        return len(self.filled_slots()) / total if total else 0.0
 
     def empty_slots(self) -> Iterator[Tuple[int, int]]:
         """Neighboring-cell slots with no known inhabitant."""
+        filled = self.filled_slots()
         for slot in iter_slots(self.dimensions, self.max_level):
-            if slot not in self._primary:
+            if slot not in filled:
                 yield slot
 
     def link_count(self) -> int:
         """Total number of distinct links, including fallback alternates."""
+        if self._links is not None:
+            return self.zero_count() + sum(
+                len(picks) for _slot, picks in self._slot_picks()
+            )
         return len(self._by_address)
 
     def primary_link_count(self) -> int:
@@ -375,14 +421,17 @@ class RoutingTable:
         alternates are an implementation extra (fail-over cache), not part
         of the protocol's nominal link state.
         """
-        return len(self._primary) + len(self._zero)
+        return len(self.filled_slots()) + self.zero_count()
 
     def zero_count(self) -> int:
         """Number of C0 links."""
+        if self._links is not None:
+            return len(self._attached_zero())
         return len(self._zero)
 
     def addresses(self) -> Set[Address]:
         """All addresses present in the table."""
+        self._promote()
         return set(self._by_address)
 
     def bulk_load(self, descriptors: Iterable[NodeDescriptor]) -> None:

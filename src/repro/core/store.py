@@ -29,7 +29,7 @@ stored via :meth:`DescriptorStore.from_descriptors`.
 
 ``NodeDescriptor`` objects are materialized **lazily as flyweights**
 (:meth:`DescriptorStore.descriptor`) only where the object API is
-genuinely needed — hosts, routing-table install, wire codec, gossip
+genuinely needed — hosts, routing-table reads, wire codec, gossip
 payloads — and cached per row, so a descriptor referenced from sixty
 routing tables still exists once. Everything else reads the arrays
 directly:
@@ -46,13 +46,17 @@ directly:
   array operations only: box cells, member rows, value mask, then one
   descriptor lookup per result row.
 * :class:`BootstrapPlan` — the per-cell zero/slot buckets of the
-  converged bootstrap, derived once from the grouping; buckets are row
-  arrays wrapped in :class:`_RowBucket` lazy sequences so
-  ``RoutingTable.seed_zero``/``seed_slots`` run unchanged and only the
-  descriptors actually drawn are materialized. It is the one slot-bucket
-  derivation: :func:`seed_tables` seeds every table of ``sim.Deployment``
-  and of the asyncio runtime from it, and a sharded deployment builds it
-  once and shares it with every shard worker.
+  converged bootstrap, derived once from the grouping as slices of one
+  row array. It is the one slot-bucket derivation, and
+  :meth:`BootstrapPlan.draw` turns it into every node's picks in one
+  vectorized pass over the nodes' Mersenne Twister words, bit-identical
+  to the per-slot ``random``/``shuffle`` loop the tests keep as the
+  oracle. The result, :class:`BootstrapLinks`, is shared by every table:
+  ``RoutingTable.seed_slots`` attaches a row of it, and the table builds
+  its dicts only when something changes it. :func:`seed_tables` seeds
+  every table of ``sim.Deployment`` and of the asyncio runtime this way,
+  and a sharded deployment builds the plan once and lets each shard
+  worker draw its owned rows.
 
 Every schema packs its C0 keys into int64 (:class:`AttributeSchema`
 refuses any geometry that does not), so nothing here has a fallback: the
@@ -81,7 +85,7 @@ import numpy as np
 
 from repro.core import vector
 from repro.core.attributes import AttributeSchema
-from repro.core.cells import Coordinates, bucket_code, cell_code
+from repro.core.cells import Coordinates, bucket_code, cell_code, iter_slots
 from repro.core.descriptors import Address, NodeDescriptor
 from repro.core.index import CellIndex
 from repro.core.query import Query
@@ -299,7 +303,7 @@ class DescriptorStore:
 
         One ``tolist`` per column instead of one per row — ~3x cheaper
         than looping :meth:`descriptor` when the whole population is
-        needed anyway (:meth:`BootstrapPlan.materialize`).
+        needed anyway (``sim.Deployment.populate``).
         """
         materialized = self._materialized
         if len(materialized) == len(self.addresses):
@@ -433,70 +437,42 @@ class CellGrouping:
         return np.sort(self.order[positions])
 
 
-class _RowBucket:
-    """Lazy descriptor sequence over a row array.
-
-    Quacks like the ``Sequence[NodeDescriptor]`` buckets the routing
-    table's ``seed_zero``/``seed_slots`` consume — ``len``, indexing and
-    iteration — but materializes a descriptor only when an element is
-    actually touched. A bucket that *is* touched materializes its whole
-    descriptor list once (:meth:`descriptors`): within one worker, rows
-    sharing a cell re-consume the same buckets many times, and plain
-    list access beats per-element array indirection on every revisit.
-    """
-
-    __slots__ = ("_store", "_rows", "_descriptors")
-
-    def __init__(self, store: DescriptorStore, rows: "np.ndarray") -> None:
-        self._store = store
-        self._rows = rows
-        self._descriptors: Optional[List[NodeDescriptor]] = None
-
-    def descriptors(self) -> List[NodeDescriptor]:
-        """The bucket as a plain (cached) descriptor list."""
-        cached = self._descriptors
-        if cached is None:
-            descriptor = self._store.descriptor
-            cached = [descriptor(row) for row in self._rows.tolist()]
-            self._descriptors = cached
-        return cached
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, position: int) -> NodeDescriptor:
-        if self._descriptors is not None:
-            return self._descriptors[position]
-        return self._store.descriptor(int(self._rows[position]))
-
-    def __iter__(self) -> Iterator[NodeDescriptor]:
-        yield from self.descriptors()
+#: Mersenne Twister words each node's stream yields up front, in one
+#: ``getrandbits`` block; a node whose draws need more is drawn again
+#: from the start of its stream with a block twice as large.
+_WORDS = 128
+#: Rows per vectorised draw pass, so its transient buffers stay a few MB.
+_CHUNK = 8192
 
 
 class BootstrapPlan:
     """Per-cell bootstrap material, computed once per deployment.
 
     The converged bootstrap needs, per occupied C0 cell, the cell's own
-    member list (the zero links) and the ``(level, dim, bucket, picks)``
-    slot buckets of its non-empty neighboring cells. Both are pure
-    functions of the population, so every build derives them **once**
-    from the columnar grouping — per slot, one right shift of the cells'
-    keys (:func:`repro.core.cells.bucket_code`) and one vectorized pass —
-    and a sharded build does so in the master instead of per worker. The
-    ``Region`` geometry over a ``CellIndex`` is the test oracle. Buckets
-    hold row arrays (shared across the cells linking to them) and
-    materialize descriptors lazily via :class:`_RowBucket`.
+    member list (the zero links) and the slot buckets of its non-empty
+    neighboring cells. Both are pure functions of the population, so
+    every build derives them **once** from the columnar grouping — per
+    slot, one right shift of the cells' keys
+    (:func:`repro.core.cells.bucket_code`) and one vectorized pass — and
+    a sharded build does so in the master instead of per worker. The
+    ``Region`` geometry over a ``CellIndex`` is the test oracle.
+
+    Buckets are slices of one row array, shared by every cell linking to
+    them; ``_slot_bucket[cell, slot]`` names the bucket of each
+    ``(level, dim)`` slot in :func:`~repro.core.cells.iter_slots` order,
+    or -1 for an empty neighboring cell. :meth:`draw` turns the plan
+    into every node's picks.
     """
 
     __slots__ = (
         "_store",
         "_grouping",
         "picks_cap",
-        "_zero",
-        "_buckets",
-        "_slot_entries",
-        "_slot_offsets",
-        "_slot_cache",
+        "_cell_of_row",
+        "_slot_bucket",
+        "_bucket_starts",
+        "_bucket_sizes",
+        "_bucket_rows",
     )
 
     def __init__(self, store: DescriptorStore, picks_cap: int) -> None:
@@ -505,196 +481,256 @@ class BootstrapPlan:
         self._grouping = grouping
         self.picks_cap = picks_cap
         schema = store.schema
-        max_level = schema.max_level
         dimensions = schema.dimensions
         cell_count = grouping.cell_count
-        self._zero: List[_RowBucket] = [
-            _RowBucket(store, grouping.members(cell))
-            for cell in range(cell_count)
+        sizes = grouping.ends - grouping.starts
+        rows_in_cell_order = grouping.order[
+            np.repeat(grouping.starts - np.cumsum(sizes) + sizes, sizes)
+            + np.arange(len(store))
         ]
-        # Slot entries are kept columnar too: one (level, dim, bucket id)
-        # int32 row per cell slot, grouped per cell, instead of a Python
-        # tuple list per cell — the tuple lists would dominate the
-        # master's retained memory once cell count approaches N.
-        #
-        # Everything below is one vectorized pass per (level, dim): the
-        # sibling-group buckets come out as contiguous slices of one
-        # per-pair row permutation (stable sorts keep members in
-        # ascending cell then address order — the scalar oracle's extend()
-        # sequence), and the per-cell entry rows are assembled with a
-        # single lexsort instead of 15 * cells Python-level appends.
-        self._buckets: List[_RowBucket] = []
-        entry_cells: List["np.ndarray"] = []
-        entry_levels: List[int] = []
-        entry_dims: List[int] = []
-        entry_buckets: List["np.ndarray"] = []
-        sizes = (
-            grouping.ends - grouping.starts
-            if cell_count
-            else np.zeros(0, dtype=np.int64)
+        self._cell_of_row = np.empty(len(store), dtype=np.int64)
+        self._cell_of_row[rows_in_cell_order] = np.repeat(
+            np.arange(cell_count), sizes
         )
-        rows_in_cell_order = (
-            np.concatenate(
-                [grouping.members(cell) for cell in range(cell_count)]
-            )
-            if cell_count
-            else np.zeros(0, dtype=np.int64)
+        self._slot_bucket = np.full(
+            (cell_count, dimensions * schema.max_level), -1, dtype=np.int32
         )
-        for level in range(1, max_level + 1):
-            for dim in range(dimensions):
-                if not cell_count:
-                    continue
-                codes = bucket_code(
-                    grouping.cell_codes, level, dim, dimensions
-                )
-                flipped = codes ^ 1
-                sort_idx = np.argsort(codes, kind="stable")
-                sorted_codes = codes[sort_idx]
-                # A cell has a slot entry iff some cell carries its
-                # flipped code (a non-empty sibling group).
-                pos = np.minimum(
-                    np.searchsorted(sorted_codes, flipped),
-                    cell_count - 1,
-                )
-                valid = sorted_codes[pos] == flipped
-                valid_cells = np.nonzero(valid)[0]
-                if not len(valid_cells):
-                    continue
-                # Number the referenced sibling groups in first-reference
-                # order (ascending referencing cell id — the order the
-                # incremental build allocated bucket ids in).
-                uniq, first_idx, inverse = np.unique(
-                    flipped[valid_cells],
-                    return_index=True,
-                    return_inverse=True,
-                )
-                rank_of = np.empty(len(uniq), dtype=np.int64)
-                rank_of[np.argsort(first_idx, kind="stable")] = np.arange(
-                    len(uniq), dtype=np.int64
-                )
-                local_bucket = rank_of[inverse]
-                # Which cells feed some referenced bucket, and which one.
-                cell_pos = np.minimum(
-                    np.searchsorted(uniq, codes), len(uniq) - 1
-                )
-                is_source = uniq[cell_pos] == codes
-                source_per_cell = rank_of[cell_pos]
-                # Expand to rows and sort by bucket: each bucket becomes
-                # a contiguous slice of one permutation array.
-                row_mask = np.repeat(is_source, sizes)
-                row_bucket = np.repeat(source_per_cell, sizes)[row_mask]
-                source_rows = rows_in_cell_order[row_mask]
-                perm = source_rows[np.argsort(row_bucket, kind="stable")]
-                counts = np.bincount(row_bucket, minlength=len(uniq))
-                bounds = np.concatenate(
-                    (np.zeros(1, dtype=np.int64), np.cumsum(counts))
-                )
-                base = len(self._buckets)
-                self._buckets.extend(
-                    _RowBucket(store, perm[bounds[b] : bounds[b + 1]])
-                    for b in range(len(uniq))
-                )
-                entry_cells.append(valid_cells)
-                entry_levels.append(level)
-                entry_dims.append(dim)
-                entry_buckets.append(local_bucket + base)
-        if entry_cells:
-            cells_cat = np.concatenate(entry_cells)
-            pair_index = np.concatenate(
-                [
-                    np.full(len(cells), i, dtype=np.int64)
-                    for i, cells in enumerate(entry_cells)
-                ]
+        # One vectorized pass per (level, dim): the sibling-group buckets
+        # come out as contiguous slices of one per-pair row permutation
+        # (stable sorts keep members in ascending cell then address
+        # order — the scalar oracle's extend() sequence).
+        bucket_rows = [np.zeros(0, dtype=np.int64)]
+        bucket_sizes = [np.zeros(0, dtype=np.int64)]
+        base = 0
+        for pair, (level, dim) in enumerate(
+            iter_slots(dimensions, schema.max_level)
+        ):
+            if not cell_count:
+                break
+            codes = bucket_code(grouping.cell_codes, level, dim, dimensions)
+            flipped = codes ^ 1
+            sorted_codes = np.sort(codes)
+            # A cell has a slot entry iff some cell carries its flipped
+            # code (a non-empty sibling group).
+            pos = np.minimum(
+                np.searchsorted(sorted_codes, flipped), cell_count - 1
             )
-            levels_cat = np.array(entry_levels, dtype=np.int64)[pair_index]
-            dims_cat = np.array(entry_dims, dtype=np.int64)[pair_index]
-            buckets_cat = np.concatenate(entry_buckets)
-            # Cell-major, (level, dim)-minor — the per-cell slot order
-            # seed_slots consumes. pair_index is already (level, dim)
-            # ascending, so the stable lexsort keeps it within each cell.
-            entry_order = np.lexsort((pair_index, cells_cat))
-            self._slot_entries = np.stack(
-                (levels_cat, dims_cat, buckets_cat), axis=1
-            )[entry_order].astype(np.int32)
-            offsets = np.zeros(cell_count + 1, dtype=np.int64)
-            np.cumsum(
-                np.bincount(cells_cat, minlength=cell_count),
-                out=offsets[1:],
+            valid_cells = np.nonzero(sorted_codes[pos] == flipped)[0]
+            if not len(valid_cells):
+                continue
+            # Number the referenced sibling groups in first-reference
+            # order (ascending referencing cell id — the order the
+            # incremental build allocated bucket ids in).
+            uniq, first_idx, inverse = np.unique(
+                flipped[valid_cells], return_index=True, return_inverse=True
             )
-            self._slot_offsets = offsets
-        else:
-            self._slot_entries = np.zeros((0, 3), dtype=np.int32)
-            self._slot_offsets = np.zeros(cell_count + 1, dtype=np.int64)
-        self._slot_cache: Dict[
-            int, List[Tuple[int, int, List[NodeDescriptor], int]]
-        ] = {}
+            rank_of = np.empty(len(uniq), dtype=np.int64)
+            rank_of[np.argsort(first_idx, kind="stable")] = np.arange(
+                len(uniq), dtype=np.int64
+            )
+            self._slot_bucket[valid_cells, pair] = rank_of[inverse] + base
+            # Which cells feed some referenced bucket, and which one.
+            cell_pos = np.minimum(
+                np.searchsorted(uniq, codes), len(uniq) - 1
+            )
+            is_source = uniq[cell_pos] == codes
+            # Expand to rows and sort by bucket: each bucket becomes a
+            # contiguous slice of one permutation array.
+            row_mask = np.repeat(is_source, sizes)
+            row_bucket = np.repeat(rank_of[cell_pos], sizes)[row_mask]
+            source_rows = rows_in_cell_order[row_mask]
+            bucket_rows.append(
+                source_rows[np.argsort(row_bucket, kind="stable")]
+            )
+            bucket_sizes.append(np.bincount(row_bucket, minlength=len(uniq)))
+            base += len(uniq)
+        self._bucket_rows = np.concatenate(bucket_rows).astype(np.int32)
+        self._bucket_sizes = np.concatenate(bucket_sizes)
+        self._bucket_starts = np.cumsum(self._bucket_sizes) - self._bucket_sizes
 
-    def cell_of_row(self, row: int) -> int:
-        """The grouping cell id holding *row*."""
-        return self._grouping.code_to_cell[
-            int(self._store.cell_codes[row])
-        ]
+    def draw(
+        self, rows: Sequence[int], seed: int, stream: str = "bootstrap"
+    ) -> "BootstrapLinks":
+        """Every pick of the nodes at store *rows*, in one vectorized pass.
 
-    def _cell_slot_buckets(
-        self, cell: int
-    ) -> List[Tuple[int, int, List[NodeDescriptor], int]]:
-        """The ``(level, dim, bucket, picks)`` entries of *cell*.
-
-        Materialized from the columnar entry rows on first use and cached
-        — within one worker many owned rows share a cell.
+        For every non-empty neighboring cell ``N(l,k)`` a node draws a
+        *random* inhabitant as its selected neighbor, plus alternates: up
+        to ``picks_cap`` distinct members of the slot's bucket, from the
+        node's own :func:`bootstrap_rng` stream. The draws replay
+        ``random.Random`` exactly, word for word of its Mersenne Twister
+        output, as the scalar per-slot loop kept as the test oracle makes
+        them: a bucket needing one pick takes ``int(random() * count)``;
+        a bucket of at most ``picks_cap`` members is ``shuffle``d whole
+        (``_randbelow``: ``word >> (32 - k)`` with rejection); a larger
+        one takes ``int(random() * count)`` until ``picks_cap`` distinct
+        indices came up. ``random()`` is ``genrand_res53`` over two
+        words. The pass runs slot by slot across a chunk of rows at once;
+        a node whose first ``_WORDS`` words run out is drawn again with a
+        larger block.
         """
-        cached = self._slot_cache.get(cell)
-        if cached is None:
-            start = int(self._slot_offsets[cell])
-            end = int(self._slot_offsets[cell + 1])
-            buckets = self._buckets
-            cap = self.picks_cap
-            cached = []
-            for level, dim, bucket_id in (
-                self._slot_entries[start:end].tolist()
-            ):
-                bucket = buckets[bucket_id].descriptors()
-                cached.append(
-                    (level, dim, bucket, min(len(bucket), cap))
-                )
-            self._slot_cache[cell] = cached
-        return cached
-
-    def materialize(self) -> None:
-        """Warm every lazy cache: flyweights, buckets, per-cell slots.
-
-        Worth it when every row is about to be seeded
-        (:func:`seed_tables`): the bulk passes below are cheaper than
-        filling the caches one touched bucket at a time.
-        """
+        rows = np.asarray(rows, dtype=np.int64)
         store = self._store
-        store.materialize_all()
-        count = len(store)
-        # One object-dtype gather per bucket beats a Python list
-        # comprehension per bucket by ~5x: every bucket is a row-array
-        # slice, so numpy fancy indexing does the whole fan-out at C
-        # speed.
-        flyweights = np.empty(count, dtype=object)
-        materialized = store._materialized
-        flyweights[:] = [materialized[row] for row in range(count)]
-        for bucket in self._zero:
-            if bucket._descriptors is None:
-                bucket._descriptors = flyweights[bucket._rows].tolist()
-        for bucket in self._buckets:
-            if bucket._descriptors is None:
-                bucket._descriptors = flyweights[bucket._rows].tolist()
-        for cell in range(self._grouping.cell_count):
-            self._cell_slot_buckets(cell)
+        cells = self._cell_of_row[rows]
+        slots = self._slot_bucket.shape[1]
+        picks = np.full((len(rows), slots, self.picks_cap), -1, np.int32)
+        addresses = store.addresses[rows].tolist()
+        for start in range(0, len(rows), _CHUNK):
+            todo = np.arange(start, min(start + _CHUNK, len(rows)))
+            block = _WORDS
+            while len(todo):
+                words = np.frombuffer(
+                    b"".join(
+                        bootstrap_rng(seed, addresses[index], stream)
+                        .getrandbits(32 * block)
+                        .to_bytes(4 * block, "little")
+                        for index in todo.tolist()
+                    ),
+                    dtype="<u4",
+                ).reshape(len(todo), block)
+                drawn, short = self._draw_block(
+                    self._slot_bucket[cells[todo]], words
+                )
+                picks[todo] = drawn
+                todo = todo[short]
+                block *= 2
+        grouping = self._grouping
+        position = np.empty(len(store), dtype=np.int64)
+        position[grouping.order] = np.arange(len(store))
+        zero = np.stack(
+            (grouping.starts[cells], position[rows], grouping.ends[cells]),
+            axis=1,
+        )
+        return BootstrapLinks(store, picks, zero, grouping.order)
 
-    def seed_row(self, row: int, routing, rng: random.Random) -> None:
-        """Install row *row*'s converged table into *routing* using *rng*.
+    def _draw_block(
+        self, buckets: "np.ndarray", words: "np.ndarray"
+    ) -> Tuple["np.ndarray", "np.ndarray"]:
+        """Picks of rows with slot *buckets* from their stream *words*.
 
-        Bit-identical to the object bootstrap: same zero members in the
-        same order, same slot buckets in the same order, same draws.
+        Returns the picks and the mask of rows whose words ran out (their
+        picks are incomplete).
         """
-        cell = self.cell_of_row(row)
-        routing.seed_zero(self._zero[cell].descriptors())
-        routing.seed_slots(self._cell_slot_buckets(cell), rng)
+        count, width = words.shape
+        cap = self.picks_cap
+        cursor = np.zeros(count, dtype=np.int64)
+        short = np.zeros(count, dtype=bool)
+
+        def read(active: "np.ndarray", size: int):
+            """The next *size* words of *active* rows, minus rows run out."""
+            position = cursor[active]
+            out = position + size > width
+            if out.any():
+                short[active[out]] = True
+                active, position = active[~out], position[~out]
+            cursor[active] += size
+            return active, [words[active, position + j] for j in range(size)]
+
+        def uniform(active: "np.ndarray", sizes: "np.ndarray"):
+            """``int(random() * size)`` per active row (genrand_res53)."""
+            active, (high, low) = read(active, 2)
+            value = ((high >> 5) * 67108864.0 + (low >> 6)) * (
+                1.0 / 9007199254740992.0
+            )
+            return active, (value * sizes[active]).astype(np.int64)
+
+        picks = np.full((count, buckets.shape[1], cap), -1, np.int32)
+        if not len(self._bucket_sizes):
+            return picks, short
+        all_sizes = np.where(buckets >= 0, self._bucket_sizes[buckets], 0)
+        all_starts = self._bucket_starts[buckets]
+        for slot in range(buckets.shape[1]):
+            sizes = all_sizes[:, slot]
+            wanted = np.minimum(sizes, cap)
+            chosen = np.full((count, cap), -1, dtype=np.int64)
+            single, index = uniform(np.nonzero(wanted == 1)[0], sizes)
+            chosen[single, 0] = index
+            # shuffle(): swap position i with _randbelow(i + 1), i falling.
+            whole = (wanted >= 2) & (wanted == sizes)
+            chosen[whole] = np.arange(cap)
+            for i in range(cap - 1, 0, -1):
+                shift = 32 - (i + 1).bit_length()
+                pending = np.nonzero(whole & (sizes > i))[0]
+                while len(pending):
+                    pending, (word,) = read(pending, 1)
+                    draw = (word >> shift).astype(np.int64)
+                    done = draw <= i
+                    rows, other = pending[done], draw[done]
+                    chosen[rows, i], chosen[rows, other] = (
+                        chosen[rows, other],
+                        chosen[rows, i],
+                    )
+                    pending = pending[~done]
+            chosen[whole[:, None] & (np.arange(cap) >= sizes[:, None])] = -1
+            # Distinct indices by rejection, in first-drawn order.
+            filled = np.zeros(count, dtype=np.int64)
+            pending = np.nonzero((wanted >= 2) & (wanted < sizes))[0]
+            while len(pending):
+                pending, index = uniform(pending, sizes)
+                fresh = ~(chosen[pending] == index[:, None]).any(axis=1)
+                rows = pending[fresh]
+                chosen[rows, filled[rows]] = index[fresh]
+                filled[rows] += 1
+                pending = pending[filled[pending] < cap]
+            taken = chosen >= 0
+            picks[:, slot] = np.where(
+                taken,
+                self._bucket_rows[
+                    np.where(taken, all_starts[:, slot, None] + chosen, 0)
+                ],
+                -1,
+            )
+        return picks, short
+
+
+class BootstrapLinks:
+    """Every pick :meth:`BootstrapPlan.draw` made, shared by the tables.
+
+    ``picks[i, slot, j]`` is the store row of the *j*-th pick of slot
+    *slot* (:func:`~repro.core.cells.iter_slots` order) for the *i*-th
+    drawn node, -1 past the bucket's picks or for an empty neighboring
+    cell. ``zero[i]`` is ``(start, own, end)``: the node's C0 cell is
+    ``cell_order[start:end]``, in address order, with the node itself at
+    ``own``. A :class:`RoutingTable` attached with
+    :meth:`~RoutingTable.seed_slots` reads its links from here through
+    memoryviews, whose items index as plain ints several times faster
+    than numpy scalars on the forwarding path, and resolves a pick's
+    store row through :attr:`flyweights`, the store's flyweight
+    descriptors as a list.
+    """
+
+    __slots__ = (
+        "store",
+        "flyweights",
+        "picks",
+        "view",
+        "width",
+        "zero",
+        "cell_order",
+    )
+
+    def __init__(
+        self,
+        store: DescriptorStore,
+        picks: "np.ndarray",
+        zero: "np.ndarray",
+        members: "np.ndarray",
+    ) -> None:
+        self.store = store
+        store.materialize_all()
+        self.flyweights = store.descriptors_at(range(len(store)))
+        self.picks = picks
+        self.view = memoryview(picks)
+        self.width = picks.shape[2]
+        self.zero = memoryview(zero)
+        self.cell_order = store.descriptors_at(members.tolist())
+
+    def mates(self, index: int) -> List[NodeDescriptor]:
+        """The *index*-th node's C0 cell-mates, itself left out."""
+        zero = self.zero
+        start = zero[index, 0]
+        mates = self.cell_order[start : zero[index, 2]]
+        del mates[zero[index, 1] - start]
+        return mates
 
 
 def bootstrap_rng(
@@ -730,14 +766,11 @@ def seed_tables(
     its own :func:`bootstrap_rng` stream, so the tables are bit-identical
     to the ones a sharded worker seeds from the same plan.
     """
-    plan = BootstrapPlan(store, PICKS_CAP)
-    # Every row is seeded, so every bucket and per-cell slot list gets
-    # touched: warming them in bulk is cheaper than one at a time.
-    plan.materialize()
-    for row, address in enumerate(store.addresses.tolist()):
-        plan.seed_row(
-            row, table_for(address), bootstrap_rng(seed, address, stream)
-        )
+    links = BootstrapPlan(store, PICKS_CAP).draw(
+        np.arange(len(store)), seed, stream
+    )
+    for index, address in enumerate(store.addresses.tolist()):
+        table_for(address).seed_slots(links, index)
 
 
 class ColumnarCellIndex:

@@ -61,7 +61,6 @@ from repro.core.store import (
     BootstrapPlan,
     ColumnarCellIndex,
     DescriptorStore,
-    bootstrap_rng,
 )
 from repro.metrics.collectors import MetricsCollector, QueryRecord
 from repro.obs.events import TraceEvent
@@ -207,12 +206,10 @@ class ShardWorker:
             for row in owned_rows:
                 self._make_host(store.descriptor(row))
             self.network.local_addresses = set(self.hosts)
-            for row in owned_rows:
-                address = store.address_at(row)
-                plan.seed_row(
-                    row,
-                    self.hosts[address].node.routing,
-                    bootstrap_rng(self.seed, address),
+            links = plan.draw(owned_rows, self.seed)
+            for index, row in enumerate(owned_rows):
+                self.hosts[store.address_at(row)].node.routing.seed_slots(
+                    links, index
                 )
         return {
             "shard_id": self.shard_id,

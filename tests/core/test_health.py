@@ -190,6 +190,55 @@ class TestHealthMonitor:
         assert monitor.open_addresses(40.0) == set()
         assert monitor.breaker_state(5, 40.0) == CLOSED
 
+    def test_neighbor_states_cover_estimators_and_breakers(self):
+        """One row per address either map knows, sorted by address."""
+        monitor = HealthMonitor(HealthConfig(breaker_reset=30.0))
+        monitor.observe_rtt(10, 0.5)  # estimator only
+        monitor.record_failure(9, 1.0)  # breaker only
+        monitor.observe_rtt(2, 0.2)  # both
+        monitor.record_failure(2, 1.0)
+        rows = monitor.neighbor_states(1.0)
+        assert [row["address"] for row in rows] == [2, 9, 10]
+        by_address = {row["address"]: row for row in rows}
+        assert by_address[10] == {
+            "address": 10,
+            "srtt": 0.5,
+            "rto": monitor.estimator(10).rto(),
+            "samples": 1,
+            "breaker": CLOSED,
+        }
+        assert by_address[9] == {
+            "address": 9,
+            "srtt": None,
+            "rto": None,
+            "samples": 0,
+            "breaker": CLOSED,
+        }
+        assert by_address[2]["srtt"] == 0.2
+        assert by_address[2]["samples"] == 1
+        # The private filter backed off on the timeout.
+        assert by_address[2]["rto"] == monitor.estimator(2).rto()
+        assert monitor.neighbor_states(1.0) == rows  # reading changes nothing
+
+    def test_neighbor_states_follow_breaker_transitions(self):
+        monitor = HealthMonitor(HealthConfig(breaker_reset=30.0))
+
+        def state(now):
+            (row,) = monitor.neighbor_states(now)
+            return row["breaker"]
+
+        monitor.record_failure(5, 1.0)
+        monitor.record_failure(5, 2.0)
+        assert state(2.0) == CLOSED
+        monitor.record_failure(5, 3.0)
+        assert state(3.0) == OPEN
+        assert state(32.9) == OPEN
+        assert state(33.0) == HALF_OPEN
+        monitor.record_failure(5, 40.0)  # a failed probe re-arms it
+        assert state(45.0) == OPEN
+        monitor.record_success(5)
+        assert state(45.0) == CLOSED
+
     def test_unknown_neighbors_are_usable(self):
         monitor = HealthMonitor(HealthConfig())
         assert monitor.usable(123, 0.0)

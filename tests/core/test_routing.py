@@ -5,7 +5,8 @@ import pytest
 from repro.core.attributes import AttributeSchema, numeric
 from repro.core.cells import ZERO_SLOT
 from repro.core.descriptors import NodeDescriptor
-from repro.core.routing import RoutingTable
+from repro.core.routing import PICKS_CAP, RoutingTable
+from repro.core.store import BootstrapPlan, DescriptorStore
 
 
 @pytest.fixture
@@ -17,6 +18,13 @@ def schema():
 
 def descriptor(schema, address, x, y):
     return NodeDescriptor.build(address, schema, {"x": x, "y": y})
+
+
+def attach_bootstrap_links(schema, table, peers):
+    """Seed *table* from a plan over its owner plus *peers*."""
+    store = DescriptorStore.from_descriptors(schema, [table.owner, *peers])
+    links = BootstrapPlan(store, PICKS_CAP).draw(range(len(store)), seed=5)
+    table.seed_slots(links, store.row_of(table.owner.address))
 
 
 @pytest.fixture
@@ -102,6 +110,22 @@ class TestAdd:
         for address in range(1, 5):
             capped.add(descriptor(schema, address, 0.1 * address, 0.5))
         assert capped.zero_count() == 2
+
+    def test_moved_address_that_no_longer_fits_reports_a_change(self, schema):
+        """Purging a re-slotted address changes the table even when the
+        new copy is refused (zero cap full, or no alternates kept)."""
+        owner = descriptor(schema, 0, 0.5, 0.5)
+        capped = RoutingTable(owner, 2, 3, zero_capacity=1)
+        capped.add(descriptor(schema, 1, 0.9, 0.9))  # fills the C0 cap
+        capped.add(descriptor(schema, 2, 1.5, 0.5))  # slot (1, 0)
+        assert capped.add(descriptor(schema, 2, 0.2, 0.2)) is True
+        assert capped.get(2) is None and capped.neighbor(1, 0) is None
+
+        bare = RoutingTable(owner, 2, 3, alternates_per_slot=0)
+        bare.add(descriptor(schema, 1, 1.5, 0.5))  # primary of (1, 0)
+        bare.add(descriptor(schema, 2, 0.9, 0.9))  # C0 member
+        assert bare.add(descriptor(schema, 2, 1.6, 0.6)) is True
+        assert bare.get(2) is None and bare.zero_count() == 0
 
 
 class TestAlternateLru:
@@ -251,12 +275,10 @@ class TestBulkSeeding:
         assert table.zero_count() == 2
 
     def test_seed_slots_installs_primary_and_alternates(self, schema, table):
-        import random
-
         bucket = [
             descriptor(schema, address, 1.5, 0.5) for address in range(1, 9)
         ]  # all in N(1, 0) of the owner at (0, 0)
-        table.seed_slots([(1, 0, bucket, 4)], random.Random(5))
+        attach_bootstrap_links(schema, table, bucket)
         assert table.neighbor(1, 0) is not None
         installed = {
             d.address for d in table.descriptors()
@@ -268,17 +290,15 @@ class TestBulkSeeding:
             assert table.classify(d) == (1, 0)
 
     def test_seed_slots_registers_every_install(self, schema, table):
-        import random
-
-        # seed_slots is a bootstrap-only fast path: the cell geometry
-        # guarantees buckets are pairwise disjoint and contain nothing
-        # the table already holds, so it installs without the per-address
-        # guards of the general add() path. Every installed descriptor
-        # must still be resolvable by address afterwards.
+        # seed_slots attaches the plan's picks without the per-address
+        # guards of the general add() path (the cell geometry makes the
+        # buckets disjoint and free of the owner's cell). Every installed
+        # descriptor must still be resolvable by address once the table
+        # is promoted to its dicts.
         bucket = [
             descriptor(schema, address, 1.5, 0.5) for address in range(1, 9)
         ]
-        table.seed_slots([(1, 0, bucket, 4)], random.Random(5))
+        attach_bootstrap_links(schema, table, bucket)
         installed = list(table.descriptors())
         assert len(installed) == 4
         for d in installed:

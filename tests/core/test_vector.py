@@ -213,6 +213,40 @@ def scalar_slot_buckets_by_cell(index, schema, picks_cap):
     return slot_buckets_of
 
 
+def scalar_seed_slots(table, slot_buckets, rng):
+    """The per-slot draw loop: the oracle of ``BootstrapPlan.draw``.
+
+    Each element of *slot_buckets* is ``(level, dim, bucket, picks)``:
+    *picks* members of *bucket* are drawn without replacement from *rng*
+    — ``int(rng.random() * count)`` for one pick, a ``shuffle`` of the
+    whole bucket when it holds no more than *picks*, distinct
+    ``int(rng.random() * count)`` indices otherwise — and installed into
+    *table*'s dicts: the first draw as the slot's selected neighbor, the
+    rest as alternates up to ``alternates_per_slot``.
+    """
+    cap = table.alternates_per_slot
+    for level, dim, bucket, picks in slot_buckets:
+        count = len(bucket)
+        if picks == 1:
+            chosen = [bucket[int(rng.random() * count)]]
+        elif picks >= count:
+            chosen = list(bucket)
+            rng.shuffle(chosen)
+        else:
+            indices = {}
+            while len(indices) < picks:
+                indices[int(rng.random() * count)] = None
+            chosen = [bucket[i] for i in indices]
+        slot = (level, dim)
+        table._primary[slot] = chosen[0]
+        table._by_address[chosen[0].address] = chosen[0]
+        rest = chosen[1 : 1 + cap]
+        if rest:
+            table._alternates[slot] = rest
+            for descriptor in rest:
+                table._by_address[descriptor.address] = descriptor
+
+
 def scalar_seed(deployment):
     """Seed every host's table from the scalar oracle's buckets."""
     schema = deployment.schema
@@ -223,7 +257,8 @@ def scalar_seed(deployment):
     for host in deployment.hosts.values():
         coordinates = host.descriptor.coordinates
         host.node.routing.seed_zero(index.members(coordinates))
-        host.node.routing.seed_slots(
+        scalar_seed_slots(
+            host.node.routing,
             slot_buckets_of[coordinates],
             bootstrap_rng(deployment.seed, host.address),
         )

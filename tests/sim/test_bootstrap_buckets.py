@@ -1,23 +1,22 @@
-"""Property test: the slot buckets handed to ``RoutingTable.seed_slots``.
+"""Property test: the slot buckets ``BootstrapPlan.draw`` picks from.
 
-``seed_slots`` skips every guard the general ``add`` path has — no
-classification, no self check, no already-known check — because the
-buckets it receives are, by the cell geometry, pairwise disjoint, free
-of the owner and free of its C0 cell-mates, and each lies inside its own
-slot's neighboring cell. This test holds the one bucket derivation,
+A table attached with ``RoutingTable.seed_slots`` reads its picks
+without any guard of the general ``add`` path — no classification, no
+self check, no already-known check — because the buckets they come from
+are, by the cell geometry, pairwise disjoint, free of the owner and free
+of its C0 cell-mates, and each lies inside its own slot's neighboring
+cell. This test holds the one bucket derivation,
 :class:`~repro.core.store.BootstrapPlan`, to those preconditions over
 random geometries and populations, and to the region-geometry oracle
 (``scalar_slot_buckets_by_cell``): same zero members, same buckets, same
-order. It records exactly what the plan hands to the table.
+order. It reads exactly what the plan keeps for each row.
 """
-
-import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.attributes import AttributeSchema, numeric
-from repro.core.cells import neighboring_region
+from repro.core.cells import iter_slots, neighboring_region
 from repro.core.index import CellIndex
 from repro.core.routing import ALTERNATES_PER_SLOT
 from repro.core.store import BootstrapPlan, DescriptorStore
@@ -28,21 +27,27 @@ from tests.core.test_vector import scalar_slot_buckets_by_cell
 ALTERNATES = ALTERNATES_PER_SLOT
 
 
-class RecordingTable:
-    """Stands in for a routing table and keeps what bootstrap seeds."""
+class PlannedRow:
+    """What the plan keeps for one row: cell-mates and slot buckets."""
 
-    def __init__(self):
-        self.zero = []
+    def __init__(self, plan, store, row):
+        links = plan.draw([row], seed=0)
+        self.zero = links.cell_order[links.zero[0, 0] : links.zero[0, 2]]
         self.slots = []
-
-    def seed_zero(self, descriptors):
-        self.zero.extend(descriptors)
-
-    def seed_slots(self, slot_buckets, rng):
-        self.slots.extend(
-            (level, dim, list(bucket), picks)
-            for level, dim, bucket, picks in slot_buckets
-        )
+        schema = store.schema
+        cell = plan._cell_of_row[row]
+        for (level, dim), bucket in zip(
+            iter_slots(schema.dimensions, schema.max_level),
+            plan._slot_bucket[cell].tolist(),
+        ):
+            if bucket >= 0:
+                start = plan._bucket_starts[bucket]
+                size = int(plan._bucket_sizes[bucket])
+                rows = plan._bucket_rows[start : start + size].tolist()
+                self.slots.append(
+                    (level, dim, store.descriptors_at(rows),
+                     min(size, plan.picks_cap))
+                )
 
 
 def assert_preconditions(owner, table):
@@ -95,8 +100,7 @@ def test_seed_slots_buckets_are_disjoint_and_exclude_owner_cell(
 
     plan = BootstrapPlan(store, 1 + ALTERNATES)
     for row, owner in enumerate(descriptors):
-        planned = RecordingTable()
-        plan.seed_row(row, planned, random.Random(seed))
+        planned = PlannedRow(plan, store, row)
         assert_preconditions(owner, planned)
         # The plan hands over the oracle's cell-mates and buckets, in the
         # oracle's order.

@@ -85,6 +85,7 @@ def routing_snapshot(hosts):
     snapshot = {}
     for address, host in hosts.items():
         routing = host.node.routing
+        routing._promote()  # the dicts the scalar seed would have filled
         snapshot[address] = (
             sorted(
                 (slot, routing.neighbor(*slot).address)
