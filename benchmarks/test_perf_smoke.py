@@ -323,9 +323,12 @@ def test_bootstrap_draws_in_bulk(benchmark, monkeypatch):
     Host-independent counter gate at N=5,000: ``Deployment.bootstrap``
     makes no ``random.Random.random`` or ``shuffle`` call (the picks come
     from each node's Mersenne Twister words, drawn in bulk by
-    ``BootstrapPlan.draw``), exactly one ``RoutingTable.seed_slots``
-    call per node, and promotes no table to its dicts. A per-slot draw
-    loop, or a table filled entry by entry, trips this at once.
+    ``BootstrapPlan.draw``), seeds no ``random.Random`` (every node's
+    stream is seeded by one ``mersenne_words`` pass, the nodes whose
+    first words run out included), makes exactly one
+    ``RoutingTable.seed_slots`` call per node, and promotes no table to
+    its dicts. A per-slot draw loop, a ``random.Random`` per node, or a
+    table filled entry by entry, trips this at once.
     """
     from repro.core.routing import RoutingTable
     from repro.sim.deployment import Deployment
@@ -340,6 +343,14 @@ def test_bootstrap_draws_in_bulk(benchmark, monkeypatch):
 
     calls = {"random": 0, "shuffle": 0, "promoted": 0}
     seeded = []
+    streams = []
+    rng_seed = random.Random.seed
+
+    def counting_rng_seed(self, *args, **kwargs):
+        streams.append(args)
+        rng_seed(self, *args, **kwargs)
+
+    monkeypatch.setattr(random.Random, "seed", counting_rng_seed)
     for name in ("random", "shuffle"):
         original = getattr(random.Random, name)
 
@@ -363,6 +374,7 @@ def test_bootstrap_draws_in_bulk(benchmark, monkeypatch):
 
     run_once(benchmark, deployment.bootstrap)
     assert calls == {"random": 0, "shuffle": 0, "promoted": 0}
+    assert len(streams) == 0
     assert len(seeded) == len(set(seeded)) == SMOKE_N
     assert {
         id(host.node.routing) for host in deployment.hosts.values()

@@ -205,6 +205,42 @@ class CircuitBreaker:
         return was_tripped
 
 
+class HealthMetrics:
+    """The ``health.*`` series of one registry, shared by its monitors.
+
+    Every monitor of a fleet writes the same fleet-wide series, so a
+    monitor takes this bundle from ``registry.bundle`` instead of
+    resolving eleven instruments per node.
+    """
+
+    __slots__ = (
+        "rtt",
+        "rto",
+        "breaker_opened",
+        "breaker_closed",
+        "open_gauge",
+        "hedges_launched",
+        "hedges_won",
+        "hedges_lost",
+        "hedges_cancelled",
+        "spurious",
+        "probes",
+    )
+
+    def __init__(self, registry: MetricsRegistry) -> None:
+        self.rtt = registry.histogram("health.rtt")
+        self.rto = registry.histogram("health.rto")
+        self.breaker_opened = registry.counter("health.breaker_opened")
+        self.breaker_closed = registry.counter("health.breaker_closed")
+        self.open_gauge = registry.gauge("health.breakers_open")
+        self.hedges_launched = registry.counter("health.hedges_launched")
+        self.hedges_won = registry.counter("health.hedges_won")
+        self.hedges_lost = registry.counter("health.hedges_lost")
+        self.hedges_cancelled = registry.counter("health.hedges_cancelled")
+        self.spurious = registry.counter("health.spurious_timeouts")
+        self.probes = registry.counter("health.probes_sent")
+
+
 class HealthMonitor:
     """Per-node failure-detection state shared by queries and gossip.
 
@@ -213,7 +249,8 @@ class HealthMonitor:
     answer round trips, answer timeouts, and drives half-open probes.
     All instruments live in the supplied registry (the shared no-op
     :data:`~repro.obs.registry.NULL_REGISTRY` by default), so a fleet of
-    monitors aggregates into fleet-wide series.
+    monitors aggregates into fleet-wide series; every monitor of one
+    registry holds the same :class:`HealthMetrics` bundle.
     """
 
     __slots__ = (
@@ -222,17 +259,7 @@ class HealthMonitor:
         "_estimators",
         "_ambient",
         "_breakers",
-        "_rtt_hist",
-        "_rto_hist",
-        "_breaker_opened",
-        "_breaker_closed",
-        "_open_gauge",
-        "_hedges_launched",
-        "_hedges_won",
-        "_hedges_lost",
-        "_hedges_cancelled",
-        "_spurious",
-        "_probes",
+        "_metrics",
     )
 
     def __init__(
@@ -252,17 +279,7 @@ class HealthMonitor:
         self._ambient = RttEstimator(self.config, self.initial_rtt)
         self._breakers: Dict[Address, CircuitBreaker] = {}
         registry = registry if registry is not None else NULL_REGISTRY
-        self._rtt_hist = registry.histogram("health.rtt")
-        self._rto_hist = registry.histogram("health.rto")
-        self._breaker_opened = registry.counter("health.breaker_opened")
-        self._breaker_closed = registry.counter("health.breaker_closed")
-        self._open_gauge = registry.gauge("health.breakers_open")
-        self._hedges_launched = registry.counter("health.hedges_launched")
-        self._hedges_won = registry.counter("health.hedges_won")
-        self._hedges_lost = registry.counter("health.hedges_lost")
-        self._hedges_cancelled = registry.counter("health.hedges_cancelled")
-        self._spurious = registry.counter("health.spurious_timeouts")
-        self._probes = registry.counter("health.probes_sent")
+        self._metrics = registry.bundle(HealthMetrics)
 
     # -- per-neighbor state ------------------------------------------------------
 
@@ -286,7 +303,7 @@ class HealthMonitor:
 
     def observe_rtt(self, address: Address, rtt: float) -> None:
         """A reply/answer round trip for *address*: sample + success."""
-        self._rtt_hist.observe(rtt)
+        self._metrics.rtt.observe(rtt)
         self.estimator(address).observe(rtt)
         self._ambient.observe(rtt)
         self.record_success(address)
@@ -295,8 +312,8 @@ class HealthMonitor:
         """Evidence that *address* is alive (closes a tripped breaker)."""
         breaker = self._breakers.get(address)
         if breaker is not None and breaker.record_success():
-            self._breaker_closed.inc()
-            self._open_gauge.add(-1.0)
+            self._metrics.breaker_closed.inc()
+            self._metrics.open_gauge.add(-1.0)
 
     def record_failure(self, address: Address, now: float) -> None:
         """A timeout on *address*: Karn backoff plus a breaker failure."""
@@ -304,8 +321,8 @@ class HealthMonitor:
         if estimator is not None:
             estimator.on_timeout()
         if self.breaker(address).record_failure(now):
-            self._breaker_opened.inc()
-            self._open_gauge.add(1.0)
+            self._metrics.breaker_opened.inc()
+            self._metrics.open_gauge.add(1.0)
 
     # -- consumption -------------------------------------------------------------
 
@@ -320,7 +337,7 @@ class HealthMonitor:
         """
         value = self._conservative(address, RttEstimator.rto)
         if value is not None:
-            self._rto_hist.observe(value)
+            self._metrics.rto.observe(value)
         return value
 
     def hedge_delay(self, address: Address) -> Optional[float]:
@@ -399,24 +416,24 @@ class HealthMonitor:
 
     def hedge_launched(self) -> None:
         """Count a speculative forward being sent."""
-        self._hedges_launched.inc()
+        self._metrics.hedges_launched.inc()
 
     def hedge_won(self) -> None:
         """Count a hedge whose copy answered (it saved the branch)."""
-        self._hedges_won.inc()
+        self._metrics.hedges_won.inc()
 
     def hedge_lost(self) -> None:
         """Count a wasted hedge (the primary answered, or the copy died)."""
-        self._hedges_lost.inc()
+        self._metrics.hedges_lost.inc()
 
     def hedge_cancelled(self) -> None:
         """Count a hedge cancelled by query completion."""
-        self._hedges_cancelled.inc()
+        self._metrics.hedges_cancelled.inc()
 
     def spurious_timeout(self) -> None:
         """Count a live-path detected spurious timeout."""
-        self._spurious.inc()
+        self._metrics.spurious.inc()
 
     def probe_sent(self) -> None:
         """Count a half-open liveness probe issued by gossip."""
-        self._probes.inc()
+        self._metrics.probes.inc()

@@ -172,10 +172,10 @@ class RoutingTable:
             self._primary[slot] = descriptor
             self._by_address[address] = descriptor
             return True
+        if self.alternates_per_slot <= 0:
+            return changed
         alternates = self._alternates.setdefault(slot, [])
         if len(alternates) >= self.alternates_per_slot:
-            if self.alternates_per_slot <= 0:
-                return changed
             # Deterministic LRU eviction: drop the least recently
             # refreshed alternate (list order = refresh order).
             evicted = alternates.pop(0)

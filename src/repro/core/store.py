@@ -51,7 +51,11 @@ directly:
   :meth:`BootstrapPlan.draw` turns it into every node's picks in one
   vectorized pass over the nodes' Mersenne Twister words, bit-identical
   to the per-slot ``random``/``shuffle`` loop the tests keep as the
-  oracle. The result, :class:`BootstrapLinks`, is shared by every table:
+  oracle. The words come from one
+  :func:`~repro.util.rng.mersenne_words` pass that seeds every node's
+  stream at once, so no ``random.Random`` is made per node
+  (:func:`bootstrap_rng` is the scalar stream the tests compare
+  against). The result, :class:`BootstrapLinks`, is shared by every table:
   ``RoutingTable.seed_slots`` attaches a row of it, and the table builds
   its dicts only when something changes it. :func:`seed_tables` seeds
   every table of ``sim.Deployment`` and of the asyncio runtime this way,
@@ -91,7 +95,7 @@ from repro.core.index import CellIndex
 from repro.core.query import Query
 from repro.core.routing import PICKS_CAP, RoutingTable
 from repro.util.intervals import Interval
-from repro.util.rng import derive_rng
+from repro.util.rng import derive_rng, derive_seeds, mersenne_words
 
 #: A lookup folds the churn overlay into a fresh columnar base once the
 #: overlay holds more than this fraction of the base's rows. A fold costs
@@ -437,12 +441,15 @@ class CellGrouping:
         return np.sort(self.order[positions])
 
 
-#: Mersenne Twister words each node's stream yields up front, in one
-#: ``getrandbits`` block; a node whose draws need more is drawn again
-#: from the start of its stream with a block twice as large.
+#: Mersenne Twister words each node's stream yields up front; a node
+#: whose draws need more is drawn again from the start of its stream
+#: with a block twice as large.
 _WORDS = 128
 #: Rows per vectorised draw pass, so its transient buffers stay a few MB.
 _CHUNK = 8192
+#: Words a ``shuffle`` step scans per row at once: each is accepted with
+#: probability at least 1/2, so a second batch is rarely needed.
+_SCAN = 8
 
 
 class BootstrapPlan:
@@ -564,9 +571,10 @@ class BootstrapPlan:
         (``_randbelow``: ``word >> (32 - k)`` with rejection); a larger
         one takes ``int(random() * count)`` until ``picks_cap`` distinct
         indices came up. ``random()`` is ``genrand_res53`` over two
-        words. The pass runs slot by slot across a chunk of rows at once;
-        a node whose first ``_WORDS`` words run out is drawn again with a
-        larger block.
+        words. Every stream's first ``_WORDS`` words come from one
+        :func:`~repro.util.rng.mersenne_words` pass; the draw then runs
+        slot by slot across a chunk of rows at once, and the nodes whose
+        words ran out are drawn again, together, with twice the words.
         """
         rows = np.asarray(rows, dtype=np.int64)
         store = self._store
@@ -574,25 +582,23 @@ class BootstrapPlan:
         slots = self._slot_bucket.shape[1]
         picks = np.full((len(rows), slots, self.picks_cap), -1, np.int32)
         addresses = store.addresses[rows].tolist()
-        for start in range(0, len(rows), _CHUNK):
-            todo = np.arange(start, min(start + _CHUNK, len(rows)))
-            block = _WORDS
-            while len(todo):
-                words = np.frombuffer(
-                    b"".join(
-                        bootstrap_rng(seed, addresses[index], stream)
-                        .getrandbits(32 * block)
-                        .to_bytes(4 * block, "little")
-                        for index in todo.tolist()
-                    ),
-                    dtype="<u4",
-                ).reshape(len(todo), block)
-                drawn, short = self._draw_block(
-                    self._slot_bucket[cells[todo]], words
+        seeds = derive_seeds(
+            seed, [f"{stream}:{address}" for address in addresses]
+        )
+        todo = np.arange(len(rows))
+        block = _WORDS
+        while len(todo):
+            short = []
+            for start in range(0, len(todo), _CHUNK):
+                chunk = todo[start : start + _CHUNK]
+                drawn, out = self._draw_block(
+                    self._slot_bucket[cells[chunk]],
+                    mersenne_words(seeds[chunk], block),
                 )
-                picks[todo] = drawn
-                todo = todo[short]
-                block *= 2
+                picks[chunk] = drawn
+                short.append(chunk[out])
+            todo = np.concatenate(short)
+            block *= 2
         grouping = self._grouping
         position = np.empty(len(store), dtype=np.int64)
         position[grouping.order] = np.arange(len(store))
@@ -607,79 +613,136 @@ class BootstrapPlan:
     ) -> Tuple["np.ndarray", "np.ndarray"]:
         """Picks of rows with slot *buckets* from their stream *words*.
 
-        Returns the picks and the mask of rows whose words ran out (their
-        picks are incomplete).
+        *words* is word-major, one column per row, and is read by flat
+        index. Returns the picks and the mask of rows whose words ran out
+        (their picks are incomplete).
         """
-        count, width = words.shape
+        width, count = words.shape
+        flat = words.reshape(-1)
         cap = self.picks_cap
         cursor = np.zeros(count, dtype=np.int64)
         short = np.zeros(count, dtype=bool)
 
-        def read(active: "np.ndarray", size: int):
-            """The next *size* words of *active* rows, minus rows run out."""
+        def randbelow(active: "np.ndarray", shift: int, bound: int):
+            """``_randbelow(bound + 1)`` per active row, a batch of words
+            at a time.
+
+            Each row takes the first of its next ``_SCAN`` words whose
+            top bits (``word >> shift``) are at most *bound*. Returns the
+            rows that drew and their draws, and the rows that read
+            ``_SCAN`` words without one (they draw on); rows that ran out
+            of words leave as short.
+            """
             position = cursor[active]
-            out = position + size > width
+            left = width - position
+            steps = np.arange(_SCAN)[:, None]
+            at = np.minimum(position + steps, width - 1) * count + active
+            draw = (flat[at] >> shift).astype(np.int64)
+            fits = (draw <= bound) & (steps < left)
+            first = fits.argmax(axis=0)
+            hit = fits[first, np.arange(len(active))]
+            out = ~hit & (left <= _SCAN)
+            short[active[out]] = True
+            cursor[active] = np.where(
+                hit,
+                position + first + 1,
+                np.where(out, width, position + _SCAN),
+            )
+            drew = np.nonzero(hit)[0]
+            return active[drew], draw[first[drew], drew], active[~hit & ~out]
+
+        def uniform(active: "np.ndarray", scale: "np.ndarray", draws: int):
+            """*draws* ``int(random() * size)`` per active row.
+
+            ``random()`` is genrand_res53 of the row's next two words;
+            *scale* is ``size / 2**53`` (scaling by a power of two is
+            exact, so the product rounds as ``random() * size`` does).
+            Returns the rows that had the words and their draws, one
+            array row per draw; the others leave as short.
+            """
+            position = cursor[active]
+            out = position + 2 * draws > width
             if out.any():
                 short[active[out]] = True
+                cursor[active[out]] = width
                 active, position = active[~out], position[~out]
-            cursor[active] += size
-            return active, [words[active, position + j] for j in range(size)]
+            cursor[active] = position + 2 * draws
+            offsets = np.arange(0, 2 * draws * count, count)[:, None]
+            word = flat[offsets + (position * count + active)]
+            value = (word[0::2] >> 5) * 67108864.0
+            value += word[1::2] >> 6
+            value *= scale[active]
+            return active, value.astype(np.int64)
 
-        def uniform(active: "np.ndarray", sizes: "np.ndarray"):
-            """``int(random() * size)`` per active row (genrand_res53)."""
-            active, (high, low) = read(active, 2)
-            value = ((high >> 5) * 67108864.0 + (low >> 6)) * (
-                1.0 / 9007199254740992.0
-            )
-            return active, (value * sizes[active]).astype(np.int64)
-
-        picks = np.full((count, buckets.shape[1], cap), -1, np.int32)
+        # Slot-major from here on: [slot, row] and [slot, pick, row].
+        buckets = buckets.T
+        slots = len(buckets)
         if not len(self._bucket_sizes):
-            return picks, short
+            return np.full((count, slots, cap), -1, np.int32), short
         all_sizes = np.where(buckets >= 0, self._bucket_sizes[buckets], 0)
-        all_starts = self._bucket_starts[buckets]
-        for slot in range(buckets.shape[1]):
-            sizes = all_sizes[:, slot]
-            wanted = np.minimum(sizes, cap)
-            chosen = np.full((count, cap), -1, dtype=np.int64)
-            single, index = uniform(np.nonzero(wanted == 1)[0], sizes)
-            chosen[single, 0] = index
+        all_scales = all_sizes * (1.0 / 9007199254740992.0)
+        wanted = np.minimum(all_sizes, cap)
+        singles = wanted == 1
+        wholes = (wanted >= 2) & (wanted == all_sizes)
+        larges = (wanted >= 2) & (wanted < all_sizes)
+        # A whole bucket starts as 0..size-1 and is shuffled in place.
+        order = np.arange(cap)[:, None]
+        chosen = np.where(
+            wholes[:, None] & (order < all_sizes[:, None]), order, -1
+        )
+        filled = np.zeros(count, dtype=np.int64)
+        for slot in range(slots):
+            sizes, scale = all_sizes[slot], all_scales[slot]
+            picked = chosen[slot]
+            single, index = uniform(np.nonzero(singles[slot])[0], scale, 1)
+            picked[0, single] = index[0]
             # shuffle(): swap position i with _randbelow(i + 1), i falling.
-            whole = (wanted >= 2) & (wanted == sizes)
-            chosen[whole] = np.arange(cap)
+            whole = wholes[slot]
             for i in range(cap - 1, 0, -1):
                 shift = 32 - (i + 1).bit_length()
                 pending = np.nonzero(whole & (sizes > i))[0]
                 while len(pending):
-                    pending, (word,) = read(pending, 1)
-                    draw = (word >> shift).astype(np.int64)
-                    done = draw <= i
-                    rows, other = pending[done], draw[done]
-                    chosen[rows, i], chosen[rows, other] = (
-                        chosen[rows, other],
-                        chosen[rows, i],
+                    rows, other, pending = randbelow(pending, shift, i)
+                    picked[i, rows], picked[other, rows] = (
+                        picked[other, rows],
+                        picked[i, rows],
                     )
-                    pending = pending[~done]
-            chosen[whole[:, None] & (np.arange(cap) >= sizes[:, None])] = -1
-            # Distinct indices by rejection, in first-drawn order.
-            filled = np.zeros(count, dtype=np.int64)
-            pending = np.nonzero((wanted >= 2) & (wanted < sizes))[0]
+            # Distinct indices by rejection, in first-drawn order: one
+            # batched round of cap draws, then the rows that drew a
+            # repeat keep their distinct ones and draw on.
+            pending, index = uniform(np.nonzero(larges[slot])[0], scale, cap)
+            repeat = np.zeros(index.shape, dtype=bool)
+            for j in range(1, cap):
+                for k in range(j):
+                    repeat[j] |= index[j] == index[k]
+            picked[:, pending] = index
+            again = repeat.any(axis=0)
+            pending = pending[again]
+            if len(pending):
+                repeat = repeat[:, again]
+                distinct = cap - repeat.sum(axis=0)
+                index = np.take_along_axis(
+                    index[:, again],
+                    np.argsort(repeat, axis=0, kind="stable"),
+                    axis=0,
+                )
+                picked[:, pending] = np.where(order < distinct, index, -1)
+                filled[pending] = distinct
             while len(pending):
-                pending, index = uniform(pending, sizes)
-                fresh = ~(chosen[pending] == index[:, None]).any(axis=1)
+                pending, (index,) = uniform(pending, scale, 1)
+                fresh = ~(picked[:, pending] == index).any(axis=0)
                 rows = pending[fresh]
-                chosen[rows, filled[rows]] = index[fresh]
+                picked[filled[rows], rows] = index[fresh]
                 filled[rows] += 1
                 pending = pending[filled[pending] < cap]
-            taken = chosen >= 0
-            picks[:, slot] = np.where(
-                taken,
-                self._bucket_rows[
-                    np.where(taken, all_starts[:, slot, None] + chosen, 0)
-                ],
-                -1,
-            )
-        return picks, short
+        taken = chosen >= 0
+        starts = self._bucket_starts[buckets]
+        picks = np.where(
+            taken,
+            self._bucket_rows[np.where(taken, starts[:, None] + chosen, 0)],
+            -1,
+        )
+        return picks.transpose(2, 0, 1), short
 
 
 class BootstrapLinks:
@@ -744,6 +807,9 @@ def bootstrap_rng(
     population seeds bit-identical tables for the nodes it owns — no
     replaying (and no draw-consuming) of other nodes' randomness, which
     is what makes a sharded worker's bootstrap O(owned) instead of O(N).
+    :meth:`BootstrapPlan.draw` seeds these same streams in bulk and
+    never builds one; this scalar form is what the tests replay it
+    against.
     """
     return derive_rng(seed, f"{stream}:{address}")
 

@@ -8,6 +8,11 @@ construction) and then drives it on the hot path::
     ...
     self._shuffles.inc()
 
+A component built once per node (a fleet of thousands) resolves its
+instruments once per registry instead, as one shared bundle object:
+``registry.bundle(HealthMetrics)`` builds the bundle on first use and
+hands every later caller the same one.
+
 Instruments may carry **labels** (keyword arguments): each distinct label
 set is its own series, stored under the canonical flat key
 ``name{k=v,...}`` with label keys sorted — so snapshots stay plain flat
@@ -39,7 +44,16 @@ bit-identical merged metrics to the single-process engine.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, List, Mapping, Optional
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    TypeVar,
+)
 
 #: Fixed-point scale exponent: every finite float is an integer multiple
 #: of ``2**-1074`` (the subnormal quantum), so sums at this scale are
@@ -253,6 +267,9 @@ _NULL_GAUGE = _NullGauge()
 _NULL_HISTOGRAM = _NullHistogram()
 
 
+_Bundle = TypeVar("_Bundle")
+
+
 class MetricsRegistry:
     """Name-keyed instrument store; disabled instances are no-ops.
 
@@ -266,6 +283,16 @@ class MetricsRegistry:
         self._counters: Dict[str, CounterMetric] = {}
         self._gauges: Dict[str, GaugeMetric] = {}
         self._histograms: Dict[str, HistogramMetric] = {}
+        self._bundles: Dict[Callable[..., Any], Any] = {}
+
+    def bundle(
+        self, factory: Callable[["MetricsRegistry"], _Bundle]
+    ) -> _Bundle:
+        """``factory(self)``, built once and kept until :meth:`reset`."""
+        bundle = self._bundles.get(factory)
+        if bundle is None:
+            bundle = self._bundles[factory] = factory(self)
+        return bundle
 
     def counter(self, name: str, **labels: Any):
         """The counter for *name* (+labels), created on first use."""
@@ -328,6 +355,7 @@ class MetricsRegistry:
 
     def reset(self) -> None:
         """Drop every registered instrument."""
+        self._bundles.clear()
         self._counters.clear()
         self._gauges.clear()
         self._histograms.clear()

@@ -13,7 +13,6 @@ from repro.core.observer import ProtocolObserver
 from repro.core.query import Query
 from repro.gossip.maintenance import GossipConfig, TwoLayerMaintenance
 from repro.obs.registry import MetricsRegistry
-from repro.sim.latency import nominal_rtt
 from repro.sim.network import SimNetwork, SimTransport
 from repro.util.errors import HostDownError
 
@@ -68,7 +67,7 @@ class SimHost:
         #: forward (hedging still waits for real samples).
         self.health = HealthMonitor(
             config.health,
-            initial_rtt=nominal_rtt(network.latency),
+            initial_rtt=network.nominal_rtt,
             registry=registry,
         )
         self.node = ResourceNode(

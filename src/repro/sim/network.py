@@ -27,7 +27,7 @@ from typing import Any, Callable, Dict, Optional, Protocol, Set
 from repro.core.descriptors import Address
 from repro.core.transport import TimerHandle, Transport
 from repro.sim.engine import Event, Simulator
-from repro.sim.latency import LatencyModel, constant_latency
+from repro.sim.latency import LatencyModel, constant_latency, nominal_rtt
 
 MessageHandler = Callable[[Address, Any], None]
 
@@ -61,6 +61,10 @@ class SimNetwork:
             raise ValueError(f"loss_rate must be in [0, 1), got {loss_rate}")
         self.simulator = simulator
         self.latency = latency or constant_latency()
+        #: The latency model's a-priori round trip (None if it advertises
+        #: none), resolved once: every host seeds its health monitor
+        #: from it.
+        self.nominal_rtt = nominal_rtt(self.latency)
         self.loss_rate = loss_rate
         self.rng = rng or random.Random(0)
         self._handlers: Dict[Address, MessageHandler] = {}

@@ -18,6 +18,7 @@ from repro.core.health import (
     HealthMonitor,
     RttEstimator,
 )
+from repro.obs.registry import MetricsRegistry
 
 
 class TestRttEstimator:
@@ -148,6 +149,20 @@ class TestCircuitBreaker:
 
 
 class TestHealthMonitor:
+    def test_monitors_of_one_registry_share_their_series(self):
+        """A fleet resolves the health series once per registry, and
+        every monitor writes the registry's own instruments."""
+        registry = MetricsRegistry()
+        first = HealthMonitor(HealthConfig(), registry=registry)
+        second = HealthMonitor(HealthConfig(), registry=registry)
+        assert first._metrics is second._metrics
+        first.observe_rtt(1, 0.5)
+        second.observe_rtt(2, 0.5)
+        second.probe_sent()
+        assert registry.histogram("health.rtt").count == 2
+        assert registry.counter("health.probes_sent").value == 1
+        assert HealthMonitor(HealthConfig())._metrics is not first._metrics
+
     def test_ambient_estimator_covers_unsampled_neighbors(self):
         """A neighbor never sampled still gets a timeout estimate once
         *any* peer has demonstrated the network's current weather."""

@@ -71,6 +71,16 @@ class TestAdd:
         }
         assert len(addresses) == 4
 
+    def test_refused_alternate_leaves_no_empty_list(self, schema):
+        """A table that keeps no alternates refuses a second descriptor
+        for a filled slot without leaving an empty alternates list."""
+        owner = descriptor(schema, 0, 0.5, 0.5)
+        bare = RoutingTable(owner, 2, 3, alternates_per_slot=0)
+        bare.add(descriptor(schema, 1, 1.5, 0.5))  # primary of (1, 0)
+        assert bare.add(descriptor(schema, 2, 1.6, 0.6)) is False
+        assert bare._alternates == {}
+        assert bare.link_count() == 1
+
     def test_refresh_same_address_new_values(self, schema, table):
         stale = descriptor(schema, 1, 7.5, 7.5)
         fresh = descriptor(schema, 1, 7.5, 6.5)

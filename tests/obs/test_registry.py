@@ -50,6 +50,20 @@ class TestInstruments:
         assert registry.gauge("x") is registry.gauge("x")
         assert registry.histogram("x") is registry.histogram("x")
 
+    def test_bundle_is_built_once_until_reset(self):
+        registry = MetricsRegistry()
+        built = []
+
+        def factory(owner):
+            built.append(owner)
+            return owner.counter("bundled")
+
+        first = registry.bundle(factory)
+        assert registry.bundle(factory) is first and built == [registry]
+        registry.reset()
+        again = registry.bundle(factory)
+        assert again is not first and again is registry.counter("bundled")
+
 
 class TestNullRegistry:
     def test_disabled_registry_hands_out_shared_nulls(self):
