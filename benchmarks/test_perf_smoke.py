@@ -556,3 +556,77 @@ def test_sharded_engine_is_deterministic(benchmark):
 
     single, sharded = run_once(benchmark, compare)
     assert sharded == single
+
+
+#: Python-level calls per delivered message over the hot-path gate's
+#: batch, as cProfile counts them (builtins included): pinned at the
+#: 61.95 measured when failure timers moved to the timer wheel (90.65
+#: before, on the same batch).
+CALLS_PER_MESSAGE = 62.0
+
+
+def test_sim_query_hot_path_counters(benchmark, monkeypatch):
+    """Per-message work and timer traffic of exhaustive sim queries.
+
+    Host-independent counter gates over a fixed list of the benchmark's
+    exhaustive class (f=0.0005, σ=50, explicit origins), after four
+    warm-up queries, run once under cProfile and untimed:
+
+    * Python-level calls per delivered message stay at or below
+      :data:`CALLS_PER_MESSAGE` — a closure, a property or a per-hop
+      lookup reintroduced in node handling, the engine or the send path
+      trips it;
+    * no cancelled failure timer ever entered the event heap: every
+      timer the reply cancels is still in the simulator's timer wheel
+      when it is cancelled (a timer armed with ``schedule`` instead of
+      ``schedule_timer`` is cancelled in the heap and trips this).
+    """
+    import cProfile
+
+    from repro.sim.engine import Simulator
+    from repro.util.rng import derive_rng
+
+    cfg = PAPER_PEERSIM.scaled(SMOKE_N)
+    schema = cfg.schema()
+    deployment, metrics = build_deployment(cfg)
+    rng = derive_rng(cfg.seed, "smoke-hot-path")
+    batch = [
+        (random_box_query(schema, 0.0005, rng), rng.randrange(SMOKE_N))
+        for _ in range(44)
+    ]
+    for query, origin in batch[:4]:
+        deployment.execute_query(query, sigma=50, origin=origin)
+
+    cancels = {"count": 0}
+    cancel = Simulator.cancel
+
+    def counting_cancel(self, event):
+        cancels["count"] += 1
+        cancel(self, event)
+
+    monkeypatch.setattr(Simulator, "cancel", counting_cancel)
+    simulator, network = deployment.simulator, deployment.network
+    heap_cancellations = simulator.heap_cancellations
+    delivered = network.messages_delivered
+    profiler = cProfile.Profile()
+
+    def run_batch():
+        profiler.enable()
+        for query, origin in batch[4:]:
+            deployment.execute_query(query, sigma=50, origin=origin)
+        profiler.disable()
+
+    run_once(benchmark, run_batch)
+    delivered = network.messages_delivered - delivered
+    # Summed over the profiler's own entries: ``pstats`` keys functions
+    # by (file, line, name), so the dataclass ``__init__``s generated at
+    # ``<string>:2`` overwrite one another there. The counting wrapper
+    # adds one Python call per cancel.
+    calls = (
+        sum(entry.callcount for entry in profiler.getstats())
+        - cancels["count"]
+    )
+    assert delivered > 0 and cancels["count"] > 0
+    assert calls / delivered <= CALLS_PER_MESSAGE, calls / delivered
+    assert simulator.heap_cancellations == heap_cancellations
+    assert simulator.pending_events == 0

@@ -142,11 +142,16 @@ def overlapping_dimensions(
     Bit k is set iff ``neighboring_region(coordinates, level, k)
     .overlaps(ranges)`` — the forward decision of Figure 5 for every
     dimension at once, in one pass over d and no :class:`Region`. Per
-    dimension j, three overlap bits are collected:
+    dimension j, two overlap bits are collected:
 
     * ``same``: Q meets X's ``C_(level-1)`` interval (the half X is in),
-    * ``flip``: Q meets the sibling half,
-    * ``free``: Q meets X's ``C_level`` interval.
+    * ``flip``: Q meets the sibling half.
+
+    Both halves are blocks of ``2**(level-1)`` indices, so each test
+    compares block numbers: the block X is in (or its sibling, the block
+    number with bit 0 flipped) against the blocks of Q's two ends. Q meets
+    X's ``C_level`` interval — the two halves together — iff it meets one
+    of them, so ``free = same | flip``.
 
     ``N(level, k)`` overlaps Q iff every j < k is in ``same``, k is in
     ``flip`` and every j > k is in ``free``. The first condition holds
@@ -157,24 +162,22 @@ def overlapping_dimensions(
     if level < 1:
         raise ValueError(f"neighboring cells exist only for level >= 1, got {level}")
     shift = level - 1
-    half = 1 << shift
-    same = flip = free = 0
+    same = flip = 0
     bit = 1
     for index, (low, high) in zip(coordinates, ranges):
-        own = (index >> shift) << shift
-        sibling = own ^ half
-        if own <= high and low < own + half:
+        block = index >> shift
+        low >>= shift
+        high >>= shift
+        if low <= block <= high:
             same |= bit
-        if sibling <= high and low < sibling + half:
+        block ^= 1
+        if low <= block <= high:
             flip |= bit
-        start = (index >> level) << level
-        if start <= high and low < start + (half << 1):
-            free |= bit
         bit <<= 1
     lowest_miss = ~same & (same + 1)
     prefix = (lowest_miss << 1) - 1
-    highest_miss = ((bit - 1) & ~free).bit_length() - 1
-    suffix = -1 << max(highest_miss, 0)
+    highest_miss = ((bit - 1) & ~(same | flip)).bit_length() - 1
+    suffix = -1 << highest_miss if highest_miss > 0 else -1
     return flip & prefix & suffix
 
 

@@ -259,6 +259,7 @@ class HealthMonitor:
         "_estimators",
         "_ambient",
         "_breakers",
+        "tripped",
         "_metrics",
     )
 
@@ -278,6 +279,9 @@ class HealthMonitor:
         #: has not sampled the current network weather yet.
         self._ambient = RttEstimator(self.config, self.initial_rtt)
         self._breakers: Dict[Address, CircuitBreaker] = {}
+        #: How many breakers are tripped (open or half-open). While it is
+        #: zero no neighbor is open, and forwards skip the breaker scan.
+        self.tripped = 0
         registry = registry if registry is not None else NULL_REGISTRY
         self._metrics = registry.bundle(HealthMetrics)
 
@@ -312,6 +316,7 @@ class HealthMonitor:
         """Evidence that *address* is alive (closes a tripped breaker)."""
         breaker = self._breakers.get(address)
         if breaker is not None and breaker.record_success():
+            self.tripped -= 1
             self._metrics.breaker_closed.inc()
             self._metrics.open_gauge.add(-1.0)
 
@@ -321,6 +326,7 @@ class HealthMonitor:
         if estimator is not None:
             estimator.on_timeout()
         if self.breaker(address).record_failure(now):
+            self.tripped += 1
             self._metrics.breaker_opened.inc()
             self._metrics.open_gauge.add(1.0)
 
@@ -354,16 +360,14 @@ class HealthMonitor:
         self, address: Address, bound: Callable[[RttEstimator], Optional[float]]
     ) -> Optional[float]:
         """The larger *bound* of the private and ambient estimators."""
+        ambient = bound(self._ambient)
         estimator = self._estimators.get(address)
-        values = [
-            value
-            for value in (
-                bound(estimator) if estimator is not None else None,
-                bound(self._ambient),
-            )
-            if value is not None
-        ]
-        return max(values) if values else None
+        if estimator is None:
+            return ambient
+        own = bound(estimator)
+        if own is None or (ambient is not None and ambient > own):
+            return ambient
+        return own
 
     def usable(self, address: Address, now: float) -> bool:
         """False iff the neighbor's breaker is currently open."""

@@ -4,6 +4,11 @@ Messages are immutable: every forwarding step constructs a fresh
 :class:`QueryMessage` with the updated ``level`` and ``dimensions`` fields.
 (The paper's pseudo-code mutates ``q`` in place; value semantics express the
 same protocol without aliasing hazards inside a single-process simulator.)
+
+Both stay frozen dataclasses, but with a hand-written ``__init__`` that
+fills the instance ``__dict__`` in one call: the generated frozen
+``__init__`` pays one ``object.__setattr__`` per field, and a message is
+built for every hop.
 """
 
 from __future__ import annotations
@@ -18,13 +23,15 @@ from repro.util.intervals import Interval
 #: Query identifiers must be globally unique; we use (origin address, counter).
 QueryId = Tuple[Address, int]
 
+_set_attribute = object.__setattr__
+
 
 def mask_dimensions(mask: int) -> List[int]:
     """The dimensions set in a non-negative bitmask, ascending."""
     return [dim for dim, bit in enumerate(reversed(bin(mask))) if bit == "1"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QueryMessage:
     """QUERY: id, forwarder address, ranges, sigma, level, dimensions.
 
@@ -50,8 +57,30 @@ class QueryMessage:
     #: its partial results) before its parent gives up on the child.
     budget: float = 30.0
 
+    def __init__(
+        self,
+        query_id: QueryId,
+        sender: Address,
+        query: Query,
+        index_ranges: Tuple[Interval, ...],
+        sigma: Optional[int],
+        level: int,
+        dimensions: int,
+        budget: float = 30.0,
+    ) -> None:
+        _set_attribute(self, "__dict__", {
+            "query_id": query_id,
+            "sender": sender,
+            "query": query,
+            "index_ranges": index_ranges,
+            "sigma": sigma,
+            "level": level,
+            "dimensions": dimensions,
+            "budget": budget,
+        })
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class ReplyMessage:
     """REPLY: id, the matching descriptors collected, and the reply sender."""
 
@@ -70,3 +99,19 @@ class ReplyMessage:
     #: the primary's subtree" apart from a genuine answer, so a fast
     #: duplicate ack never cancels the live primary branch of a pair.
     duplicate: bool = False
+
+    def __init__(
+        self,
+        query_id: QueryId,
+        sender: Address,
+        matching: Tuple[NodeDescriptor, ...],
+        coverage: float = 1.0,
+        duplicate: bool = False,
+    ) -> None:
+        _set_attribute(self, "__dict__", {
+            "query_id": query_id,
+            "sender": sender,
+            "matching": matching,
+            "coverage": coverage,
+            "duplicate": duplicate,
+        })

@@ -169,6 +169,7 @@ class ResourceNode:
         "observer",
         "reliability",
         "descriptor",
+        "address",
         "routing",
         "pending",
         "_seen",
@@ -190,6 +191,8 @@ class ResourceNode:
         self.config = config or NodeConfig()
         self.observer = observer or ProtocolObserver()
         self.descriptor = descriptor
+        #: This node's address (constant: see :meth:`update_attributes`).
+        self.address = descriptor.address
         self.routing = RoutingTable(
             descriptor,
             schema.dimensions,
@@ -199,8 +202,11 @@ class ResourceNode:
         #: Every timer, retry, hedge and fail-over decision of this node.
         self.reliability = Reliability(self, health)
         self.pending: Dict[QueryId, _PendingQuery] = {}
-        #: Recently seen query ids in LRU order; see :meth:`_remember`.
-        self._seen: "OrderedDict[QueryId, None]" = OrderedDict()
+        #: Recently seen query ids in LRU order: a plain dict (insertion
+        #: order at half an OrderedDict's bytes per entry, and every node
+        #: of a deployment holds one) until it first fills; see
+        #: :meth:`_remember`.
+        self._seen: "Dict[QueryId, None]" = {}
         self._query_counter = itertools.count()
         #: Live, rapidly-changing local state checked against the dynamic
         #: constraints of queries (footnote 1 of the paper). Not gossiped,
@@ -208,11 +214,6 @@ class ResourceNode:
         self.dynamic_values: Dict[str, float] = {}
 
     # -- identity ---------------------------------------------------------------
-
-    @property
-    def address(self) -> Address:
-        """This node's address."""
-        return self.descriptor.address
 
     @property
     def health(self) -> HealthMonitor:
@@ -279,9 +280,10 @@ class ResourceNode:
 
     def handle_message(self, sender: Address, message: object) -> None:
         """Dispatch an incoming message (transport callback)."""
-        if isinstance(message, QueryMessage):
+        kind = type(message)
+        if kind is QueryMessage:
             self.receive_query(message)
-        elif isinstance(message, ReplyMessage):
+        elif kind is ReplyMessage:
             self.receive_reply(message)
 
     def receive_query(self, message: QueryMessage) -> None:
@@ -334,7 +336,11 @@ class ResourceNode:
         outstanding = state.waiting.pop(sender, None)
         if not self.reliability.reply_arrived(state, outstanding, message):
             return
-        state.branch_coverage += max(0.0, min(1.0, message.coverage))
+        # Clamped to [0, 1] like ``max(0.0, min(1.0, coverage))``, but
+        # without two builtin calls on every reply.
+        coverage = message.coverage
+        coverage = coverage if coverage < 1.0 else 1.0
+        state.branch_coverage += coverage if coverage > 0.0 else 0.0
         self._settle(query_id, state)
 
     def _settle(self, query_id: QueryId, state: _PendingQuery) -> None:
@@ -353,7 +359,7 @@ class ResourceNode:
             if self._forward_at_level(query_id, state):
                 return
             state.level -= 1
-            state.dimensions = (1 << self.schema.dimensions) - 1
+            state.dimensions = (1 << self.routing.dimensions) - 1
             state.overlapping = None
         if state.level == 0:
             state.level = -1  # the C0 fan-out happens exactly once
@@ -433,10 +439,9 @@ class ResourceNode:
         """
         address = neighbor.address
         message = QueryMessage(
-            query_id=query_id, sender=self.address, query=state.query,
-            index_ranges=state.index_ranges, sigma=state.sigma, level=level,
-            dimensions=dimensions,
-            budget=max(self.config.min_timeout, state.budget * BUDGET_DECAY),
+            query_id, self.address, state.query, state.index_ranges,
+            state.sigma, level, dimensions,
+            max(self.config.min_timeout, state.budget * BUDGET_DECAY),
         )
         state.waiting[address] = self.reliability.forward_sent(
             state, address, message, slot, hedge_of
@@ -454,7 +459,12 @@ class ResourceNode:
     def _complete(self, query_id: QueryId, state: _PendingQuery) -> None:
         state.completed = True
         self.reliability.query_completed(state)
-        self.pending.pop(query_id, None)
+        pending = self.pending
+        pending.pop(query_id, None)
+        if not pending:
+            # A dict keeps its table after its last pop; most nodes hold
+            # one query at a time, so drop the table with the query.
+            self.pending = {}
         descriptors = list(state.matching.values())
         # σ met means the job is done regardless of unexplored regions; a
         # full coverage estimate otherwise reports honestly how much of
@@ -487,21 +497,22 @@ class ResourceNode:
         self.transport.send(
             self.address,
             parent,
-            ReplyMessage(
-                query_id=query_id,
-                sender=self.address,
-                matching=matching,
-                coverage=coverage,
-                duplicate=duplicate,
-            ),
+            ReplyMessage(query_id, self.address, matching, coverage, duplicate),
         )
 
     def _remember(self, query_id: QueryId) -> None:
         """Move *query_id* to the fresh end of the bounded seen-LRU."""
-        self._seen[query_id] = None
-        self._seen.move_to_end(query_id)
-        while len(self._seen) > self.config.seen_history:
-            self._seen.popitem(last=False)
+        seen = self._seen
+        if query_id in seen:
+            del seen[query_id]  # re-inserted at the fresh end
+        seen[query_id] = None
+        if len(seen) > self.config.seen_history:
+            if type(seen) is dict:
+                # Full for the first time. A dict finds its oldest entry
+                # by scanning past every slot earlier evictions emptied;
+                # an OrderedDict pops it in O(1).
+                seen = self._seen = OrderedDict(seen)
+            seen.popitem(last=False)
 
     # -- crash-restart ----------------------------------------------------------------
 

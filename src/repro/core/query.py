@@ -100,6 +100,9 @@ class CategoricalSet:
 
 Constraint = Union[ValueRange, CategoricalSet]
 
+#: One resolved constraint of :meth:`Query.matches`.
+_Check = Tuple[int, float, float, Optional[CategoricalSet]]
+
 RangeSpec = Union[
     Constraint,
     Tuple[Optional[float], Optional[float]],
@@ -130,6 +133,11 @@ class Query:
     #: against its own live state. This is impossible in delegation-based
     #: systems, where the registry's copy is always stale.
     dynamic_constraints: Tuple[Tuple[str, ValueRange], ...] = ()
+    #: What :meth:`matches` evaluates, resolved on first use: one
+    #: ``(dim, low, high, members)`` row per constraint, open bounds as
+    #: infinities, ``members`` a categorical set (None for a range). Not a
+    #: field, so equality, hashing and ``replace`` ignore it.
+    _checks = None
 
     @classmethod
     def where(cls, schema: AttributeSchema, **specs: RangeSpec) -> "Query":
@@ -221,11 +229,30 @@ class Query:
 
     def matches(self, numeric_values: Sequence[float]) -> bool:
         """True if a node with the given numeric value vector satisfies q."""
-        for name, constraint in self.constraints:
-            dim = self.schema.dimension_of(name)
-            if not constraint.contains(numeric_values[dim]):
+        checks = self._checks
+        if checks is None:
+            checks = self._resolve_checks()
+        for dim, low, high, members in checks:
+            value = numeric_values[dim]
+            if value < low or value > high:
+                return False
+            if members is not None and not members.contains(value):
                 return False
         return True
+
+    def _resolve_checks(self) -> Tuple[_Check, ...]:
+        checks = []
+        for name, constraint in self.constraints:
+            if isinstance(constraint, CategoricalSet):
+                low, high, members = -math.inf, math.inf, constraint
+            else:
+                low = -math.inf if constraint.low is None else constraint.low
+                high = math.inf if constraint.high is None else constraint.high
+                members = None
+            checks.append((self.schema.dimension_of(name), low, high, members))
+        resolved = tuple(checks)
+        object.__setattr__(self, "_checks", resolved)
+        return resolved
 
     def matches_mapping(self, values: Mapping[str, AttributeValue]) -> bool:
         """Like :meth:`matches` but takes a raw ``{name: value}`` mapping."""

@@ -68,7 +68,7 @@ class Outstanding:
 class Reliability:
     """The timers, retries, hedges and fail-over of one node."""
 
-    __slots__ = ("node", "config", "transport", "health")
+    __slots__ = ("node", "config", "transport", "health", "_headroom")
 
     def __init__(
         self, node: "ResourceNode", health: Optional[HealthMonitor] = None
@@ -80,6 +80,12 @@ class Reliability:
         #: layer when the embedding (e.g. :class:`~repro.sim.host.SimHost`)
         #: passes one in; standalone nodes build their own cold monitor.
         self.health = health or HealthMonitor(self.config.health)
+        config = self.config
+        #: Slack between a child's budget and its parent's failure timer
+        #: (see :meth:`_failure_delay`); the config is frozen.
+        self._headroom = min(
+            max(config.latency_headroom, 0.0), config.query_timeout
+        )
 
     @property
     def gossip_health(self) -> Optional[HealthMonitor]:
@@ -115,7 +121,7 @@ class Reliability:
 
     def _excluded(self, state: "_PendingQuery") -> Set[Address]:
         """Addresses not to forward to: failed this query or open-circuit."""
-        if not self.config.adaptive_timeouts:
+        if not self.config.adaptive_timeouts or not self.health.tripped:
             return state.failed
         open_now = self.health.open_addresses(self.transport.now())
         return state.failed | open_now if open_now else state.failed
@@ -137,7 +143,9 @@ class Reliability:
         hedged = hedge_of is not None
         delay, floor = self._failure_delay(state, address, message, hedged)
         entry = Outstanding(
-            timer=self._arm_failure(message.query_id, address, delay),
+            timer=self.transport.call_later(
+                delay, self._on_timeout, message.query_id, address
+            ),
             slot=slot,
             message=message,
             sent_at=self.transport.now(),
@@ -147,13 +155,6 @@ class Reliability:
         if not hedged and slot is not None:
             self._maybe_arm_hedge(entry, address, floor, delay)
         return entry
-
-    def _arm_failure(
-        self, query_id: QueryId, address: Address, delay: float
-    ) -> TimerHandle:
-        return self.transport.call_later(
-            delay, lambda: self._on_timeout(query_id, address)
-        )
 
     def _failure_delay(
         self,
@@ -183,14 +184,13 @@ class Reliability:
         it a normal window once it carries the branch alone.
         """
         config = self.config
-        headroom = min(max(config.latency_headroom, 0.0), config.query_timeout)
-        floor = message.budget + headroom
+        floor = message.budget + self._headroom
         static_timer = max(state.budget, floor)
         delay = static_timer
         if config.adaptive_timeouts:
             rto = self.health.rto(address)
             if rto is not None:
-                span = max(1, message.level + 2)
+                span = message.level + 2  # levels run from -1 (C0) up
                 ceiling = max(static_timer, span * config.health.rto_max)
                 if hedge:
                     delay = ceiling
@@ -210,7 +210,9 @@ class Reliability:
         if entry.timer is not None:
             self.transport.cancel(entry.timer)
         delay, _ = self._failure_delay(state, address, entry.message, False)
-        entry.timer = self._arm_failure(entry.message.query_id, address, delay)
+        entry.timer = self.transport.call_later(
+            delay, self._on_timeout, entry.message.query_id, address
+        )
 
     def _detach(
         self, state: "_PendingQuery", entry: Outstanding
@@ -259,13 +261,12 @@ class Reliability:
         # The bound is per link, but the reply covers a subtree: scale it
         # by the failure timer's span, or a top-level forward is hedged
         # after a link-scale delay during every global slowdown.
-        span = max(1, entry.message.level + 2)
+        span = entry.message.level + 2
         hedge_delay = max(span * bound, HEDGE_FRACTION * floor)
         if hedge_delay >= 0.9 * timer_delay:
             return
-        query_id = entry.message.query_id
         entry.hedge_timer = self.transport.call_later(
-            hedge_delay, lambda: self._fire_hedge(query_id, neighbor)
+            hedge_delay, self._fire_hedge, entry.message.query_id, neighbor
         )
 
     def _fire_hedge(self, query_id: QueryId, primary: Address) -> None:
@@ -435,6 +436,8 @@ class Reliability:
 
     def query_completed(self, state: "_PendingQuery") -> None:
         """Cancel every timer of a query that just completed."""
+        if not state.waiting and not state.defer_timers:
+            return  # the usual case: every branch has replied
         for outstanding in state.waiting.values():
             if outstanding.hedged:
                 self.health.hedge_cancelled()

@@ -502,10 +502,21 @@ class BootstrapPlan:
         self._slot_bucket = np.full(
             (cell_count, dimensions * schema.max_level), -1, dtype=np.int32
         )
-        # One vectorized pass per (level, dim): the sibling-group buckets
-        # come out as contiguous slices of one per-pair row permutation
-        # (stable sorts keep members in ascending cell then address
-        # order — the scalar oracle's extend() sequence).
+        # One vectorized pass per (level, dim) over the cells in key
+        # order, where a right shift of the sorted keys leaves every
+        # block a run: no sort, no search per slot. Blocks b and b ^ 1
+        # are adjacent numbers, so a block's sibling, if occupied, is the
+        # next or the previous run. A block is a bucket iff its sibling
+        # is occupied; buckets are numbered in first-reference order
+        # (ascending id of the first cell of the sibling block — the
+        # order the incremental build allocated bucket ids in), and a
+        # bucket lists its cells in ascending cell id, each cell's rows
+        # in ascending address order (the scalar oracle's extend()
+        # sequence).
+        by_code = np.argsort(grouping.cell_codes, kind="stable")
+        sorted_codes = grouping.cell_codes[by_code]
+        sorted_sizes = sizes[by_code]
+        cell_offsets = np.cumsum(sizes) - sizes
         bucket_rows = [np.zeros(0, dtype=np.int64)]
         bucket_sizes = [np.zeros(0, dtype=np.int64)]
         base = 0
@@ -514,43 +525,47 @@ class BootstrapPlan:
         ):
             if not cell_count:
                 break
-            codes = bucket_code(grouping.cell_codes, level, dim, dimensions)
-            flipped = codes ^ 1
-            sorted_codes = np.sort(codes)
-            # A cell has a slot entry iff some cell carries its flipped
-            # code (a non-empty sibling group).
-            pos = np.minimum(
-                np.searchsorted(sorted_codes, flipped), cell_count - 1
+            blocks = bucket_code(sorted_codes, level, dim, dimensions)
+            new_run = np.empty(cell_count, dtype=bool)
+            new_run[0] = True
+            np.not_equal(blocks[1:], blocks[:-1], out=new_run[1:])
+            run_starts = np.flatnonzero(new_run)
+            block_codes = blocks[run_starts]
+            # Pairs (i, i + 1) of runs with an even block and its sibling.
+            lower = np.flatnonzero(
+                ((block_codes[:-1] & 1) == 0)
+                & (block_codes[1:] == block_codes[:-1] + 1)
             )
-            valid_cells = np.nonzero(sorted_codes[pos] == flipped)[0]
-            if not len(valid_cells):
+            if not len(lower):
                 continue
-            # Number the referenced sibling groups in first-reference
-            # order (ascending referencing cell id — the order the
-            # incremental build allocated bucket ids in).
-            uniq, first_idx, inverse = np.unique(
-                flipped[valid_cells], return_index=True, return_inverse=True
+            sibling = np.full(len(block_codes), -1, dtype=np.int64)
+            sibling[lower] = lower + 1
+            sibling[lower + 1] = lower
+            referenced = np.flatnonzero(sibling >= 0)
+            first_cell = np.minimum.reduceat(by_code, run_starts)
+            rank = np.empty(len(block_codes), dtype=np.int64)
+            rank[referenced[np.argsort(first_cell[sibling[referenced]])]] = (
+                np.arange(len(referenced), dtype=np.int64)
             )
-            rank_of = np.empty(len(uniq), dtype=np.int64)
-            rank_of[np.argsort(first_idx, kind="stable")] = np.arange(
-                len(uniq), dtype=np.int64
+            block_of = np.empty(cell_count, dtype=np.int64)
+            block_of[by_code] = np.cumsum(new_run) - 1
+            # Every cell in a bucket block also references its sibling.
+            cells = np.flatnonzero(sibling[block_of] >= 0)
+            self._slot_bucket[cells, pair] = (
+                rank[sibling[block_of[cells]]] + base
             )
-            self._slot_bucket[valid_cells, pair] = rank_of[inverse] + base
-            # Which cells feed some referenced bucket, and which one.
-            cell_pos = np.minimum(
-                np.searchsorted(uniq, codes), len(uniq) - 1
-            )
-            is_source = uniq[cell_pos] == codes
-            # Expand to rows and sort by bucket: each bucket becomes a
-            # contiguous slice of one permutation array.
-            row_mask = np.repeat(is_source, sizes)
-            row_bucket = np.repeat(rank_of[cell_pos], sizes)[row_mask]
-            source_rows = rows_in_cell_order[row_mask]
-            bucket_rows.append(
-                source_rows[np.argsort(row_bucket, kind="stable")]
-            )
-            bucket_sizes.append(np.bincount(row_bucket, minlength=len(uniq)))
-            base += len(uniq)
+            cell_bucket = rank[block_of[cells]]
+            cells = cells[np.argsort(cell_bucket, kind="stable")]
+            counts = sizes[cells]
+            shifts = cell_offsets[cells] - np.cumsum(counts) + counts
+            bucket_rows.append(rows_in_cell_order[
+                np.repeat(shifts, counts) + np.arange(counts.sum())
+            ])
+            block_sizes = np.add.reduceat(sorted_sizes, run_starts)
+            slot_sizes = np.empty(len(referenced), dtype=np.int64)
+            slot_sizes[rank[referenced]] = block_sizes[referenced]
+            bucket_sizes.append(slot_sizes)
+            base += len(referenced)
         self._bucket_rows = np.concatenate(bucket_rows).astype(np.int32)
         self._bucket_sizes = np.concatenate(bucket_sizes)
         self._bucket_starts = np.cumsum(self._bucket_sizes) - self._bucket_sizes

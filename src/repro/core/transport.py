@@ -32,9 +32,13 @@ class Transport:
         raise NotImplementedError
 
     def call_later(
-        self, delay: float, callback: Callable[[], None]
+        self, delay: float, callback: Callable[..., None], *args: Any
     ) -> TimerHandle:
-        """Schedule *callback* after *delay* seconds; returns a handle."""
+        """Schedule ``callback(*args)`` after *delay* seconds; returns a handle.
+
+        Passing the arguments, as asyncio's ``loop.call_later`` takes
+        them, spares the caller a closure per timer.
+        """
         raise NotImplementedError
 
     def cancel(self, handle: TimerHandle) -> None:
@@ -43,14 +47,19 @@ class Transport:
 
 
 class _Timer:
-    __slots__ = ("deadline", "sequence", "callback", "cancelled")
+    __slots__ = ("deadline", "sequence", "callback", "args", "cancelled")
 
     def __init__(
-        self, deadline: float, sequence: int, callback: Callable[[], None]
+        self,
+        deadline: float,
+        sequence: int,
+        callback: Callable[..., None],
+        args: Tuple,
     ) -> None:
         self.deadline = deadline
         self.sequence = sequence
         self.callback = callback
+        self.args = args
         self.cancelled = False
 
     def __lt__(self, other: "_Timer") -> bool:
@@ -99,9 +108,9 @@ class DirectTransport(Transport):
         return self._time
 
     def call_later(
-        self, delay: float, callback: Callable[[], None]
+        self, delay: float, callback: Callable[..., None], *args: Any
     ) -> TimerHandle:
-        timer = _Timer(self._time + delay, next(self._sequence), callback)
+        timer = _Timer(self._time + delay, next(self._sequence), callback, args)
         heapq.heappush(self._timers, timer)
         return timer
 
@@ -134,7 +143,7 @@ class DirectTransport(Transport):
             if timer.cancelled:
                 continue
             self._time = max(self._time, timer.deadline)
-            timer.callback()
+            timer.callback(*timer.args)
             self.run()
         self._time = target
         self.run()

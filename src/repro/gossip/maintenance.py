@@ -189,7 +189,7 @@ class TwoLayerMaintenance:
         now = self.transport.now()
         self._answer_timers[peer] = (
             self.transport.call_later(
-                delay, lambda: self._answer_timeout(peer, layer)
+                delay, self._answer_timeout, peer, layer
             ),
             now,
         )

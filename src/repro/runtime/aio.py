@@ -98,17 +98,20 @@ class AsyncioTransport(Transport):
         return self.loop.time()
 
     def call_later(
-        self, delay: float, callback: Callable[[], None]
+        self, delay: float, callback: Callable[..., None], *args: object
     ) -> TimerHandle:
         """Arm a wall-clock timer on the event loop."""
+        return self.loop.call_later(
+            max(0.0, delay), self._fire, self.host.incarnation, callback, args
+        )
+
+    def _fire(
+        self, incarnation: int, callback: Callable[..., None], args: tuple
+    ) -> None:
+        """Run a timer unless its host closed, or restarted, since arming."""
         host = self.host
-        incarnation = host.incarnation
-
-        def guarded() -> None:
-            if not host.closed and host.incarnation == incarnation:
-                callback()
-
-        return self.loop.call_later(max(0.0, delay), guarded)
+        if not host.closed and host.incarnation == incarnation:
+            callback(*args)
 
     def cancel(self, handle: TimerHandle) -> None:
         """Cancel a ``loop.call_later`` handle (idempotent)."""

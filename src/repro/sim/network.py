@@ -26,7 +26,7 @@ from typing import Any, Callable, Dict, Optional, Protocol, Set
 
 from repro.core.descriptors import Address
 from repro.core.transport import TimerHandle, Transport
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.latency import LatencyModel, constant_latency, nominal_rtt
 
 MessageHandler = Callable[[Address, Any], None]
@@ -164,6 +164,17 @@ class SimNetwork:
         self.messages_sent += 1
         self.type_counts[type(message).__name__] += 1
         self.sent_by[sender] += 1
+        if (
+            not self.loss_rate
+            and self.faults is None
+            and self.local_addresses is None
+        ):
+            # The direct path: no loss draw, no fault layer, no bridge.
+            self.simulator.schedule(
+                self.latency(sender, receiver, self.rng),
+                self._deliver, sender, receiver, message,
+            )
+            return
         if self.loss_rate and self.rng.random() < self.loss_rate:
             self.messages_lost += 1
             return
@@ -177,7 +188,7 @@ class SimNetwork:
                 self._route_remote(sender, receiver, message, delay)
             else:
                 self.simulator.schedule(
-                    delay, lambda: self._deliver(sender, receiver, message)
+                    delay, self._deliver, sender, receiver, message
                 )
             return
         delivery = self.faults.apply(
@@ -193,8 +204,7 @@ class SimNetwork:
                 self._route_remote(sender, receiver, message, delay + extra)
             else:
                 self.simulator.schedule(
-                    delay + extra,
-                    lambda: self._deliver(sender, receiver, message),
+                    delay + extra, self._deliver, sender, receiver, message
                 )
 
     def _route_remote(
@@ -215,7 +225,7 @@ class SimNetwork:
         arrival timestamp.
         """
         self.simulator.schedule_at(
-            arrival, lambda: self._deliver(sender, receiver, message)
+            arrival, self._deliver, sender, receiver, message
         )
 
     def _deliver(self, sender: Address, receiver: Address, message: Any) -> None:
@@ -252,19 +262,24 @@ class SimTransport(Transport):
         return self.network.simulator.now
 
     def call_later(
-        self, delay: float, callback: Callable[[], None]
+        self, delay: float, callback: Callable[..., None], *args: Any
     ) -> TimerHandle:
-        incarnation = self.network.incarnation(self.address)
+        network = self.network
+        return network.simulator.schedule_timer(
+            delay, self._fire, network._incarnations.get(self.address, 0),
+            callback, args,
+        )
 
-        def guarded() -> None:
-            if (
-                self.network.is_alive(self.address)
-                and self.network.incarnation(self.address) == incarnation
-            ):
-                callback()
-
-        return self.network.simulator.schedule(delay, guarded)
+    def _fire(
+        self, incarnation: int, callback: Callable[..., None], args: tuple
+    ) -> None:
+        """Run a timer unless its node crashed, or restarted, since arming."""
+        network = self.network
+        if (
+            self.address in network._alive
+            and network._incarnations[self.address] == incarnation
+        ):
+            callback(*args)
 
     def cancel(self, handle: TimerHandle) -> None:
-        if isinstance(handle, Event):
-            self.network.simulator.cancel(handle)
+        self.network.simulator.cancel(handle)

@@ -19,9 +19,9 @@ def capture_delays(transport):
     delays = []
     original = transport.call_later
 
-    def spy(delay, callback):
+    def spy(delay, callback, *args):
         delays.append(delay)
-        return original(delay, callback)
+        return original(delay, callback, *args)
 
     transport.call_later = spy
     return delays
