@@ -387,9 +387,9 @@ def test_memory_footprint_per_node(benchmark):
     The whole per-node cost of a converged ``sim.Deployment`` — its
     columnar store, descriptor, host, node, routing table, links —
     measured with tracemalloc so the number is stable across machines
-    (unlike RSS). Observed ~7.7 KB/node after the slots/interning work;
-    reverting NodeDescriptor/RoutingTable to dict-backed instances costs
-    1.5-2 KB/node and trips this ceiling.
+    (unlike RSS). Observed ~2.1 KB/node at this N; this ceiling is the
+    loose structural one, :func:`test_converged_node_footprint` the
+    tight one.
     """
     from repro.util.memory import traced_allocation
 
@@ -404,6 +404,77 @@ def test_memory_footprint_per_node(benchmark):
     bytes_per_node = holder[0] / SMOKE_N
     assert bytes_per_node < 9_500, (
         f"per-node footprint regressed: {bytes_per_node:.0f} bytes/node"
+    )
+
+
+#: Traced bytes per node of a converged ``sim.Deployment`` at SMOKE_N,
+#: ~10 % above the ~2,100 B measured (Python 3.11, numpy 2).
+CONVERGED_NODE_BYTES = 2_300
+
+
+def test_converged_node_footprint(benchmark):
+    """Tight per-node gate: a converged node holds only what it uses.
+
+    An idle node's pending/seen/dynamic maps, an unpromoted routing
+    table's four dicts and a monitor's estimator and breaker maps are
+    one shared empty mapping; the host keeps no RNG closure and shares
+    its deployment's watcher tuple; the store caches its flyweights in
+    one object array. Giving every node its own empty dicts again costs
+    ~500 B/node and trips this ceiling.
+    """
+    from repro.util.memory import traced_allocation
+
+    holder: list = []
+
+    def build_traced():
+        with traced_allocation(holder):
+            return build_deployment(PAPER_PEERSIM.scaled(SMOKE_N))
+
+    deployment, _ = run_once(benchmark, build_traced)
+    assert len(deployment.alive_hosts()) == SMOKE_N
+    bytes_per_node = holder[0] / SMOKE_N
+    assert bytes_per_node < CONVERGED_NODE_BYTES, (
+        f"converged node footprint regressed: {bytes_per_node:.0f} B/node"
+    )
+
+
+def test_consumed_queries_leave_no_record(benchmark):
+    """Finished, consumed queries leave no ``QueryRecord`` behind.
+
+    After a warm-up, a fixed list of exhaustive queries runs through
+    ``measure_queries``, which takes each query's record. ``records``
+    must end empty, and the live ``QueryRecord`` objects (the window of
+    recently taken records, which late events may still reach) must not
+    outnumber that window.
+    """
+    import gc
+
+    from repro.metrics.collectors import RELEASED_WINDOW, QueryRecord
+
+    cfg = PAPER_PEERSIM.scaled(SMOKE_N)
+    schema = cfg.schema()
+    deployment, metrics = build_deployment(cfg)
+
+    def batch(count, seed):
+        return measure_queries(
+            deployment,
+            metrics,
+            lambda rng: random_box_query(schema, 0.05, rng),
+            count=count,
+            seed=seed,
+        )
+
+    batch(10, seed=3)  # warm-up
+
+    outcomes = run_once(benchmark, lambda: batch(60, seed=cfg.seed))
+    assert all(outcome.delivery == 1.0 for outcome in outcomes)
+    assert len(metrics.records) == 0
+    gc.collect()
+    live = sum(
+        1 for obj in gc.get_objects() if isinstance(obj, QueryRecord)
+    )
+    assert live <= RELEASED_WINDOW, (
+        f"{live} QueryRecords alive after 70 consumed queries"
     )
 
 

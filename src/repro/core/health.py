@@ -48,10 +48,12 @@ single slow neighbor still stands out through its own filter.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Dict, Optional, Set
 
 from repro.core.descriptors import Address
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
+from repro.util.perf import EMPTY
 
 #: Breaker state names (also used in telemetry and tests).
 CLOSED = "closed"
@@ -159,6 +161,17 @@ class RttEstimator:
         if self.samples < HEDGE_MIN_SAMPLES or self.srtt is None:
             return None
         return self.srtt + HEDGE_DEVIATIONS * self.rttvar
+
+
+@lru_cache(maxsize=64)
+def _seeded(config: HealthConfig, initial_rtt: Optional[float]) -> RttEstimator:
+    """The shared, never-sampled estimator of *config* and *initial_rtt*.
+
+    Every monitor reads its ambient estimate from this one object until
+    its first sample, when it takes an estimator of its own; nothing
+    ever samples or backs off the shared one.
+    """
+    return RttEstimator(config, initial_rtt)
 
 
 class CircuitBreaker:
@@ -273,12 +286,15 @@ class HealthMonitor:
         self.initial_rtt = (
             initial_rtt if initial_rtt is not None else self.config.initial_rtt
         )
-        self._estimators: Dict[Address, RttEstimator] = {}
+        # Both maps stay the shared EMPTY mapping until their first entry.
+        self._estimators: Dict[Address, RttEstimator] = EMPTY
         #: Node-wide estimator fed by every sample: the fallback (and
         #: conservative companion) for neighbors whose private estimator
-        #: has not sampled the current network weather yet.
-        self._ambient = RttEstimator(self.config, self.initial_rtt)
-        self._breakers: Dict[Address, CircuitBreaker] = {}
+        #: has not sampled the current network weather yet. Until the
+        #: first sample it is the shared seeded estimator (``samples`` is
+        #: 0 only there); :meth:`observe_rtt` replaces it.
+        self._ambient = _seeded(self.config, self.initial_rtt)
+        self._breakers: Dict[Address, CircuitBreaker] = EMPTY
         #: How many breakers are tripped (open or half-open). While it is
         #: zero no neighbor is open, and forwards skip the breaker scan.
         self.tripped = 0
@@ -289,18 +305,24 @@ class HealthMonitor:
 
     def estimator(self, address: Address) -> RttEstimator:
         """The (lazily created, possibly seeded) estimator for *address*."""
-        estimator = self._estimators.get(address)
+        estimators = self._estimators
+        estimator = estimators.get(address)
         if estimator is None:
-            estimator = RttEstimator(self.config, self.initial_rtt)
-            self._estimators[address] = estimator
+            if estimators is EMPTY:
+                estimators = self._estimators = {}
+            estimator = estimators[address] = RttEstimator(
+                self.config, self.initial_rtt
+            )
         return estimator
 
     def breaker(self, address: Address) -> CircuitBreaker:
         """The (lazily created) breaker for *address*."""
-        breaker = self._breakers.get(address)
+        breakers = self._breakers
+        breaker = breakers.get(address)
         if breaker is None:
-            breaker = CircuitBreaker(self.config)
-            self._breakers[address] = breaker
+            if breakers is EMPTY:
+                breakers = self._breakers = {}
+            breaker = breakers[address] = CircuitBreaker(self.config)
         return breaker
 
     # -- evidence intake ---------------------------------------------------------
@@ -309,7 +331,12 @@ class HealthMonitor:
         """A reply/answer round trip for *address*: sample + success."""
         self._metrics.rtt.observe(rtt)
         self.estimator(address).observe(rtt)
-        self._ambient.observe(rtt)
+        ambient = self._ambient
+        if not ambient.samples:  # the shared seeded one: take a copy
+            ambient = self._ambient = RttEstimator(
+                self.config, self.initial_rtt
+            )
+        ambient.observe(rtt)
         self.record_success(address)
 
     def record_success(self, address: Address) -> None:

@@ -40,7 +40,6 @@ waiting forever in that corner case).
 
 from __future__ import annotations
 
-import itertools
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
@@ -56,6 +55,7 @@ from repro.core.reliability import BUDGET_DECAY, Outstanding, Reliability
 from repro.core.routing import RoutingTable
 from repro.core.transport import TimerHandle, Transport
 from repro.util.intervals import Interval
+from repro.util.perf import EMPTY
 
 CompletionCallback = Callable[[QueryId, List[NodeDescriptor]], None]
 
@@ -201,17 +201,22 @@ class ResourceNode:
         )
         #: Every timer, retry, hedge and fail-over decision of this node.
         self.reliability = Reliability(self, health)
-        self.pending: Dict[QueryId, _PendingQuery] = {}
-        #: Recently seen query ids in LRU order: a plain dict (insertion
-        #: order at half an OrderedDict's bytes per entry, and every node
-        #: of a deployment holds one) until it first fills; see
-        #: :meth:`_remember`.
-        self._seen: "Dict[QueryId, None]" = {}
-        self._query_counter = itertools.count()
+        #: In-flight queries: the shared read-only ``EMPTY`` mapping while
+        #: the node is idle (most nodes of a large overlay, most of the
+        #: time), a dict of its own while it holds a query.
+        self.pending: Dict[QueryId, _PendingQuery] = EMPTY
+        #: Recently seen query ids in LRU order: ``EMPTY`` until the first
+        #: query, then a plain dict (insertion order at half an
+        #: OrderedDict's bytes per entry, and every node of a deployment
+        #: holds one) until it first fills; see :meth:`_remember`.
+        self._seen: "Dict[QueryId, None]" = EMPTY
+        #: Sequence number of the next query this node originates.
+        self._query_counter = 0
         #: Live, rapidly-changing local state checked against the dynamic
         #: constraints of queries (footnote 1 of the paper). Not gossiped,
         #: not a routing dimension — always fresh by construction.
-        self.dynamic_values: Dict[str, float] = {}
+        #: ``EMPTY`` until a value is first published.
+        self.dynamic_values: Dict[str, float] = EMPTY
 
     # -- identity ---------------------------------------------------------------
 
@@ -236,10 +241,14 @@ class ResourceNode:
 
     def set_dynamic_value(self, name: str, value: Optional[float]) -> None:
         """Publish (or clear, with ``None``) a dynamic attribute locally."""
+        values = self.dynamic_values
         if value is None:
-            self.dynamic_values.pop(name, None)
-        else:
-            self.dynamic_values[name] = float(value)
+            if name in values:
+                del values[name]
+            return
+        if values is EMPTY:
+            values = self.dynamic_values = {}
+        values[name] = float(value)
 
     def _self_matches(self, query: Query) -> bool:
         """Full self-check: static attributes plus live dynamic state."""
@@ -262,7 +271,9 @@ class ResourceNode:
         *on_complete* is invoked with ``(query_id, descriptors)`` when the
         depth-first dissemination finishes.
         """
-        query_id: QueryId = (self.address, next(self._query_counter))
+        sequence = self._query_counter
+        self._query_counter = sequence + 1
+        query_id: QueryId = (self.address, sequence)
         state = _PendingQuery(
             query=query,
             index_ranges=query.index_ranges(),
@@ -313,7 +324,10 @@ class ResourceNode:
 
     def _admit(self, query_id: QueryId, state: _PendingQuery) -> None:
         """Record a new query, match self, and forward unless σ is met."""
-        self.pending[query_id] = state
+        pending = self.pending
+        if pending is EMPTY:
+            pending = self.pending = {}
+        pending[query_id] = state
         self._remember(query_id)
         matched = self._self_matches(state.query)
         self.observer.query_received(self.address, query_id, matched)
@@ -460,11 +474,12 @@ class ResourceNode:
         state.completed = True
         self.reliability.query_completed(state)
         pending = self.pending
-        pending.pop(query_id, None)
-        if not pending:
-            # A dict keeps its table after its last pop; most nodes hold
-            # one query at a time, so drop the table with the query.
-            self.pending = {}
+        if query_id in pending:
+            del pending[query_id]
+            if not pending:
+                # A dict keeps its table after its last pop; most nodes
+                # hold one query at a time, so drop the dict with it.
+                self.pending = EMPTY
         descriptors = list(state.matching.values())
         # σ met means the job is done regardless of unexplored regions; a
         # full coverage estimate otherwise reports honestly how much of
@@ -505,6 +520,8 @@ class ResourceNode:
         seen = self._seen
         if query_id in seen:
             del seen[query_id]  # re-inserted at the fresh end
+        elif seen is EMPTY:
+            seen = self._seen = {}
         seen[query_id] = None
         if len(seen) > self.config.seen_history:
             if type(seen) is dict:
@@ -528,6 +545,6 @@ class ResourceNode:
         die with the process, exactly as they would in a real restart.
         """
         self.reliability.restart(self.pending.values())
-        self.pending.clear()
-        self._seen.clear()
-        self.dynamic_values.clear()
+        self.pending = EMPTY
+        self._seen = EMPTY
+        self.dynamic_values = EMPTY

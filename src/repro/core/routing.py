@@ -15,7 +15,9 @@ row of the shared pick arrays :meth:`repro.core.store.BootstrapPlan.draw`
 makes for every node (:meth:`RoutingTable.seed_slots`); the forwarding
 reads answer from that row, and the first mutation promotes the table in
 place to the dicts the scalar seed would have filled. Most tables of a
-converged overlay are never mutated, so they never hold a dict entry.
+converged overlay are never mutated, so they never hold a dict: until
+then their four dicts are the one shared read-only
+:data:`~repro.util.perf.EMPTY` mapping.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from typing import (
 
 from repro.core.cells import Slot, ZERO_SLOT, iter_slots, slot_of
 from repro.core.descriptors import Address, NodeDescriptor
+from repro.util.perf import EMPTY
 
 if TYPE_CHECKING:
     from repro.core.store import BootstrapLinks
@@ -87,20 +90,22 @@ class RoutingTable:
         self.max_level = max_level
         self.alternates_per_slot = alternates_per_slot
         self.zero_capacity = zero_capacity
-        self._primary: Dict[Tuple[int, int], NodeDescriptor] = {}
+        # All four are the shared EMPTY mapping until _promote gives the
+        # table its own dicts, on the first mutation or address read.
+        self._primary: Dict[Tuple[int, int], NodeDescriptor] = EMPTY
         # Per-slot fail-over candidates in least-recently-refreshed order
         # (index 0 = oldest). Lists, not dicts: a slot holds at most
         # ``alternates_per_slot`` entries, so the linear scans stay trivial
         # while each populated slot sheds a ~184-byte dict.
-        self._alternates: Dict[Tuple[int, int], List[NodeDescriptor]] = {}
-        self._zero: Dict[Address, NodeDescriptor] = {}
+        self._alternates: Dict[Tuple[int, int], List[NodeDescriptor]] = EMPTY
+        self._zero: Dict[Address, NodeDescriptor] = EMPTY
         # Address-keyed shadow of the whole table. Keeps membership tests
         # and descriptor lookup O(1) — hot paths during bootstrap and in
         # the gossip layer. Stores the descriptor only; the slot is
         # recomputed by :meth:`classify` on the rare paths that need it
         # (a per-link ``(slot, descriptor)`` tuple costs ~56 bytes, and
         # with ~60+ links per node that tuple dominated table memory).
-        self._by_address: Dict[Address, NodeDescriptor] = {}
+        self._by_address: Dict[Address, NodeDescriptor] = EMPTY
         # Bootstrap links read in place until a mutation (seed_slots).
         self._links: Optional["BootstrapLinks"] = None
         self._row = 0
@@ -222,10 +227,7 @@ class RoutingTable:
         in the same insertion order. Whatever the table held before is
         replaced.
         """
-        self._primary.clear()
-        self._alternates.clear()
-        self._zero.clear()
-        self._by_address.clear()
+        self._clear()
         self._links = links
         self._row = row
 
@@ -246,20 +248,34 @@ class RoutingTable:
             if picks[0] >= 0:
                 yield slot, [pick for pick in picks[:keep] if pick >= 0]
 
+    def _clear(self) -> None:
+        """Forget every link: back to the shared empty mappings."""
+        self._primary = self._alternates = EMPTY
+        self._zero = self._by_address = EMPTY
+
     def _promote(self) -> None:
-        """Pour the attached links into the dicts; detach them."""
-        if self._links is None:
+        """Give the table its own dicts, pouring attached links in.
+
+        A table whose ``_by_address`` is not :data:`EMPTY` already owns
+        its dicts and has no links attached.
+        """
+        if self._by_address is not EMPTY:
             return
-        flyweights = self._links.flyweights
-        by_address = self._by_address
+        primary, alternates, zero, by_address = {}, {}, {}, {}
+        self._primary, self._alternates = primary, alternates
+        self._zero, self._by_address = zero, by_address
+        links = self._links
+        if links is None:
+            return
+        flyweights = links.flyweights
         for descriptor in self._attached_zero():
-            self._zero[descriptor.address] = descriptor
+            zero[descriptor.address] = descriptor
             by_address[descriptor.address] = descriptor
         for slot, picks in self._slot_picks():
             chosen = [flyweights[pick] for pick in picks]
-            self._primary[slot] = chosen[0]
+            primary[slot] = chosen[0]
             if len(chosen) > 1:
-                self._alternates[slot] = chosen[1:]
+                alternates[slot] = chosen[1:]
             for descriptor in chosen:
                 by_address[descriptor.address] = descriptor
         self._links = None
@@ -309,10 +325,7 @@ class RoutingTable:
         """
         known = list(self.descriptors())
         self.owner = owner
-        self._primary.clear()
-        self._alternates.clear()
-        self._zero.clear()
-        self._by_address.clear()
+        self._clear()
         for descriptor in known:
             self.add(descriptor)
         return known

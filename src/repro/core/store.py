@@ -30,9 +30,10 @@ stored via :meth:`DescriptorStore.from_descriptors`.
 ``NodeDescriptor`` objects are materialized **lazily as flyweights**
 (:meth:`DescriptorStore.descriptor`) only where the object API is
 genuinely needed — hosts, routing-table reads, wire codec, gossip
-payloads — and cached per row, so a descriptor referenced from sixty
-routing tables still exists once. Everything else reads the arrays
-directly:
+payloads — and cached per row in one object array, so a descriptor
+referenced from sixty routing tables still exists once and a batch of
+rows gathers its descriptors with one fancy index. Everything else reads
+the arrays directly:
 
 * :class:`CellGrouping` — the sorted-array twin of the ``CellIndex``
   bucket structure: one stable argsort of ``cell_codes`` yields per-cell
@@ -44,7 +45,7 @@ directly:
   ``CellIndex`` overlay for add/remove churn, folded back into a fresh
   base once the overlay outgrows a fixed fraction of it. ``matching`` is
   array operations only: box cells, member rows, value mask, then one
-  descriptor lookup per result row.
+  gather of the result rows' descriptors.
 * :class:`BootstrapPlan` — the per-cell zero/slot buckets of the
   converged bootstrap, derived once from the grouping as slices of one
   row array. It is the one slot-bucket derivation, and
@@ -117,6 +118,7 @@ class DescriptorStore:
         "_dense",
         "_row_by_address",
         "_materialized",
+        "_materialized_count",
         "_grouping",
     )
 
@@ -145,7 +147,10 @@ class DescriptorStore:
             )
         )
         self._row_by_address: Optional[Dict[int, int]] = None
-        self._materialized: Dict[int, NodeDescriptor] = {}
+        #: The flyweight cache: row -> descriptor object, None until the
+        #: row is materialized. Shared as is by :class:`BootstrapLinks`.
+        self._materialized = np.empty(count, dtype=object)
+        self._materialized_count = 0
         self._grouping: Optional["CellGrouping"] = None
 
     # -- construction --------------------------------------------------------
@@ -212,7 +217,8 @@ class DescriptorStore:
             coords,
             vector.cell_codes(coords, schema.max_level),
         )
-        store._materialized = dict(enumerate(ordered))
+        store._materialized[:] = ordered
+        store._materialized_count = len(ordered)
         return store
 
     @classmethod
@@ -231,11 +237,11 @@ class DescriptorStore:
             np.concatenate((first.coords, second.coords)),
             np.concatenate((first.cell_codes, second.cell_codes)),
         )
-        offset = len(first)
-        store._materialized = dict(first._materialized)
-        store._materialized.update(
-            (row + offset, descriptor)
-            for row, descriptor in second._materialized.items()
+        store._materialized = np.concatenate(
+            (first._materialized, second._materialized)
+        )
+        store._materialized_count = (
+            first._materialized_count + second._materialized_count
         )
         return store
 
@@ -275,7 +281,7 @@ class DescriptorStore:
         values: same address, same value tuple, same interned coordinates
         and key.
         """
-        cached = self._materialized.get(row)
+        cached = self._materialized[row]
         if cached is None:
             cached = NodeDescriptor(
                 int(self.addresses[row]),
@@ -286,16 +292,21 @@ class DescriptorStore:
                 ),
             )
             self._materialized[row] = cached
+            self._materialized_count += 1
         return cached
 
-    def descriptors_at(self, rows: Sequence[int]) -> List[NodeDescriptor]:
-        """The (cached) descriptors of *rows*, in the given order."""
-        cached = self._materialized
-        try:
-            return [cached[row] for row in rows]
-        except KeyError:
-            descriptor = self.descriptor
-            return [descriptor(row) for row in rows]
+    def descriptors_at(
+        self, rows: "Sequence[int] | np.ndarray"
+    ) -> List[NodeDescriptor]:
+        """The (cached) descriptors of *rows*, in the given order.
+
+        Once every row is materialized this is one fancy index of the
+        flyweight cache; *rows* may be an integer array or a sequence.
+        """
+        if self._materialized_count == len(self._materialized):
+            return self._materialized[rows].tolist()
+        descriptor = self.descriptor
+        return [descriptor(row) for row in rows]
 
     def descriptors(self) -> Iterator[NodeDescriptor]:
         """Materialize every row, in row (= address) order."""
@@ -309,26 +320,27 @@ class DescriptorStore:
         than looping :meth:`descriptor` when the whole population is
         needed anyway (``sim.Deployment.populate``).
         """
-        materialized = self._materialized
-        if len(materialized) == len(self.addresses):
+        if self._materialized_count == len(self.addresses):
             return
+        cached = self._materialized.tolist()
         intern = self.schema.intern_cell
-        addresses = self.addresses.tolist()
         values = self.values.tolist()
         coords = self.coords.tolist()
         codes = self.cell_codes.tolist()
-        for row, address in enumerate(addresses):
-            if row not in materialized:
-                materialized[row] = NodeDescriptor(
+        for row, address in enumerate(self.addresses.tolist()):
+            if cached[row] is None:
+                cached[row] = NodeDescriptor(
                     address,
                     tuple(values[row]),
                     *intern(tuple(coords[row]), codes[row]),
                 )
+        self._materialized[:] = cached
+        self._materialized_count = len(cached)
 
     @property
     def materialized_count(self) -> int:
         """How many rows have been materialized as descriptor objects."""
-        return len(self._materialized)
+        return self._materialized_count
 
     # -- grouping ------------------------------------------------------------
 
@@ -772,8 +784,8 @@ class BootstrapLinks:
     :meth:`~RoutingTable.seed_slots` reads its links from here through
     memoryviews, whose items index as plain ints several times faster
     than numpy scalars on the forwarding path, and resolves a pick's
-    store row through :attr:`flyweights`, the store's flyweight
-    descriptors as a list.
+    store row through :attr:`flyweights`, the store's flyweight cache
+    itself (an object array indexed by row, not a copy).
     """
 
     __slots__ = (
@@ -795,12 +807,12 @@ class BootstrapLinks:
     ) -> None:
         self.store = store
         store.materialize_all()
-        self.flyweights = store.descriptors_at(range(len(store)))
+        self.flyweights = store._materialized
         self.picks = picks
         self.view = memoryview(picks)
         self.width = picks.shape[2]
         self.zero = memoryview(zero)
-        self.cell_order = store.descriptors_at(members.tolist())
+        self.cell_order = store.descriptors_at(members)
 
     def mates(self, index: int) -> List[NodeDescriptor]:
         """The *index*-th node's C0 cell-mates, itself left out."""
@@ -927,7 +939,7 @@ class ColumnarCellIndex:
 
     def _fold(self) -> None:
         """Rebuild the base from every live descriptor; empty the overlay."""
-        live = np.nonzero(~self._removed)[0].tolist()
+        live = np.nonzero(~self._removed)[0]
         descriptors = self._store.descriptors_at(live)
         descriptors.extend(self._overlay.descriptors())
         self._store = DescriptorStore.from_descriptors(self.schema, descriptors)
@@ -961,9 +973,7 @@ class ColumnarCellIndex:
         )
         if cell is None:
             return ()
-        return tuple(
-            self._store.descriptors_at(grouping.members(cell).tolist())
-        )
+        return tuple(self._store.descriptors_at(grouping.members(cell)))
 
     def cells(self) -> Iterator[Tuple[Coordinates, List[NodeDescriptor]]]:
         """Iterate ``(cell coordinates, member descriptors)`` pairs."""
@@ -972,7 +982,7 @@ class ColumnarCellIndex:
         descriptors_at = self._store.descriptors_at
         for cell, coordinates in enumerate(grouping.cell_coords.tolist()):
             yield intern(tuple(coordinates))[0], descriptors_at(
-                grouping.members(cell).tolist()
+                grouping.members(cell)
             )
 
     def descriptors(self) -> Iterator[NodeDescriptor]:
@@ -999,7 +1009,7 @@ class ColumnarCellIndex:
         if self._removed_count:
             rows = rows[~self._removed[rows]]
         rows = rows[vector.matches_mask(query, store.values[rows])]
-        result = store.descriptors_at(rows.tolist())
+        result = store.descriptors_at(rows)
         overlay = self._overlay.matching(query)
         if overlay:
             result.extend(overlay)

@@ -14,16 +14,26 @@ Implements the paper's measures (Section 6):
 They land in per-query :class:`QueryRecord` objects and per-node load.
 With a registry wired, the same hooks also write the labelled ``query.*``
 series that timelines sample and sharded runs merge (:class:`QuerySeries`).
+
+A record stays in ``records`` until a caller takes it with
+:meth:`MetricsCollector.consume_opened`. A taken record then waits in a
+window of the last :data:`RELEASED_WINDOW` taken records, where late
+events of its query still land, and leaves the collector after that with
+its counters folded into running totals. A measurement loop therefore
+holds a bounded number of records however many queries it runs, and the
+aggregates count every query it ever saw.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import (
     TYPE_CHECKING,
     Dict,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -86,6 +96,30 @@ class QueryRecord:
         return len(expected_set & self.received_by) / len(expected_set)
 
 
+#: Taken records kept where a late event of their query can reach them:
+#: a retry copy received, or a timeout fired, after the caller took the
+#: record. A late event for an older query would open a fresh record.
+RELEASED_WINDOW = 16
+
+
+@dataclass
+class _Folded:
+    """Running totals of the records that left the collector."""
+
+    count: int = 0
+    overhead: int = 0
+    duplicates: int = 0
+    spurious_timeouts: int = 0
+    deferrals: int = 0
+
+    def add(self, record: QueryRecord) -> None:
+        self.count += 1
+        self.overhead += record.routing_overhead()
+        self.duplicates += record.duplicates
+        self.spurious_timeouts += record.spurious_timeouts
+        self.deferrals += record.deferrals
+
+
 class QuerySeries:
     """The labelled ``query.*`` registry series a collector writes.
 
@@ -123,33 +157,63 @@ class MetricsCollector(ProtocolObserver):
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
+        #: Records not yet taken by a caller, by query id.
         self.records: Dict[QueryId, QueryRecord] = {}
         self.load: Counter = Counter()
         self._opened: Optional[QueryRecord] = None
         self._opened_count = 0
+        #: The last RELEASED_WINDOW taken records, oldest first.
+        self._released: "OrderedDict[QueryId, QueryRecord]" = OrderedDict()
+        self._folded = _Folded()
         self.series = QuerySeries(registry) if registry is not None else None
 
     def _record(self, query_id: QueryId) -> QueryRecord:
         record = self.records.get(query_id)
         if record is None:
-            record = QueryRecord(query_id=query_id)
-            self.records[query_id] = record
-            self._opened = record
-            self._opened_count += 1
+            record = self._released.get(query_id)
+            if record is None:
+                record = QueryRecord(query_id=query_id)
+                self.records[query_id] = record
+                self._opened = record
+                self._opened_count += 1
         return record
 
     def consume_opened(self) -> Optional[QueryRecord]:
-        """The record opened since the last call, if exactly one was.
+        """Take the record opened since the last call, if exactly one was.
 
         Lets a measurement loop retrieve "the record of the query I just
         issued" in O(1) instead of diffing ``records`` snapshots around
         every query. Returns None when zero or several records were
-        opened (ambiguous), then resets the tracking either way.
+        opened (ambiguous; those stay in ``records``), then resets the
+        tracking either way. A returned record leaves ``records`` (see
+        :meth:`release`).
         """
         record = self._opened if self._opened_count == 1 else None
         self._opened = None
         self._opened_count = 0
+        if record is not None:
+            self.release(record.query_id)
         return record
+
+    def release(self, query_id: QueryId) -> Optional[QueryRecord]:
+        """Take *query_id*'s record out of ``records`` and return it.
+
+        The record moves to the window of recently taken records, where
+        late events of its query keep updating it; the oldest record of
+        a full window leaves, folded into the aggregates' totals.
+        Returns None if ``records`` holds no such record.
+        """
+        record = self.records.pop(query_id, None)
+        if record is not None:
+            released = self._released
+            released[query_id] = record
+            if len(released) > RELEASED_WINDOW:
+                self._folded.add(released.popitem(last=False)[1])
+        return record
+
+    def _kept(self) -> Iterator[QueryRecord]:
+        """Every record still held: untaken ones, then the window."""
+        return chain(self.records.values(), self._released.values())
 
     # -- ProtocolObserver -------------------------------------------------------
 
@@ -269,16 +333,23 @@ class MetricsCollector(ProtocolObserver):
 
     def mean_routing_overhead(self) -> float:
         """Average routing overhead across all recorded queries."""
-        if not self.records:
+        folded = self._folded
+        count = len(self.records) + len(self._released) + folded.count
+        if not count:
             return 0.0
-        total = sum(record.routing_overhead() for record in self.records.values())
-        return total / len(self.records)
+        total = folded.overhead + sum(
+            record.routing_overhead() for record in self._kept()
+        )
+        return total / count
 
     def delivery_of(
         self, query_id: QueryId, expected: Iterable[Address]
     ) -> float:
-        """Delivery of one recorded query (0.0 if it was never observed)."""
-        record = self.records.get(query_id)
+        """Delivery of one held query (0.0 if it was never observed).
+
+        A query whose record was taken and has left the window reads 0.0.
+        """
+        record = self.records.get(query_id) or self._released.get(query_id)
         return record.delivery(expected) if record is not None else 0.0
 
     def mean_delivery(
@@ -300,17 +371,21 @@ class MetricsCollector(ProtocolObserver):
 
     def total_duplicates(self) -> int:
         """Total duplicate receptions (zero on a converged overlay)."""
-        return sum(record.duplicates for record in self.records.values())
+        return self._folded.duplicates + sum(
+            record.duplicates for record in self._kept()
+        )
 
     def total_spurious_timeouts(self) -> int:
         """Timeouts contradicted by a late reply, across all queries."""
-        return sum(
-            record.spurious_timeouts for record in self.records.values()
+        return self._folded.spurious_timeouts + sum(
+            record.spurious_timeouts for record in self._kept()
         )
 
     def total_deferrals(self) -> int:
         """Branches parked on broken links, across all queries."""
-        return sum(record.deferrals for record in self.records.values())
+        return self._folded.deferrals + sum(
+            record.deferrals for record in self._kept()
+        )
 
     def load_distribution(self) -> List[int]:
         """Messages dispatched per node, ascending."""
@@ -326,3 +401,5 @@ class MetricsCollector(ProtocolObserver):
         self.load.clear()
         self._opened = None
         self._opened_count = 0
+        self._released.clear()
+        self._folded = _Folded()

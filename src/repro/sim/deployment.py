@@ -74,6 +74,9 @@ class Deployment:
             DescriptorStore.from_descriptors(schema, ())
         )
         self._alive: Dict[Address, SimHost] = {}
+        #: The lifecycle watchers every host starts with: one tuple,
+        #: shared, instead of a list and a bound method per host.
+        self._watchers = (self._host_changed,)
         self._alive_descriptors: Optional[List[NodeDescriptor]] = None
         self._next_address = 0
         self._rng = derive_rng(seed, "deployment")
@@ -99,16 +102,13 @@ class Deployment:
             descriptor,
             self.schema,
             self.network,
-            # Deferred: the host RNG only feeds the gossip stack, and
-            # hashing a fresh seed for every host dominates populate()
-            # in gossip-less deployments.
-            rng=lambda: derive_rng(self.seed, f"host:{address}"),
+            self.seed,
             node_config=self.node_config,
             gossip_config=self.gossip_config,
             observer=self.observer,
             registry=self.registry,
+            watchers=self._watchers,
         )
-        host.watch(self._host_changed)
         self.hosts[address] = host
         self._alive[address] = host
         self._alive_descriptors = None

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Tuple
 
 from repro.core.attributes import AttributeSchema, AttributeValue
 from repro.core.descriptors import Address, NodeDescriptor
@@ -15,6 +15,10 @@ from repro.gossip.maintenance import GossipConfig, TwoLayerMaintenance
 from repro.obs.registry import MetricsRegistry
 from repro.sim.network import SimNetwork, SimTransport
 from repro.util.errors import HostDownError
+from repro.util.rng import derive_rng
+
+#: A lifecycle watcher, called with ``(host, event)``; see :meth:`SimHost.watch`.
+Watcher = Callable[["SimHost", str], None]
 
 
 class SimHost:
@@ -24,13 +28,19 @@ class SimHost:
     gossip configuration is supplied, a :class:`TwoLayerMaintenance` stack
     that continuously maintains the node's routing table. Messages arriving
     from the network are dispatched to whichever component understands them.
+
+    The host's random stream is ``derive_rng(seed, f"host:{address}")``,
+    derived on first use: only the gossip stack consumes it, so
+    gossip-less hosts never pay for seeding one. *watchers* is the
+    initial lifecycle watcher tuple, which a deployment shares among all
+    its hosts (see :meth:`watch`).
     """
 
     __slots__ = (
         "schema",
         "network",
+        "seed",
         "_rng",
-        "_rng_factory",
         "_watchers",
         "transport",
         "health",
@@ -44,21 +54,18 @@ class SimHost:
         descriptor: NodeDescriptor,
         schema: AttributeSchema,
         network: SimNetwork,
-        rng: Union[random.Random, Callable[[], random.Random]],
+        seed: int,
         node_config: Optional[NodeConfig] = None,
         gossip_config: Optional[GossipConfig] = None,
         observer: Optional[ProtocolObserver] = None,
         registry: Optional[MetricsRegistry] = None,
+        watchers: Tuple[Watcher, ...] = (),
     ) -> None:
         self.schema = schema
         self.network = network
-        # *rng* may be a zero-arg factory: only the gossip stack consumes
-        # randomness, so gossip-less hosts never pay for seeding one.
-        self._rng: Optional[random.Random] = (
-            rng if isinstance(rng, random.Random) else None
-        )
-        self._rng_factory = None if isinstance(rng, random.Random) else rng
-        self._watchers: List[Callable[["SimHost", str], None]] = []
+        self.seed = seed
+        self._rng: Optional[random.Random] = None
+        self._watchers = watchers
         self.transport = SimTransport(network, descriptor.address)
         config = node_config or NodeConfig()
         #: Per-neighbor failure-detection state, shared between the query
@@ -93,10 +100,9 @@ class SimHost:
 
     @property
     def rng(self) -> random.Random:
-        """This host's random stream (created on first use)."""
+        """This host's random stream (derived on first use)."""
         if self._rng is None:
-            assert self._rng_factory is not None
-            self._rng = self._rng_factory()
+            self._rng = derive_rng(self.seed, f"host:{self.address}")
         return self._rng
 
     # -- identity ------------------------------------------------------------------
@@ -123,7 +129,7 @@ class SimHost:
 
     # -- lifecycle ---------------------------------------------------------------------
 
-    def watch(self, callback: Callable[["SimHost", str], None]) -> None:
+    def watch(self, callback: Watcher) -> None:
         """Register a lifecycle watcher.
 
         *callback* is invoked with ``(host, event)`` where event is
@@ -131,9 +137,10 @@ class SimHost:
         the same identity) or ``"update"`` (its attributes — and thus its
         descriptor — changed). The deployment uses this to keep its cell
         index and alive caches consistent even when ``fail()`` is called
-        directly, e.g. by the churn scenarios.
+        directly, e.g. by the churn scenarios. The watchers are a tuple,
+        copied here, so a tuple shared with other hosts never changes.
         """
-        self._watchers.append(callback)
+        self._watchers = self._watchers + (callback,)
 
     def _notify(self, event: str) -> None:
         for callback in self._watchers:

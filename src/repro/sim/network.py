@@ -87,8 +87,6 @@ class SimNetwork:
         self.messages_duplicated = 0
         #: Messages sent, keyed by message class name (traffic accounting).
         self.type_counts: Counter = Counter()
-        #: Per-sender message counts by class name.
-        self.sent_by: Counter = Counter()
         #: Sharded-engine bridge (see :mod:`repro.sim.shard`). When
         #: ``local_addresses`` is set, this network instance owns only a
         #: partition of the overlay; a message whose receiver lies outside
@@ -163,7 +161,6 @@ class SimNetwork:
         """Queue *message* for delivery after the modeled latency."""
         self.messages_sent += 1
         self.type_counts[type(message).__name__] += 1
-        self.sent_by[sender] += 1
         if (
             not self.loss_rate
             and self.faults is None

@@ -179,9 +179,7 @@ class ShardWorker:
             descriptor,
             self.schema,
             self.network,
-            rng=lambda address=address: derive_rng(
-                self.seed, f"host:{address}"
-            ),
+            self.seed,
             node_config=self.node_config,
             observer=self._observer,
             registry=self.registry,
@@ -274,8 +272,12 @@ class ShardWorker:
         return self._completions.pop(query_id, None)
 
     def query_record(self, query_id: Any) -> Optional[QueryRecord]:
-        """This shard's partial metrics record for *query_id*."""
-        return self.metrics.records.get(query_id)
+        """Take this shard's partial metrics record for *query_id*.
+
+        The coordinator merges it once, so the collector releases it:
+        late events still reach it through the collector's window.
+        """
+        return self.metrics.release(query_id)
 
     def counters(self) -> Dict[str, int]:
         """Shard-local traffic/engine counters for aggregation."""
@@ -322,7 +324,9 @@ class _MergedMetrics:
 
     Only the surface :func:`repro.experiments.harness.measure_queries`
     touches is provided: ``consume_opened`` returns the merged record of
-    the query most recently executed through the sharded deployment.
+    the query most recently executed through the sharded deployment and
+    removes it from ``records``, like ``MetricsCollector.consume_opened``.
+    A merged record is a snapshot, so late events never reach it.
     """
 
     def __init__(self) -> None:
@@ -336,6 +340,8 @@ class _MergedMetrics:
     def consume_opened(self) -> Optional[QueryRecord]:
         record = self._last
         self._last = None
+        if record is not None:
+            self.records.pop(record.query_id, None)
         return record
 
 

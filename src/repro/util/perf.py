@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
-from typing import Iterator
+from types import MappingProxyType
+from typing import Any, Iterator, Mapping
+
+#: The one read-only empty mapping. Per-node containers that most nodes
+#: of a large overlay never fill start as this shared object (not a fresh
+#: 64-byte dict each) and are replaced by a real dict on their first
+#: write; an owner tests ``container is EMPTY`` before it writes.
+EMPTY: Mapping[Any, Any] = MappingProxyType({})
 
 
 @contextmanager

@@ -163,6 +163,36 @@ class TestHealthMonitor:
         assert registry.counter("health.probes_sent").value == 1
         assert HealthMonitor(HealthConfig())._metrics is not first._metrics
 
+    def test_first_estimator_breaker_and_sample(self):
+        """A monitor's maps and ambient estimator appear on first use,
+        and every read before then sees the seeded state."""
+        config = HealthConfig()
+        monitor = HealthMonitor(config, initial_rtt=0.1)
+        other = HealthMonitor(config, initial_rtt=0.1)
+        seeded = RttEstimator(config, initial_rtt=0.1)
+        assert monitor.rto(3) == pytest.approx(seeded.rto())
+        assert monitor.hedge_delay(3) is None
+        assert monitor.usable(3, 0.0)
+        assert monitor.neighbor_states(0.0) == []
+        estimator = monitor.estimator(3)
+        assert estimator.samples == 0
+        assert estimator.srtt == pytest.approx(0.1)
+        assert monitor.estimator(3) is estimator
+        assert monitor.breaker(4).failures == 0
+        assert [row["address"] for row in monitor.neighbor_states(0.0)] == [
+            3, 4,
+        ]
+        assert other.neighbor_states(0.0) == []  # nothing shared
+        monitor.observe_rtt(3, 2.0)
+        assert estimator.samples == 1
+        assert monitor._ambient.samples == 1
+        # The first sample reinitialises the ambient filter as well.
+        assert monitor.rto(9) == pytest.approx(
+            min(2.0 + 4 * 1.0, config.rto_max)
+        )
+        assert other._ambient.samples == 0
+        assert other.rto(9) == pytest.approx(seeded.rto())
+
     def test_ambient_estimator_covers_unsampled_neighbors(self):
         """A neighbor never sampled still gets a timeout estimate once
         *any* peer has demonstrated the network's current weather."""

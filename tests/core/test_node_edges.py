@@ -2,12 +2,48 @@
 
 from types import SimpleNamespace
 
+from repro.core.descriptors import NodeDescriptor
 from repro.core.messages import QueryMessage, ReplyMessage
 from repro.core.node import NodeConfig
 from repro.core.query import Query
 from repro.faults.harness import _sweep_nodes
 
 from test_node_protocol import build_overlay, run_query
+
+
+class TestIdleNode:
+    """Writes to a node that holds no query, no seen id and no value."""
+
+    def test_dynamic_values_on_an_idle_node(self):
+        schema, transport, metrics, nodes = build_overlay([(0, 0), (5, 5)])
+        node, other = nodes
+        node.set_dynamic_value("load", None)  # clearing an unset value
+        assert node.dynamic_values == {}
+        node.set_dynamic_value("load", 0.25)
+        assert node.dynamic_values == {"load": 0.25}
+        assert other.dynamic_values == {}
+        node.set_dynamic_value("load", None)
+        assert node.dynamic_values == {}
+        node.set_dynamic_value("free", 3)
+        assert node.dynamic_values == {"free": 3.0}
+
+    def test_restart_and_update_on_an_idle_node(self):
+        schema, transport, metrics, nodes = build_overlay([(0, 0), (5, 5)])
+        node = nodes[0]
+        node.restart()
+        assert node.pending == {} and len(node._seen) == 0
+        moved = NodeDescriptor.build(0, schema, {"d0": 1.5, "d1": 0.5})
+        node.update_attributes(moved)
+        assert node.descriptor is moved
+        # Still a working node: it issues, is answered, and goes idle.
+        results = run_query(transport, node, Query.where(schema))
+        assert sorted(d.address for d in results["found"]) == [0, 1]
+        assert results["qid"] == (0, 0)
+        assert node.pending == {}
+        assert len(node._seen) == 1
+        node.restart()
+        assert len(node._seen) == 0
+        assert run_query(transport, node, Query.where(schema))["qid"] == (0, 1)
 
 
 class TestTimeoutBudget:

@@ -33,6 +33,38 @@ def table(schema):
     return RoutingTable(owner, schema.dimensions, schema.max_level)
 
 
+class TestFreshTable:
+    def test_reads_as_empty_then_promotes_on_add(self, schema, table):
+        """An unattached table holds no dict of its own until written."""
+        assert table.neighbor(1, 0) is None
+        assert table.alternative(1, 0, set()) is None
+        assert list(table.zero_neighbors()) == []
+        assert table.filled_slots() == set()
+        assert table.link_count() == 0
+        assert table.zero_count() == 0
+        peer = descriptor(schema, 1, 1.5, 0.5)  # slot (1, 0)
+        mate = descriptor(schema, 2, 0.9, 0.9)  # the owner's C0 cell
+        assert table.add(peer)
+        assert table.add(mate)
+        assert table.neighbor(1, 0) == peer
+        assert table.alternative(1, 0, {1}) is None
+        assert list(table.zero_neighbors()) == [mate]
+        assert table.filled_slots() == {(1, 0)}
+        assert table.link_count() == 2
+        assert table.zero_count() == 1
+        # The writes went to this table's own dicts, not a shared one.
+        other = RoutingTable(table.owner, schema.dimensions, schema.max_level)
+        assert other.link_count() == 0
+        assert other.neighbor(1, 0) is None
+
+    def test_remove_and_rebuild_on_a_fresh_table(self, schema, table):
+        table.remove(7)  # unknown address: nothing to do
+        assert table.rebuild(descriptor(schema, 0, 1.5, 0.5)) == []
+        assert table.link_count() == 0
+        assert table.add(descriptor(schema, 1, 0.5, 0.5))
+        assert table.filled_slots() == {(1, 0)}
+
+
 class TestClassification:
     def test_zero_slot(self, schema, table):
         peer = descriptor(schema, 1, 0.9, 0.9)  # same C0 cell (0, 0)

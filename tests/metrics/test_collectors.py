@@ -160,3 +160,77 @@ class TestMetricsCollector:
             {(0, 0): {1, 2}, (0, 1): {1, 2}, (9, 9): {1}}
         ) == (1.0 + 0.5 + 0.0) / 3
         assert collector.mean_delivery({}) == 0.0
+
+
+def issue_one(collector, query_id, receivers, duplicates=0):
+    """Feed the events of one query: origin first, then *receivers*."""
+    origin = query_id[0]
+    collector.query_received(origin, query_id, False)
+    for receiver in receivers:
+        collector.query_forwarded(origin, receiver, query_id, 1, 0, 0)
+        collector.query_received(receiver, query_id, receiver % 2 == 0)
+    for _ in range(duplicates):
+        collector.duplicate_query(origin, query_id)
+    collector.query_completed(origin, query_id, [], 1.0)
+
+
+class TestConsumedRecords:
+    def test_a_taken_record_leaves_records(self):
+        collector = MetricsCollector()
+        issue_one(collector, (0, 0), [1, 2, 3])
+        record = collector.consume_opened()
+        assert record is not None and record.query_id == (0, 0)
+        assert collector.records == {}
+        assert collector.release((0, 0)) is None  # already taken
+
+    def test_a_late_event_lands_on_the_taken_record(self):
+        """A retry copy received after the caller took the record updates
+        that record and opens none, so the next take is unambiguous."""
+        collector = MetricsCollector()
+        issue_one(collector, (0, 0), [1, 2])
+        first = collector.consume_opened()
+        issue_one(collector, (0, 1), [3])
+        collector.query_received(5, (0, 0), False)  # late copy of (0, 0)
+        collector.duplicate_query(1, (0, 0))
+        second = collector.consume_opened()
+        assert second is not None and second.query_id == (0, 1)
+        assert 5 in first.received_by and first.duplicates == 1
+        assert collector.records == {}
+
+    def test_aggregates_count_every_query(self, monkeypatch):
+        """Taken, windowed and folded records all count, with the values
+        a collector that keeps every record would report."""
+        import repro.metrics.collectors as collectors
+
+        monkeypatch.setattr(collectors, "RELEASED_WINDOW", 2)
+        kept, taken = MetricsCollector(), MetricsCollector()
+        for sequence in range(6):
+            receivers = list(range(1, 2 + sequence))
+            for collector in (kept, taken):
+                issue_one(collector, (0, sequence), receivers, sequence)
+            assert taken.consume_opened().query_id == (0, sequence)
+            taken.spurious_timeout(0, 1, (0, sequence))
+            kept.spurious_timeout(0, 1, (0, sequence))
+            taken.branch_deferred(0, (0, sequence))
+            kept.branch_deferred(0, (0, sequence))
+        assert len(taken.records) == 0
+        assert len(taken._released) == 2
+        for name in (
+            "total_duplicates",
+            "total_spurious_timeouts",
+            "total_deferrals",
+            "mean_routing_overhead",
+        ):
+            assert getattr(taken, name)() == getattr(kept, name)(), name
+        assert taken.delivery_of((0, 5), {2, 4}) == 1.0  # in the window
+        taken.reset()
+        assert taken.total_duplicates() == 0
+        assert taken.mean_routing_overhead() == 0.0
+
+    def test_records_stay_without_consume(self):
+        collector = MetricsCollector()
+        for sequence in range(3):
+            issue_one(collector, (0, sequence), [1])
+        assert sorted(collector.records) == [(0, 0), (0, 1), (0, 2)]
+        assert collector.consume_opened() is None  # ambiguous: all stay
+        assert len(collector.records) == 3

@@ -73,6 +73,45 @@ class TestBootstrapCorrectness:
                 assert routing.classify(peer) == ZERO_SLOT
 
 
+def assert_host_rngs_derived(hosts, seed):
+    """Every host's stream is ``derive_rng(seed, f"host:{address}")``."""
+    for address in (0, 7, 31):
+        host = hosts[address]
+        expected = derive_rng(seed, f"host:{address}")
+        assert host.rng is host.rng  # derived once, then kept
+        assert [host.rng.random() for _ in range(3)] == [
+            expected.random() for _ in range(3)
+        ]
+
+
+class TestHosts:
+    def test_host_rng_derives_from_seed_and_address(self, schema):
+        deployment, _ = build(schema, 40, seed=13)
+        assert_host_rngs_derived(deployment.hosts, 13)
+
+    def test_sharded_host_rng_derives_from_seed_and_address(self, schema):
+        deployment = ShardedDeployment(schema, num_shards=2, seed=13)
+        deployment.populate(uniform_sampler(schema), 40)
+        deployment.bootstrap()
+        hosts = {
+            address: host
+            for worker in deployment._workers
+            for address, host in worker.hosts.items()
+        }
+        assert_host_rngs_derived(hosts, 13)
+
+    def test_watchers_are_per_host(self, schema):
+        """A deployment shares one watcher tuple; ``watch`` on one host
+        adds to that host only."""
+        deployment, _ = build(schema, 10)
+        events = []
+        deployment.hosts[3].watch(lambda host, event: events.append(event))
+        deployment.kill(4)
+        deployment.kill(3)
+        assert events == ["fail"]
+        assert 3 not in {h.address for h in deployment.alive_hosts()}
+
+
 class TestMembership:
     def test_kill_removes_from_alive(self, schema):
         deployment, _ = build(schema, 50)
