@@ -275,6 +275,63 @@ def test_codec_decodes_records_in_one_call(benchmark, monkeypatch):
     )
 
 
+def test_codec_works_once_per_query(benchmark, monkeypatch):
+    """The shared codec packs and parses each query and record once.
+
+    Host-independent counter gate on a 64-node loopback ``AioOverlay``
+    (the ``serve`` geometry, d = 3, seed 2009) answering wide queries one
+    at a time: a QUERY's constant section is packed and parsed once per
+    query that left its origin, however many hops it takes, and each
+    descriptor record once per host, however many replies carry it up
+    the tree. A hop that re-packs or re-parses either trips this at once.
+    """
+    import asyncio
+
+    from repro.core.codec import Codec
+    from repro.core.messages import QueryMessage
+    from repro.core.query import Query
+    from repro.experiments.config import ExperimentConfig
+    from repro.runtime.aio import AioOverlay
+    from repro.workloads.distributions import uniform_sampler
+
+    size = 64
+    schema = ExperimentConfig(
+        network_size=size, seed=2009, dimensions=3
+    ).schema()
+    calls = {"queries": set()}
+    for name in (
+        "_pack_section", "_parse_section", "_pack_record", "_parse_record",
+        "_decode_descriptor", "encode",
+    ):
+        original = getattr(Codec, name)
+
+        def counting(self, *args, _original=original, _name=name):
+            if _name != "encode":
+                calls[_name] = calls.get(_name, 0) + 1
+            elif isinstance(args[1], QueryMessage):
+                calls["queries"].add(args[1].query_id)
+            return _original(self, *args)
+
+        monkeypatch.setattr(Codec, name, counting)
+
+    async def scenario():
+        async with AioOverlay(schema, seed=2009) as overlay:
+            await overlay.populate(uniform_sampler(schema), size)
+            overlay.bootstrap()
+            for index, low in enumerate((0.0, 15.0, 30.0, 45.0, 60.0)):
+                query = Query.where(schema, attr0=(low, low + 40.0))
+                found = await overlay.execute_query(query, origin=index * 7)
+                assert len(found) == len(overlay.matching_descriptors(query))
+
+    run_once(benchmark, asyncio.run, scenario())
+    queries = len(calls["queries"])
+    # Each match rides every reply from its node up to the origin.
+    assert queries == 5 and calls["_decode_descriptor"] > 4 * size, calls
+    assert calls["_pack_section"] == calls["_parse_section"] == queries
+    assert 0 < calls["_pack_record"] <= size
+    assert 0 < calls["_parse_record"] <= size
+
+
 #: ``slot_of`` calls in the gossip gate below, as counted on the
 #: per-dimension implementation the key arithmetic replaced: classifying
 #: by key must change how a slot is found, never how often.

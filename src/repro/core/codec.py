@@ -45,6 +45,14 @@ cell. A descriptor record must carry the schema's arity and coordinates
 on its grid, ``[0, 2**max_level)`` per dimension; anything else raises
 :class:`CodecError`, checked only when a tuple is new to the intern
 table. Encoding carries any record that fits the wire widths.
+
+The same query crosses every hop of its tree, and the same descriptors
+ride every reply up it, so one :class:`Codec` remembers what it already
+did: a QUERY's constant section and each descriptor record are packed and
+parsed once per process, in memos bounded by :data:`MAX_MEMO_SECTIONS`
+and :data:`MAX_MEMO_RECORDS`. A memo hit needs byte equality with bytes
+that already parsed cleanly, so every frame rejected without the memos is
+rejected with them, and every frame is byte-identical.
 """
 
 from __future__ import annotations
@@ -111,6 +119,11 @@ _KIND_CATEGORICAL = 1
 #: fragment index (u16), fragment count (u16).
 FRAGMENT_OVERHEAD = _FRAGMENT_HEAD.size
 
+#: Query sections each memo of a :class:`Codec` holds before it is cleared.
+MAX_MEMO_SECTIONS = 1024
+#: Descriptor records each memo of a :class:`Codec` holds before it is cleared.
+MAX_MEMO_RECORDS = 4096
+
 
 def _record_layout(value_count: int, coordinate_count: int) -> struct.Struct:
     """Descriptor record: address, value count, values, coord count, coords."""
@@ -125,6 +138,13 @@ def _ranges_layout(count: int) -> struct.Struct:
 def _dimensions_layout(count: int) -> struct.Struct:
     """QUERY tail, second half: *count* dimensions (u16), budget (f64)."""
     return struct.Struct(f">{count}Hd")
+
+
+def _remember(memo: Dict[Any, Any], bound: int, key: Any, value: Any) -> None:
+    """Store *value* under *key*, clearing *memo* first if it is full."""
+    if len(memo) >= bound:
+        memo.clear()
+    memo[key] = value
 
 
 def _mask_of(dimensions: Tuple[int, ...]) -> int:
@@ -211,13 +231,20 @@ class _Writer:
 
 
 class _Reader:
-    """Strict cursor over a payload; raises :class:`CodecError` on underrun."""
+    """Strict cursor over a payload; raises :class:`CodecError` on underrun.
 
-    __slots__ = ("data", "offset")
+    ``canonical`` turns false once the bytes read so far hold a field the
+    encoder never writes that way (unsorted or repeated ordinals, spare
+    flag bits): they parse, but packing what they parsed to gives other
+    bytes.
+    """
+
+    __slots__ = ("data", "offset", "canonical")
 
     def __init__(self, data: bytes, offset: int) -> None:
         self.data = data
         self.offset = offset
+        self.canonical = True
 
     def _claim(self, count: int) -> int:
         """Advance past *count* bytes; return the offset they start at."""
@@ -281,14 +308,34 @@ class _Reader:
 class Codec:
     """Schema-bound encoder/decoder for every overlay message type.
 
-    One instance serves a whole deployment (it is stateless apart from the
-    shared schema and the layouts compiled for its arity). :meth:`encode`
+    One instance serves a whole deployment: every host of an
+    :class:`~repro.runtime.aio.AioOverlay` shares it. :meth:`encode`
     wraps a message object in a framed datagram carrying the sender's
     overlay address; :meth:`decode` is its strict inverse, returning
     ``(sender, message)``.
+
+    Beside the schema and the layouts compiled for its arity, it keeps
+    four bounded memos of work it already did:
+
+    * a QUERY's *section* — constraints, index ranges and σ, the same at
+      every hop of one query — is packed once per (query, ranges, σ)
+      objects, and parsed once per query id as long as its bytes stay
+      the same. A parse hit hands back the parsed query, ranges and σ,
+      and the ``(origin, counter)`` tuple itself, so the seen-LRUs of
+      all nodes of a process keep one id object per query. A parsed
+      section is packed as the bytes it arrived in;
+    * a descriptor record is parsed once per distinct record bytes, and
+      packed once per descriptor object. A parsed descriptor is packed as
+      the very bytes it arrived in.
+
+    Each memo is cleared when full, so a peer that floods new ids or
+    records costs only misses.
     """
 
-    __slots__ = ("schema", "_arity", "_record", "_ranges", "_dimensions")
+    __slots__ = (
+        "schema", "_arity", "_record", "_ranges", "_dimensions",
+        "_sections_out", "_sections_in", "_records_out", "_records_in",
+    )
 
     def __init__(self, schema: AttributeSchema) -> None:
         self.schema = schema
@@ -300,6 +347,16 @@ class Codec:
         self._dimensions = tuple(
             _dimensions_layout(count) for count in range(arity + 1)
         )
+        #: ``id(query)`` -> (query, ranges, σ, section bytes) last packed;
+        #: the entry keeps the query alive, so its id is not reused.
+        self._sections_out: Dict[int, Tuple[Any, ...]] = {}
+        #: Query id -> (section bytes, query id, query, ranges, σ) last parsed.
+        self._sections_in: Dict[Tuple[int, int], Tuple[Any, ...]] = {}
+        #: ``id(descriptor)`` -> (descriptor, record bytes); the entry keeps
+        #: the descriptor alive, so its id is not reused while it is held.
+        self._records_out: Dict[int, Tuple[NodeDescriptor, bytes]] = {}
+        #: Record bytes -> the descriptor they parsed to.
+        self._records_in: Dict[bytes, NodeDescriptor] = {}
 
     # -- framing ---------------------------------------------------------------
 
@@ -380,6 +437,17 @@ class Codec:
     # -- shared value encoders -------------------------------------------------
 
     def _pack_descriptor(self, descriptor: NodeDescriptor) -> bytes:
+        entry = self._records_out.get(id(descriptor))
+        if entry is not None and entry[0] is descriptor:
+            return entry[1]
+        record = self._pack_record(descriptor)
+        _remember(
+            self._records_out, MAX_MEMO_RECORDS, id(descriptor),
+            (descriptor, record),
+        )
+        return record
+
+    def _pack_record(self, descriptor: NodeDescriptor) -> bytes:
         values = descriptor.values
         coordinates = descriptor.coordinates
         return self._record_for(len(values), len(coordinates)).pack(
@@ -391,6 +459,17 @@ class Codec:
         )
 
     def _decode_descriptor(self, reader: _Reader) -> NodeDescriptor:
+        # Only records at the schema's arity enter the memo, so a hit
+        # is exactly one record of the compiled layout's size.
+        offset = reader.offset
+        end = offset + self._record.size
+        descriptor = self._records_in.get(reader.data[offset:end])
+        if descriptor is None:
+            return self._parse_record(reader)
+        reader.offset = end
+        return descriptor
+
+    def _parse_record(self, reader: _Reader) -> NodeDescriptor:
         data = reader.data
         offset = reader.offset
         try:
@@ -413,7 +492,16 @@ class Codec:
             cell = self.schema.intern_cell(fields[split + 1:])
         except ValueError as error:
             raise CodecError(str(error)) from None
-        return NodeDescriptor(fields[0], fields[2:split], *cell)
+        descriptor = NodeDescriptor(fields[0], fields[2:split], *cell)
+        # Every field of a record round-trips bit for bit, so these bytes
+        # are also what packing the descriptor gives.
+        record = data[offset:reader.offset]
+        _remember(self._records_in, MAX_MEMO_RECORDS, record, descriptor)
+        _remember(
+            self._records_out, MAX_MEMO_RECORDS, id(descriptor),
+            (descriptor, record),
+        )
+        return descriptor
 
     def _encode_constraint(self, writer: _Writer, constraint: Constraint) -> None:
         if isinstance(constraint, CategoricalSet):
@@ -439,11 +527,15 @@ class Codec:
             count = reader.u16()
             if count == 0:
                 raise CodecError("categorical constraint with no ordinals")
-            return CategoricalSet(
-                frozenset(reader.i64() for _ in range(count))
-            )
+            ordinals = [reader.i64() for _ in range(count)]
+            members = frozenset(ordinals)
+            if ordinals != sorted(members):
+                reader.canonical = False
+            return CategoricalSet(members)
         if kind == _KIND_RANGE:
             flags = reader.u8()
+            if flags > 3:
+                reader.canonical = False
             low = reader.f64() if flags & 1 else None
             high = reader.f64() if flags & 2 else None
             try:
@@ -489,19 +581,24 @@ class Codec:
         writer.parts.append(
             _QUERY_HEAD.pack(query_id[0], query_id[1], message.sender)
         )
-        self._encode_query(writer, message.query)
+        query = message.query
         index_ranges = message.index_ranges
-        writer.u8(len(index_ranges))
-        writer.parts.append(
-            self._ranges_for(len(index_ranges)).pack(
-                *itertools.chain.from_iterable(index_ranges)
-            )
-        )
-        if message.sigma is None:
-            writer.u8(0)
+        sigma = message.sigma
+        entry = self._sections_out.get(id(query))
+        if (
+            entry is not None
+            and entry[0] is query
+            and entry[1] is index_ranges
+            and entry[2] is sigma
+        ):
+            writer.parts.append(entry[3])
         else:
-            writer.u8(1)
-            writer.i64(message.sigma)
+            section = self._pack_section(query, index_ranges, sigma)
+            _remember(
+                self._sections_out, MAX_MEMO_SECTIONS, id(query),
+                (query, index_ranges, sigma, section),
+            )
+            writer.parts.append(section)
         mask = message.dimensions
         if mask < 0:
             raise CodecError("dimension bitmask outside its wire width")
@@ -516,23 +613,77 @@ class Codec:
             )
         )
 
+    def _pack_section(
+        self,
+        query: Query,
+        index_ranges: Tuple[Tuple[int, int], ...],
+        sigma: Any,
+    ) -> bytes:
+        """The QUERY bytes between head and tail: query, ranges, σ."""
+        writer = _Writer()
+        self._encode_query(writer, query)
+        writer.u8(len(index_ranges))
+        writer.parts.append(
+            self._ranges_for(len(index_ranges)).pack(
+                *itertools.chain.from_iterable(index_ranges)
+            )
+        )
+        if sigma is None:
+            writer.u8(0)
+        else:
+            writer.u8(1)
+            writer.i64(sigma)
+        return writer.getvalue()
+
     def _decode_query_message(self, reader: _Reader) -> QueryMessage:
         origin, counter, sender = reader.unpack(_QUERY_HEAD)
-        query = self._decode_query(reader)
-        bounds = reader.unpack(self._ranges_for(reader.u8()))
-        sigma = reader.i64() if reader.u8() else None
+        query_id = (origin, counter)
+        entry = self._sections_in.get(query_id)
+        if entry is not None and reader.data.startswith(entry[0], reader.offset):
+            # The parser is a pure function of the bytes it reads, so the
+            # same section bytes parse to what they parsed to before.
+            section, query_id, query, index_ranges, sigma = entry
+            reader.offset += len(section)
+        else:
+            query, index_ranges, sigma = self._parse_section(reader, query_id)
         level, count = reader.unpack(_LEVEL_DIMENSIONS)
         tail = reader.unpack(self._dimensions_for(count))
         return QueryMessage(
-            query_id=(origin, counter),
+            query_id=query_id,
             sender=sender,
             query=query,
-            index_ranges=tuple(zip(bounds[0::2], bounds[1::2])),
+            index_ranges=index_ranges,
             sigma=sigma,
             level=level,
             dimensions=_mask_of(tail[:count]),
             budget=tail[count],
         )
+
+    def _parse_section(
+        self, reader: _Reader, query_id: Tuple[int, int]
+    ) -> Tuple[Query, Tuple[Tuple[int, int], ...], Any]:
+        """Parse a QUERY section and remember it under *query_id*."""
+        start = reader.offset
+        query = self._decode_query(reader)
+        bounds = reader.unpack(self._ranges_for(reader.u8()))
+        flag = reader.u8()
+        if flag > 1:
+            reader.canonical = False
+        sigma = reader.i64() if flag else None
+        index_ranges = tuple(zip(bounds[0::2], bounds[1::2]))
+        section = reader.data[start:reader.offset]
+        _remember(
+            self._sections_in, MAX_MEMO_SECTIONS, query_id,
+            (section, query_id, query, index_ranges, sigma),
+        )
+        if reader.canonical:
+            # Packing what these bytes parsed to gives these bytes back,
+            # so a forwarding host sends them on as they arrived.
+            _remember(
+                self._sections_out, MAX_MEMO_SECTIONS, id(query),
+                (query, index_ranges, sigma, section),
+            )
+        return query, index_ranges, sigma
 
     def _encode_reply_message(
         self, writer: _Writer, message: ReplyMessage

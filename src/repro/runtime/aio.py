@@ -64,6 +64,12 @@ Endpoint = Tuple[str, int]
 #: fragmentation is disabled).
 MAX_DATAGRAM = 65_000
 
+#: Largest read asked of the kernel per ``recv``. asyncio's default of
+#: 256 KiB makes glibc, depending on what the heap freed earlier, mmap
+#: and unmap a buffer per read: page faults on every receive. No UDP
+#: datagram exceeds 64 KiB, and that stays below the mmap threshold.
+MAX_RECV = 65_536
+
 
 class AsyncioTransport(Transport):
     """Per-host :class:`Transport` over a real UDP socket and loop timers.
@@ -175,11 +181,7 @@ class _NodeDatagramProtocol(asyncio.DatagramProtocol):
     def connection_made(self, transport) -> None:
         """Capture the datagram transport once the socket is bound."""
         self.host.udp = transport
-        # asyncio reads each datagram into a fresh 256 KiB buffer, which
-        # glibc, depending on what the heap freed earlier, mmaps and
-        # unmaps per datagram: page faults on every receive. No UDP
-        # datagram exceeds 64 KiB, and that stays below the mmap threshold.
-        transport.max_size = 65536
+        transport.max_size = MAX_RECV
 
     def datagram_received(self, data: bytes, addr: Endpoint) -> None:
         """Decode and dispatch one datagram (hostile bytes never escape)."""

@@ -38,7 +38,7 @@ from repro.core.query import Query
 from repro.util.errors import ConfigurationError, HostDownError
 from repro.obs.export import prometheus_text
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
-from repro.runtime.aio import AioOverlay
+from repro.runtime.aio import MAX_RECV, AioOverlay
 
 #: Hard cap on request bodies; constraint payloads are tiny.
 MAX_BODY = 1 << 20
@@ -275,6 +275,9 @@ class HttpServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        # asyncio's default 256 KiB read can cost an mmap per recv; read
+        # at most MAX_RECV, as every host's UDP socket does.
+        writer.transport.max_size = MAX_RECV
         peer = writer.get_extra_info("peername")
         client = peer[0] if peer else "unknown"
         try:

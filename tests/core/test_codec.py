@@ -15,6 +15,8 @@ from repro.core.attributes import AttributeSchema, categorical, numeric
 from repro.core.codec import (
     FRAGMENT_OVERHEAD,
     MAGIC,
+    MAX_MEMO_RECORDS,
+    MAX_MEMO_SECTIONS,
     VERSION,
     Codec,
     CodecError,
@@ -792,3 +794,240 @@ class TestFragmentRejection:
             CODEC.decode(frame)
         except CodecError:
             pass  # the only acceptable failure mode
+
+
+# -- memos ---------------------------------------------------------------------
+
+
+def outcome(codec, frame):
+    """What *codec* makes of *frame*: ``(sender, message)`` or "rejected"."""
+    try:
+        return codec.decode(frame)
+    except CodecError:
+        return "rejected"
+
+
+def memo_sizes(codec):
+    return (
+        len(codec._sections_out), len(codec._sections_in),
+        len(codec._records_out), len(codec._records_in),
+    )
+
+
+@st.composite
+def frame_sequences(draw):
+    """Frames one long-lived codec may meet, built by the reference encoder.
+
+    Further hops of earlier queries (same section, new head and tail),
+    the same query id with another section, replies that repeat earlier
+    records, off-arity records beside them, and truncated or corrupted
+    copies of frames earlier in the sequence, repeats included.
+    """
+    queries_ = draw(st.lists(query_messages(), min_size=1, max_size=3))
+    replies = draw(st.lists(reply_messages(), min_size=1, max_size=3))
+    frames = []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        kind = draw(st.sampled_from([
+            "hop", "resection", "reply", "off-arity", "truncate",
+            "corrupt", "repeat",
+        ]))
+        if kind == "hop":
+            message = dataclasses.replace(
+                draw(st.sampled_from(queries_)),
+                sender=draw(addresses),
+                level=draw(st.integers(-1, SCHEMA.max_level)),
+                dimensions=draw(st.integers(0, 7)),
+            )
+        elif kind == "resection":
+            message = dataclasses.replace(
+                draw(query_messages()),
+                query_id=draw(st.sampled_from(queries_)).query_id,
+            )
+        elif kind in ("reply", "off-arity"):
+            message = draw(st.sampled_from(replies))
+            matching = list(draw(st.permutations(message.matching)))
+            if kind == "off-arity":
+                matching.insert(
+                    draw(st.integers(0, len(matching))),
+                    draw(st.sampled_from(OFF_ARITY_DESCRIPTORS)),
+                )
+            message = dataclasses.replace(message, matching=tuple(matching))
+        elif not any(frames):
+            continue
+        else:
+            frame = draw(st.sampled_from([frame for frame in frames if frame]))
+            if kind == "truncate":
+                frame = frame[:draw(st.integers(0, len(frame) - 1))]
+            elif kind == "corrupt":
+                damaged = bytearray(frame)
+                damaged[draw(st.integers(0, len(frame) - 1))] = draw(
+                    st.integers(0, 255)
+                )
+                frame = bytes(damaged)
+            frames.append(frame)
+            continue
+        frames.append(reference_encode(draw(addresses), message))
+    return frames
+
+
+class TestMemos:
+    """A long-lived codec decodes and encodes exactly like a fresh one."""
+
+    @given(frames=frame_sequences())
+    @settings(max_examples=300, deadline=None)
+    def test_long_lived_codec_matches_a_fresh_one(self, frames):
+        codec = Codec(SCHEMA)
+        for frame in frames:
+            got = outcome(codec, frame)
+            assert got == outcome(Codec(SCHEMA), frame)
+            if got != "rejected":
+                sender, message = got
+                assert codec.encode(sender, message) == reference_encode(
+                    sender, message
+                )
+
+    @pytest.mark.parametrize(
+        "name", ["query-categorical-dynamic", "reply-schema-arity"]
+    )
+    def test_every_single_byte_corruption_of_a_memoized_frame(self, name):
+        codec = Codec(SCHEMA)
+        frame = CODEC.encode(9, FIXED_MESSAGES[name])
+        assert codec.decode(frame) == (9, FIXED_MESSAGES[name])
+        for position in range(len(frame)):
+            for byte in {0x00, 0x7F, 0xFF, frame[position] ^ 1}:
+                corrupt = bytearray(frame)
+                corrupt[position] = byte
+                corrupt = bytes(corrupt)
+                assert outcome(codec, corrupt) == outcome(Codec(SCHEMA), corrupt)
+            # What a corruption parsed to never stands in for the original.
+            assert codec.decode(frame) == (9, FIXED_MESSAGES[name])
+
+    @pytest.mark.parametrize(
+        "name", ["query-categorical-dynamic", "reply-schema-arity"]
+    )
+    def test_every_truncation_of_a_memoized_frame_is_rejected(self, name):
+        codec = Codec(SCHEMA)
+        frame = CODEC.encode(9, FIXED_MESSAGES[name])
+        codec.decode(frame)
+        for cut in range(len(frame)):
+            with pytest.raises(CodecError):
+                codec.decode(frame[:cut])
+            # The truncated frame's own length, declared honestly.
+            payload = frame[_HEADER.size:cut]
+            relabelled = _HEADER.pack(
+                MAGIC, VERSION, frame[3], 9, len(payload)
+            ) + payload
+            assert outcome(codec, relabelled) == "rejected"
+
+    @pytest.mark.parametrize("descriptor", OFF_ARITY_DESCRIPTORS)
+    def test_off_arity_records_beside_memoized_ones_are_rejected(
+        self, descriptor
+    ):
+        codec = Codec(SCHEMA)
+        codec.decode(CODEC.encode(9, FIXED_MESSAGES["reply-schema-arity"]))
+        for position in range(len(SCHEMA_DESCRIPTORS) + 1):
+            matching = list(SCHEMA_DESCRIPTORS)
+            matching.insert(position, descriptor)
+            frame = reference_encode(
+                9, ReplyMessage((5, 2), 6, tuple(matching))
+            )
+            with pytest.raises(CodecError, match="dimensions"):
+                codec.decode(frame)
+
+    def test_another_section_under_a_known_id_is_parsed(self):
+        codec = Codec(SCHEMA)
+        codec.decode(CODEC.encode(3, RICH_QUERY))
+        other = dataclasses.replace(
+            RICH_QUERY, query=Query.where(SCHEMA, cpu=(0, 5)), sigma=4
+        )
+        assert codec.decode(reference_encode(3, other)) == (3, other)
+
+    def test_hops_of_one_query_share_what_they_decode_to(self):
+        """The seen-LRU of every node in a process keeps one id object."""
+        codec = Codec(SCHEMA)
+        _, first = codec.decode(CODEC.encode(3, RICH_QUERY))
+        hop = dataclasses.replace(
+            RICH_QUERY, sender=4, level=1, dimensions=0b101, budget=7.5
+        )
+        _, second = codec.decode(CODEC.encode(4, hop))
+        assert second == hop
+        assert second.query_id is first.query_id
+        assert second.query is first.query
+        assert second.index_ranges is first.index_ranges
+
+    def test_forwarding_what_arrived_packs_nothing_again(self, monkeypatch):
+        codec = Codec(SCHEMA)
+        _, query = codec.decode(reference_encode(3, RICH_QUERY))
+        _, reply = codec.decode(
+            reference_encode(6, FIXED_MESSAGES["reply-schema-arity"])
+        )
+
+        def packed_again(*args):
+            raise AssertionError("packed again")
+
+        monkeypatch.setattr(Codec, "_pack_section", packed_again)
+        monkeypatch.setattr(Codec, "_pack_record", packed_again)
+        for sender, message in (
+            (4, dataclasses.replace(query, sender=4, level=1)),
+            (9, dataclasses.replace(reply, sender=9)),
+        ):
+            assert codec.encode(sender, message) == reference_encode(
+                sender, message
+            )
+
+    @pytest.mark.parametrize(
+        "ordinals, flags, sigma_flag",
+        [
+            ((0, 2), 1, 1),  # canonical: forwarded as it arrived
+            ((2, 0), 1, 1),  # unsorted ordinals
+            ((0, 0, 2), 1, 1),  # a repeated ordinal
+            ((0, 2), 5, 1),  # a spare range flag bit
+            ((0, 2), 1, 2),  # a sigma flag other than 1
+        ],
+    )
+    def test_a_non_canonical_section_is_packed_afresh(
+        self, ordinals, flags, sigma_flag
+    ):
+        """Forwarding sends the encoder's bytes, whatever a peer sent."""
+        section = b"".join(
+            [_field("H", 2), _field("H", 3), b"cpu", _field("B", 0),
+             _field("B", flags), _field("d", 10.0),
+             _field("H", 2), b"os", _field("B", 1),
+             _field("H", len(ordinals))]
+            + [_field("q", ordinal) for ordinal in ordinals]
+            + [_field("H", 0), _field("B", 0), _field("B", sigma_flag),
+               _field("q", 5)]
+        )
+        payload = (
+            struct.pack(">qqq", 3, 8, 3) + section
+            + struct.pack(">iHd", 1, 0, 30.0)
+        )
+        frame = _HEADER.pack(MAGIC, VERSION, 1, 3, len(payload)) + payload
+        codec = Codec(SCHEMA)
+        _, message = codec.decode(frame)
+        assert (3, message) == Codec(SCHEMA).decode(frame)
+        assert message.query == Query.where(
+            SCHEMA, cpu=(10, None), os=["linux", "darwin"]
+        )
+        hop = dataclasses.replace(message, sender=4, level=0)
+        assert codec.encode(4, hop) == reference_encode(4, hop)
+
+    def test_memos_stay_within_their_bounds(self):
+        codec = Codec(SCHEMA)
+        for counter in range(MAX_MEMO_SECTIONS + 40):
+            message = dataclasses.replace(
+                RICH_QUERY,
+                query_id=(3, counter),
+                query=Query.where(SCHEMA, cpu=(counter, None)),
+            )
+            assert codec.decode(codec.encode(3, message)) == (3, message)
+            assert max(memo_sizes(codec)[:2]) <= MAX_MEMO_SECTIONS
+        cell = SCHEMA.intern_cell((1, 2, 0))
+        matching = tuple(
+            NodeDescriptor(address, (1.0, 2.0, 0.0), *cell)
+            for address in range(MAX_MEMO_RECORDS + 40)
+        )
+        for _ in range(2):
+            reply = ReplyMessage((1, 0), 1, matching)
+            assert codec.decode(codec.encode(1, reply)) == (1, reply)
+            assert max(memo_sizes(codec)[2:]) <= MAX_MEMO_RECORDS

@@ -146,6 +146,44 @@ class TestAioOverlay:
         assert all(65_507 <= size < 128 * 1024 for size in sizes)
         assert max_datagram <= 65_507
 
+    def test_http_receive_buffer_is_capped_at_64k(self, schema):
+        """The HTTP front door reads a request as a host reads a datagram."""
+        from repro.server import (
+            HttpServer, OverlayQueryService, ServeConfig, request_on_connection,
+        )
+
+        transports = []
+
+        class RecordingServer(HttpServer):
+            async def _handle_connection(self, reader, writer):
+                transports.append(writer.transport)
+                await super()._handle_connection(reader, writer)
+
+        async def scenario():
+            async with AioOverlay(schema, seed=7) as overlay:
+                await overlay.populate(uniform_sampler(schema), 2)
+                server = RecordingServer(
+                    OverlayQueryService(overlay), ServeConfig(port=0)
+                )
+                await server.start()
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                try:
+                    status, _ = await request_on_connection(
+                        reader, writer, "GET", "/healthz"
+                    )
+                    # Still open: the server side is read while it serves.
+                    (transport,) = transports
+                    return status, transport.is_closing(), transport.max_size
+                finally:
+                    writer.close()
+                    await server.close()
+
+        status, closing, size = asyncio.run(scenario())
+        assert status == 200 and not closing
+        assert 65_507 <= size < 128 * 1024
+
     def test_gossip_converges_over_udp(self, schema):
         async def scenario():
             gossip = GossipConfig(period=0.05, answer_timeout=0.5)

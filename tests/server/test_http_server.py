@@ -229,6 +229,28 @@ class TestRoutes:
         assert counters["http.responses{status=400}"] == 3
 
 
+class TestLargeBody:
+    def test_a_body_of_max_body_bytes_arrives_whole(self):
+        """Reads of at most 64 KiB still assemble a MAX_BODY request."""
+
+        async def scenario():
+            service = _GatedService()
+            service.gate.set()
+            server = await _start(service)
+            try:
+                pad = "x" * (MAX_BODY - len(json.dumps({"pad": ""})))
+                assert len(json.dumps({"pad": pad})) == MAX_BODY
+                return await http_request(
+                    "127.0.0.1", server.port, "POST", "/query", {"pad": pad}
+                ), pad
+            finally:
+                await server.close()
+
+        (status, body), pad = asyncio.run(scenario())
+        assert status == 200
+        assert body["echo"]["pad"] == pad
+
+
 class TestBackpressure:
     def test_queue_full_answers_429(self):
         async def scenario():
